@@ -86,15 +86,19 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 
 def _resolve_seed(flag_value: int | None, fallback: int = 0) -> int:
+    seed = fallback
     if flag_value is not None:
-        return flag_value
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+        seed = flag_value
+    elif (env := os.environ.get(SEED_ENV_VAR)) is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise _InputError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return fallback
+    try:
+        SeedSpec(seed)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from None
+    return seed
 
 
 def _summary_dict(summary) -> dict:
@@ -260,16 +264,23 @@ def _components_from_args(args) -> tuple[VarianceComponents, list[str]]:
     return comps, inputs
 
 
+def _cost_from_args(args) -> CostModel:
+    try:
+        cost = CostModel(c0=args.c0, c1=args.c1, c2=args.c2, c3=args.c3)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from None
+    if args.units < 1:
+        raise _InputError(f"--units must be at least 1, got {args.units}")
+    return cost
+
+
 def _allocation_dict(result) -> dict:
     return dataclasses.asdict(result)
 
 
 def _cmd_allocate(args) -> int:
     comps, inputs = _components_from_args(args)
-    try:
-        cost = CostModel(c0=args.c0, c1=args.c1, c2=args.c2, c3=args.c3)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from None
+    cost = _cost_from_args(args)
     strategies = STRATEGIES if args.strategy == "all" else (args.strategy,)
     results = {s: allocate(s, cost, comps, args.units) for s in strategies}
     oracle_results = {}
@@ -313,10 +324,7 @@ def _cmd_allocate(args) -> int:
 
 def _cmd_compare(args) -> int:
     comps, inputs = _components_from_args(args)
-    try:
-        cost = CostModel(c0=args.c0, c1=args.c1, c2=args.c2, c3=args.c3)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from None
+    cost = _cost_from_args(args)
     report = profitability_report(cost, comps, args.units)
     config = {
         "c0": args.c0,

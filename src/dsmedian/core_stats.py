@@ -172,13 +172,21 @@ def silverman_bandwidth(values) -> float:
     alone is used so the bandwidth stays positive.
     """
     arr = _as_finite_1d(values)
+    return _silverman_bandwidth(arr, np.sort(arr))
+
+
+def _silverman_bandwidth(arr: np.ndarray, sorted_vals: np.ndarray) -> float:
+    """Silverman bandwidth of a validated sample given its sorted copy.
+
+    The sd is taken over ``arr`` in its own order, because the summation
+    order decides the last bits of the result.
+    """
     k = arr.size
     if k < 2:
         raise ValueError("bandwidth needs at least 2 values")
     sd = float(np.std(arr, ddof=1))
     if sd == 0.0:
         raise ValueError("degenerate sample for bandwidth: all values identical")
-    sorted_vals = np.sort(arr)
     iqr = _quantile_sorted(sorted_vals, 0.75) - _quantile_sorted(sorted_vals, 0.25)
     scale = min(sd, iqr / 1.34) if iqr > 0.0 else sd
     return 0.9 * scale * k ** (-0.2)

@@ -17,16 +17,16 @@ the known population median of z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core_stats import (
     _quantile_sorted,
+    _silverman_bandwidth,
     kde_at,
     median,
     proportion_matrix,
-    silverman_bandwidth,
 )
 from .population import Population, PopulationSummary
 from .sampling import TwoPhaseSample
@@ -78,6 +78,14 @@ class SampleView:
     ``known_mz`` (the population median of z) is always available in the
     designs covered here; ``known_mx`` is optional and only consumed by
     the single-phase baselines (ratio-known, position, stratified).
+
+    Every estimator is a function of the same order statistics, so the
+    view sorts each variable once when it is built: ``sorted_y_m``,
+    ``sorted_x_m``, ``sorted_z_m``, ``sorted_x_n`` and ``sorted_z_n`` are
+    read-only sorted copies, and ``medians`` holds the five phase medians.
+    Standard deviations and kernel sums still run over the arrays in
+    their original order, because the summation order decides the last
+    bits of a floating-point sum.
     """
 
     y_m: np.ndarray
@@ -87,10 +95,20 @@ class SampleView:
     z_n: np.ndarray
     known_mz: float
     known_mx: float | None = None
+    sorted_y_m: np.ndarray = field(init=False, repr=False)
+    sorted_x_m: np.ndarray = field(init=False, repr=False)
+    sorted_z_m: np.ndarray = field(init=False, repr=False)
+    sorted_x_n: np.ndarray = field(init=False, repr=False)
+    sorted_z_n: np.ndarray = field(init=False, repr=False)
+    medians: SampleMedians = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("y_m", "x_m", "z_m", "x_n", "z_n"):
-            object.__setattr__(self, name, _frozen(getattr(self, name), name))
+            arr = _frozen(getattr(self, name), name)
+            ordered = np.sort(arr)
+            ordered.flags.writeable = False
+            object.__setattr__(self, name, arr)
+            object.__setattr__(self, "sorted_" + name, ordered)
         if not (self.y_m.size == self.x_m.size == self.z_m.size):
             raise EstimatorError("second-phase variables must have equal length")
         if self.x_n.size != self.z_n.size:
@@ -101,6 +119,14 @@ class SampleView:
             raise EstimatorError("known_mz must be finite")
         if self.known_mx is not None and not math.isfinite(self.known_mx):
             raise EstimatorError("known_mx must be finite when given")
+        medians = SampleMedians(
+            my=_quantile_sorted(self.sorted_y_m, 0.5),
+            mx=_quantile_sorted(self.sorted_x_m, 0.5),
+            mx1=_quantile_sorted(self.sorted_x_n, 0.5),
+            mz=_quantile_sorted(self.sorted_z_m, 0.5),
+            mz1=_quantile_sorted(self.sorted_z_n, 0.5),
+        )
+        object.__setattr__(self, "medians", medians)
 
     @property
     def m(self) -> int:
@@ -139,13 +165,7 @@ class SampleMedians:
 
 def sample_medians(view: SampleView) -> SampleMedians:
     """All five phase-correct sample medians used by the catalog."""
-    return SampleMedians(
-        my=median(view.y_m),
-        mx=median(view.x_m),
-        mx1=median(view.x_n),
-        mz=median(view.z_m),
-        mz1=median(view.z_n),
-    )
+    return view.medians
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +223,7 @@ def position_estimator(view: SampleView, exact: bool = False) -> float:
     """Position estimator: invert the second-phase ECDF of y at the
     auxiliary-stratified proportion estimate."""
     _, p_hat, _ = position_probability(view, exact=exact)
-    return _quantile_sorted(np.sort(view.y_m), p_hat)
+    return _quantile_sorted(view.sorted_y_m, p_hat)
 
 
 def stratification_estimator(view: SampleView, fallback_to_median: bool = False) -> float:
@@ -215,9 +235,9 @@ def stratification_estimator(view: SampleView, fallback_to_median: bool = False)
     y_high = np.sort(view.y_m[~low])
     if y_low.size == 0 or y_high.size == 0:
         if fallback_to_median:
-            return median(view.y_m)
+            return view.medians.my
         raise EstimatorError("stratification undefined: one stratum is empty")
-    ys = np.sort(view.y_m)
+    ys = view.sorted_y_m
     f_low = np.searchsorted(y_low, ys, side="right") / y_low.size
     f_high = np.searchsorted(y_high, ys, side="right") / y_high.size
     f_avg = 0.5 * (f_low + f_high)
@@ -308,13 +328,13 @@ def plugin_coefficients(view: SampleView) -> PluginCoefficients:
         raise EstimatorError("plug-in coefficients need m >= 4")
     meds = sample_medians(view)
     dens = {}
-    for name, values, at in (
-        ("x", view.x_m, meds.mx),
-        ("y", view.y_m, meds.my),
-        ("z", view.z_m, meds.mz),
+    for name, values, ordered, at in (
+        ("x", view.x_m, view.sorted_x_m, meds.mx),
+        ("y", view.y_m, view.sorted_y_m, meds.my),
+        ("z", view.z_m, view.sorted_z_m, meds.mz),
     ):
         try:
-            h = silverman_bandwidth(values)
+            h = _silverman_bandwidth(values, ordered)
         except ValueError as exc:
             raise EstimatorError(f"degenerate second-phase {name} sample") from exc
         dens[name] = kde_at(values, at, h).value
@@ -524,7 +544,7 @@ def evaluate_estimator(
     representative; when omitted it is computed from the view.
     """
     if est_id == "median":
-        return median(view.y_m)
+        return view.medians.my
     if est_id == "ratio-known":
         return ratio_known(view)
     if est_id == "position":

@@ -48,13 +48,15 @@ class TwoPhaseSample:
     def __post_init__(self) -> None:
         first = np.sort(np.asarray(self.first_phase, dtype=np.int64))
         second = np.sort(np.asarray(self.second_phase, dtype=np.int64))
-        if np.unique(first).size != first.size or np.unique(second).size != second.size:
+        if np.any(first[1:] == first[:-1]) or np.any(second[1:] == second[:-1]):
             raise ValueError("phase index sets must not contain duplicates")
         if not (0 < second.size < first.size):
             raise ValueError("require m < n with both phases nonempty")
         if first.size and first[0] < 0:
             raise ValueError("indices must be nonnegative")
-        if not np.all(np.isin(second, first, assume_unique=True)):
+        # second is sorted, so only its last insertion point can run past the end
+        pos = np.searchsorted(first, second)
+        if pos[-1] == first.size or np.any(first[pos] != second):
             raise ValueError("second phase must be a subset of the first phase")
         first.flags.writeable = False
         second.flags.writeable = False
@@ -71,12 +73,20 @@ class TwoPhaseSample:
 
 
 def _sample_indices(rng: np.random.Generator, N: int, k: int) -> np.ndarray:
-    """First k entries of a partial Fisher-Yates shuffle of range(N)."""
-    pool = np.arange(N, dtype=np.int64)
-    picks = rng.integers(low=np.arange(k), high=N)
+    """First k entries of a partial Fisher-Yates shuffle of range(N).
+
+    Step i swaps pool positions i and j = picks[i] >= i, after which
+    position i is final.  The pool is kept sparse on Python ints: ``moved``
+    maps each position a swap has written to its current value, and every
+    other position still holds its own index.
+    """
+    picks = rng.integers(low=np.arange(k), high=N).tolist()
+    moved: dict[int, int] = {}
+    out = []
     for i, j in enumerate(picks):
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:k]
+        out.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return np.array(out, dtype=np.int64)
 
 
 def srswor(N: int, k: int, seed: SeedSpec) -> np.ndarray:

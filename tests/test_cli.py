@@ -98,6 +98,17 @@ class TestEstimate:
                          "--estimators", "nope"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag,env", [("-1", None), (str(2**64), None), (None, "-1")])
+    def test_out_of_range_seed_exit_2(self, pop_csv, capsys, monkeypatch, flag, env):
+        if env is None:
+            monkeypatch.delenv("DSMEDIAN_SEED", raising=False)
+        else:
+            monkeypatch.setenv("DSMEDIAN_SEED", env)
+        seed_args = [] if flag is None else ["--seed", flag]
+        code = cli.main(["estimate", pop_csv, "--m", "10", "--n", "40", *seed_args])
+        assert code == 2
+        assert "unsigned 64-bit integer" in capsys.readouterr().err
+
     def test_bad_sizes_exit_2(self, pop_csv):
         assert cli.main(["estimate", pop_csv, "--m", "100", "--n", "30"]) == 2
 
@@ -242,6 +253,15 @@ class TestAllocate:
                          "--units", "1000"])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("sub", ["allocate", "compare"])
+    @pytest.mark.parametrize("units", ["0", "-5"])
+    def test_nonpositive_units_exit_2(self, capsys, sub, units):
+        argv = [sub, *self.ARGS]
+        argv[argv.index("--units") + 1] = units
+        code = cli.main(argv)
+        assert code == 2
+        assert "--units must be at least 1" in capsys.readouterr().err
 
     def test_components_from_csv(self, pop_csv, capsys):
         code, out = run_cli(capsys, "allocate", "--c0", "500", "--c1", "4", "--c2", "1",

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from dsmedian import estimators
+from dsmedian.core_stats import median, silverman_bandwidth
 from dsmedian.estimators import (
     ESTIMATOR_IDS,
     EstimatorError,
@@ -43,6 +45,21 @@ def random_view(rng, m=24, n=80):
     return make_view(
         y_m=y2, x_m=x[:m], z_m=z[:m], x_n=x, z_n=z, known_mz=10.0, known_mx=10.0
     )
+
+
+def oracle_views(rng):
+    """Seeded views with odd and even m, continuous and tie-heavy integer data."""
+    for m in (5, 6, 23, 24, 150):
+        for ties in (False, True):
+            def draw(k):
+                if ties:
+                    return rng.integers(0, 4, size=k).astype(float)
+                return rng.normal(10, 2, size=k)
+
+            n = m + int(rng.integers(1, 9))
+            x, z = draw(n), draw(n)
+            yield make_view(y_m=draw(m), x_m=x[:m], z_m=z[:m], x_n=x, z_n=z,
+                            known_mz=2.0, known_mx=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +139,19 @@ class TestSampleMedians:
             assert meds.my == oracle_quantile(list(v.y_m), 0.5)
             assert meds.mx1 == oracle_quantile(list(v.x_n), 0.5)
             assert meds.mz == oracle_quantile(list(v.z_m), 0.5)
+
+    def test_cached_medians_equal_raw_medians(self, rng):
+        for v in oracle_views(rng):
+            meds = sample_medians(v)
+            assert meds.my == median(v.y_m) and meds.mx == median(v.x_m)
+            assert meds.mz == median(v.z_m)
+            assert meds.mx1 == median(v.x_n) and meds.mz1 == median(v.z_n)
+            for name in ("y_m", "x_m", "z_m", "x_n", "z_n"):
+                ordered = getattr(v, "sorted_" + name)
+                assert np.array_equal(ordered, np.sort(getattr(v, name)))
+                assert not ordered.flags.writeable
+                with pytest.raises(ValueError):
+                    ordered[0] = 0.0
 
     def test_census_first_phase_recovers_population_median(self, rng):
         from dsmedian.core_stats import median as pop_median
@@ -321,6 +351,28 @@ class TestPluginCoefficients:
             assert c.d1_hat == pytest.approx(o["d1"], rel=1e-10)
             checked += 1
         assert checked >= 15
+
+    def test_bandwidths_equal_public_silverman(self, rng, monkeypatch):
+        seen = []
+        kde_at = estimators.kde_at
+
+        def recording_kde(values, point, bandwidth):
+            seen.append((values, bandwidth))
+            return kde_at(values, point, bandwidth)
+
+        monkeypatch.setattr(estimators, "kde_at", recording_kde)
+        for v in oracle_views(rng):
+            try:
+                plugin_coefficients(v)
+            except EstimatorError:
+                pass  # tie-heavy samples may be collinear; the KDEs ran first
+        assert len(seen) >= 20
+        for values, h in seen:
+            # the sd must be summed over the sample in its original order
+            sd = float(np.std(values, ddof=1))
+            iqr = oracle_quantile(list(values), 0.75) - oracle_quantile(list(values), 0.25)
+            scale = min(sd, iqr / 1.34) if iqr > 0 else sd
+            assert h == silverman_bandwidth(values) == 0.9 * scale * values.size ** (-0.2)
 
     def test_collinear_auxiliaries(self):
         # z == x with even m forces the x-z concordance to one

@@ -8,6 +8,20 @@ import pytest
 from dsmedian.sampling import SeedSpec, TwoPhaseSample, draw_two_phase, srswor
 
 
+def reference_sample_indices(rng, N, k):
+    """The dense partial Fisher-Yates swap loop on a numpy pool: the
+    reference every draw must reproduce index for index."""
+    pool = np.arange(N, dtype=np.int64)
+    picks = rng.integers(low=np.arange(k), high=N)
+    for i, j in enumerate(picks):
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
+
+
+ORACLE_SIZES = [(2, 1), (2, 2), (7, 3), (10, 10), (600, 150), (5000, 600), (20000, 1200)]
+ORACLE_SEEDS = 500
+
+
 class TestSeedSpec:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -41,6 +55,13 @@ class TestSrswor:
             assert np.unique(idx).size == k
             assert idx[0] >= 0 and idx[-1] < N
             assert np.all(np.diff(idx) > 0)
+
+    @pytest.mark.parametrize("N,k", ORACLE_SIZES)
+    def test_matches_swap_loop(self, N, k):
+        for r in range(ORACLE_SEEDS):
+            seed = SeedSpec(2002, r)
+            expected = np.sort(reference_sample_indices(seed.generator(), N, k))
+            assert np.array_equal(srswor(N, k, seed), expected), (N, k, r)
 
     def test_k_larger_than_N(self):
         with pytest.raises(ValueError):
@@ -81,6 +102,18 @@ class TestDrawTwoPhase:
         b = draw_two_phase(50, 20, 7, SeedSpec(5, 11))
         assert np.array_equal(a.first_phase, b.first_phase)
         assert np.array_equal(a.second_phase, b.second_phase)
+
+    @pytest.mark.parametrize("N,n", [(N, k) for N, k in ORACLE_SIZES if k >= 2])
+    def test_matches_swap_loop(self, N, n):
+        m = max(1, n // 4)
+        for r in range(ORACLE_SEEDS):
+            seed = SeedSpec(2002, r)
+            rng = seed.generator()
+            first = reference_sample_indices(rng, N, n)
+            second = first[reference_sample_indices(rng, n, m)]
+            s = draw_two_phase(N, n, m, seed)
+            assert np.array_equal(s.first_phase, np.sort(first)), (N, n, r)
+            assert np.array_equal(s.second_phase, np.sort(second)), (N, n, r)
 
     def test_size_ordering_enforced(self):
         with pytest.raises(ValueError, match="m < n"):
@@ -134,12 +167,15 @@ class TestDrawTwoPhase:
 
 class TestTwoPhaseSample:
     def test_rejects_non_subset(self):
-        with pytest.raises(ValueError, match="subset"):
-            TwoPhaseSample(first_phase=[0, 1, 2], second_phase=[3])
+        # above the largest first-phase index, and between first-phase values
+        for first, second in (([0, 1, 2], [3]), ([0, 2, 4], [0, 5]), ([0, 2, 4], [1, 4])):
+            with pytest.raises(ValueError, match="subset"):
+                TwoPhaseSample(first_phase=first, second_phase=second)
 
     def test_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="duplicates"):
-            TwoPhaseSample(first_phase=[0, 1, 1], second_phase=[0])
+        for first, second in (([0, 1, 1], [0]), ([0, 1, 2], [1, 1])):
+            with pytest.raises(ValueError, match="duplicates"):
+                TwoPhaseSample(first_phase=first, second_phase=second)
 
     def test_rejects_equal_sizes(self):
         with pytest.raises(ValueError, match="m < n"):
