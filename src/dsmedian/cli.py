@@ -215,14 +215,17 @@ def _cmd_simulate(args) -> int:
         "units": args.units,
         "replicates": args.replicates,
         "estimators": args.estimators,
-        "master_seed": args.seed if args.seed is not None else os.environ.get(SEED_ENV_VAR),
+        "master_seed": args.seed,
     }
+    defaults = {"master_seed": os.environ.get(SEED_ENV_VAR)}
     try:
-        config = load_sim_config(args.config, overrides)
+        config = load_sim_config(args.config, overrides, defaults)
     except (OSError, ValueError) as exc:
         raise _InputError(str(exc)) from None
     try:
         report = run_simulation(config, threads=args.threads)
+    except OSError as exc:  # the population CSV, the only file it reads
+        raise _InputError(str(exc)) from None
     except ValueError as exc:
         raise _ModelError(str(exc)) from None
     payload = {

@@ -544,14 +544,19 @@ _INI_KEYS = {
 }
 
 
-def load_sim_config(path, overrides: dict[str, str] | None = None) -> SimConfig:
+def load_sim_config(
+    path,
+    overrides: dict[str, str] | None = None,
+    defaults: dict[str, str] | None = None,
+) -> SimConfig:
     """Parse a sectioned key = value simulation config; ``overrides`` are
-    flat key -> string pairs (CLI flags) that take precedence."""
+    flat key -> string pairs (CLI flags) that take precedence, ``defaults``
+    fill keys the file leaves out.  ``None`` values are ignored."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = parser.read(path)
     if not read:
         raise ValueError(f"cannot read config file {path}")
-    flat: dict[str, str] = {}
+    flat = {k: str(v) for k, v in (defaults or {}).items() if v is not None}
     for section, keys in _INI_KEYS.items():
         if not parser.has_section(section):
             continue

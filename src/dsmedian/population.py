@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,30 +163,109 @@ def load_population_csv(path) -> Population:
     """Read a population from CSV with the exact header ``x,y,z``.
 
     One unit per line, decimal-point reals.  Parsing is strict: a wrong
-    column count or a non-numeric field raises ValueError naming the line.
+    column count, a blank line, or a non-numeric or non-finite field raises
+    ValueError naming the line.
+
+    numpy's C reader parses the data rows when the checks in
+    :func:`_data_records` and :func:`_loadtxt_table` show its result is the
+    one the strict ``csv`` + ``float()`` reference would give; every other
+    file, valid or not, goes to the reference, which returns the population
+    or raises the error that names the line.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("empty CSV: missing header row") from None
-        names = tuple(h.strip() for h in header)
-        if names != CSV_COLUMNS:
-            raise ValueError(
-                f"bad header: expected columns {','.join(CSV_COLUMNS)}, got {','.join(names)}"
+        _read_header(csv.reader(fh))
+        table = _loadtxt_table(fh, _data_records(path))
+    if table is None:
+        return _load_reference(path)
+    return _population(table.T)
+
+
+def _read_header(reader) -> None:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError("empty CSV: missing header row") from None
+    names = tuple(h.strip() for h in header)
+    if names != CSV_COLUMNS:
+        raise ValueError(
+            f"bad header: expected columns {','.join(CSV_COLUMNS)}, got {','.join(names)}"
+        )
+
+
+# ASCII separators: numpy strips them around a number as whitespace, float() does not
+_UNIT_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _data_records(path) -> int | None:
+    """Lines after a one-line header, counted as ``\\n`` bytes, or None when
+    the count could be wrong (a lone CR ends a line too) or a byte in
+    0x1c..0x1f could make numpy accept a field that float() rejects."""
+    newlines = lone_crs = 0
+    last = b"\n"
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            if chunk.endswith(b"\r"):  # keep a CRLF split across chunks whole
+                chunk += fh.read(1)
+            if any(sep in chunk for sep in _UNIT_SEPARATORS):
+                return None
+            newlines += chunk.count(b"\n")
+            if b"\r" in chunk:
+                lone_crs += chunk.count(b"\r") - chunk.count(b"\r\n")
+            last = chunk[-1:]
+    if lone_crs:
+        return None
+    return newlines - 1 + (last != b"\n")
+
+
+def _loadtxt_table(fh, records: int | None) -> np.ndarray | None:
+    """The rest of ``fh`` as a (records, 3) array of finite values, or None.
+
+    ``loadtxt`` accepts a subset of the number strings float() accepts and
+    gives the same bits, but it skips blank lines, which the reference
+    rejects: a row count short of ``records`` sends the file to the
+    reference, as does anything else the reference must judge.
+    """
+    if records is None:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            table = np.loadtxt(
+                fh, delimiter=",", comments=None, quotechar=None, dtype=float, ndmin=2
             )
+    except ValueError:
+        return None
+    if table.shape != (records, 3) or not np.isfinite(table).all():
+        return None
+    return table
+
+
+def _load_reference(path) -> Population:
+    """The strict ``csv.reader`` + ``float()`` parser: the reference for the
+    numpy path and the reporter of every error past the header."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        _read_header(reader)
         cols: list[list[float]] = [[], [], []]
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 3:
                 raise ValueError(f"line {lineno}: expected 3 columns, got {len(row)}")
             for j, cell in enumerate(row):
                 try:
-                    cols[j].append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise ValueError(
                         f"line {lineno}: column {CSV_COLUMNS[j]} is not a number: {cell!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"line {lineno}: column {CSV_COLUMNS[j]} is not a finite number: {cell!r}"
+                    )
+                cols[j].append(value)
+    return _population(cols)
+
+
+def _population(cols) -> Population:
     if len(cols[0]) < 4:
         raise ValueError("population needs at least 4 data rows")
     return Population(x=cols[0], y=cols[1], z=cols[2])

@@ -52,6 +52,15 @@ class TestAnalyze:
         assert code == 2
         assert "x,y,z" in err
 
+    def test_nan_cell_exit_2_names_line(self, tmp_path, capsys):
+        p = tmp_path / "nan.csv"
+        p.write_text("x,y,z\n1,2,3\n4,nan,6\n7,8,9\n10,11,12\n")
+        code = cli.main(["analyze", str(p)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: line 3: column y is not a finite number: 'nan'\n"
+        )
+
     def test_degenerate_population_exit_3(self, tmp_path, capsys):
         p = tmp_path / "flat.csv"
         p.write_text("x,y,z\n" + "1,2,3\n" * 5)
@@ -212,6 +221,41 @@ class TestSimulate:
         doc = json.loads(oj.read_text())
         assert doc["report"]["design"]["replicates"] == 3
         assert doc["manifest"]["master_seed"] == 5
+
+    @pytest.mark.parametrize(
+        "config_seed,env,flag,expected",
+        [("77", "99", None, 77), (None, "99", None, 99), ("77", "99", "5", 5)],
+    )
+    def test_seed_order_flag_config_env(self, tmp_path, capsys, monkeypatch,
+                                        config_seed, env, flag, expected):
+        ini = tmp_path / "sim.ini"
+        seed_line = "master_seed = 77\n"
+        ini.write_text(SIM_INI.replace(seed_line, "" if config_seed is None else seed_line))
+        monkeypatch.setenv(cli.SEED_ENV_VAR, env)
+        oj = tmp_path / "o.json"
+        seed_args = [] if flag is None else ["--seed", flag]
+        code = cli.main(["simulate", str(ini), "--replicates", "2", *seed_args,
+                         "--out-json", str(oj), "--out-csv", str(tmp_path / "o.csv")])
+        capsys.readouterr()
+        assert code == 0
+        assert json.loads(oj.read_text())["manifest"]["master_seed"] == expected
+
+    def test_missing_csv_path_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "absent.csv"
+        ini = tmp_path / "sim.ini"
+        ini.write_text(
+            f"[population]\nsource = csv\ncsv_path = {missing}\nunits = 400\n"
+            "[design]\nm = 30\nn = 120\n"
+            "[run]\nreplicates = 2\nmaster_seed = 1\nestimators = median\n"
+        )
+        code = cli.main(["simulate", str(ini),
+                         "--out-json", str(tmp_path / "x.json"),
+                         "--out-csv", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(missing) in err
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestAllocate:

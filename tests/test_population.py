@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import write_population_csv
+from dsmedian import population
 from dsmedian.core_stats import median
 from dsmedian.population import (
     Population,
@@ -96,7 +97,79 @@ class TestPopulationSummary:
         assert s.pm_xy.rowA_low == pytest.approx(0.5, abs=1e-12)
 
 
+def data_rows(n, end="\n", seed=5):
+    """n rows of round-trip 17-digit reprs, each ending in ``end``."""
+    values = np.random.default_rng(seed).lognormal(size=(n, 3))
+    return "".join(",".join(repr(float(v)) for v in row) + end for row in values)
+
+
+BIG = data_rows(5000)
+BIG_CRLF = data_rows(5000, "\r\n")
+SMALL = "1,2,3\n4,5,6\n7,8,9\n10,11,12\n"
+MID = BIG.index("\n", len(BIG) // 2) + 1  # start of a row half way through
+
+VALID_FILES = {
+    "repr17-5000-rows": "x,y,z\n" + BIG,
+    "integers-and-exponents": "x,y,z\n1,-2,3e2\n4.5E-3,+5,6.\n.7,8e+0,-0\n10,1e-320,12\n",
+    "crlf": "x,y,z\r\n" + SMALL.replace("\n", "\r\n"),
+    "crlf-5000-rows": "x,y,z\r\n" + BIG_CRLF,
+    "no-final-newline": "x,y,z\n" + SMALL[:-1],
+    "no-final-newline-5000-rows": "x,y,z\n" + BIG[:-1],
+    "padded": "x,y,z\n 1 ,\t2,3\t\n4 , 5 ,\t 6\n7,8,9\n10,11,  12  \n",
+    "quoted": 'x,y,z\n"1",2,3\n4,"5",6\n7,8,"9"\n"10","11","12"\n',
+    "underscore": "x,y,z\n1_000,2,3\n4,5,6\n7,8,9\n10,11,12\n",
+    "lone-cr": "x,y,z\r" + SMALL.replace("\n", "\r"),
+}
+
+MALFORMED_FILES = {
+    "blank-line-middle": "x,y,z\n1,2,3\n\n4,5,6\n7,8,9\n10,11,12\n",
+    "blank-line-middle-crlf": "x,y,z\r\n1,2,3\r\n\r\n4,5,6\r\n7,8,9\r\n10,11,12\r\n",
+    "blank-line-middle-5000-rows": "x,y,z\n" + BIG[:MID] + "\n" + BIG[MID:],
+    "blank-line-end": "x,y,z\n" + SMALL + "\n",
+    "blank-line-end-crlf": "x,y,z\r\n" + SMALL.replace("\n", "\r\n") + "\r\n",
+    "blank-line-end-5000-rows-crlf": "x,y,z\r\n" + BIG_CRLF + "\r\n",
+    "whitespace-line": "x,y,z\n1,2,3\n \t \n4,5,6\n7,8,9\n10,11,12\n",
+    "trailing-comma": "x,y,z\n1,2,3,\n4,5,6,\n7,8,9,\n10,11,12,\n",
+    "bad-header": "x,y,w\n" + SMALL,
+    "header-only": "x,y,z\n",
+    "header-only-no-newline": "x,y,z",
+    "empty": "",
+    "three-rows": "x,y,z\n1,2,3\n4,5,6\n7,8,9\n",
+    "non-numeric": "x,y,z\n1,2,3\n4,oops,6\n7,8,9\n10,11,12\n",
+    "nan": "x,y,z\n1,2,3\n4,nan,6\n7,8,9\n10,11,12\n",
+    "inf": "x,y,z\n1,2,3\n4,5,6\n7,8,-inf\n10,11,12\n",
+    "cr-before-crlf": "x,y,z\n1,2,3\r\r\n4,5,6\n7,8,9\n10,11,12\n",
+    "unit-separator": "x,y,z\n1\x1c,2,3\n4,5,6\n7,8,9\n10,11,12\n",
+}
+
+
+def write_raw(path, text):
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+def outcome(load, path):
+    """The arrays' bytes, or the exception type and message."""
+    try:
+        pop = load(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return pop.x.tobytes(), pop.y.tobytes(), pop.z.tobytes()
+
+
+def refuse_reference(monkeypatch):
+    def fail(path):
+        raise AssertionError("the strict csv loop ran")
+
+    monkeypatch.setattr(population, "_load_reference", fail)
+
+
 class TestCsvIngestion:
+    """Strict ingestion.  ``load_population_csv`` is also checked against the
+    csv + float() loop it falls back on: the same bytes, or the same
+    exception and message."""
+
     def test_round_trip(self, rng, tmp_path):
         pop = small_population(rng, N=50)
         path = write_population_csv(tmp_path / "pop.csv", pop)
@@ -128,3 +201,51 @@ class TestCsvIngestion:
         p.write_text("x,y,z\n" + "".join(f"{i},{i},{i}\n" for i in range(1, 6)))
         pop = load_population_csv(p)
         assert median(pop.y) == 3.0
+
+    @pytest.mark.parametrize("name", VALID_FILES)
+    def test_valid_matches_reference(self, tmp_path, name):
+        path = write_raw(tmp_path / "pop.csv", VALID_FILES[name])
+        expected = outcome(population._load_reference, path)
+        assert len(expected) == 3, expected
+        assert outcome(load_population_csv, path) == expected
+
+    @pytest.mark.parametrize("name", MALFORMED_FILES)
+    def test_malformed_matches_reference(self, tmp_path, name):
+        path = write_raw(tmp_path / "bad.csv", MALFORMED_FILES[name])
+        expected = outcome(population._load_reference, path)
+        assert expected[0] is ValueError
+        assert outcome(load_population_csv, path) == expected
+
+    @pytest.mark.parametrize(
+        "name", ["repr17-5000-rows", "crlf-5000-rows", "no-final-newline-5000-rows"]
+    )
+    def test_large_valid_files_skip_the_reference(self, tmp_path, monkeypatch, name):
+        path = write_raw(tmp_path / "pop.csv", VALID_FILES[name])
+        expected = outcome(population._load_reference, path)
+        refuse_reference(monkeypatch)
+        assert outcome(load_population_csv, path) == expected
+
+    def test_crlf_split_across_read_chunks(self, tmp_path, monkeypatch):
+        # the CR of one CRLF is the last byte of the first 1 MiB read
+        text = "x,y,z\r\n" + data_rows(20000, "\r\n")
+        cut = text.rindex("\r\n", 0, 2**20 - 100) + 2
+        row = "1,1," + "1" * (2**20 - 5 - cut) + "\r\n"
+        text = text[:cut] + row + text[cut:]
+        assert text.encode()[2**20 - 1 : 2**20 + 1] == b"\r\n"
+        path = write_raw(tmp_path / "pop.csv", text)
+        expected = outcome(population._load_reference, path)
+        refuse_reference(monkeypatch)
+        assert outcome(load_population_csv, path) == expected
+
+    @pytest.mark.parametrize("rows", [4, 5000])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, rows, cell):
+        lines = data_rows(rows).splitlines(keepends=True)
+        y_cell = lines[2].split(",")[1]
+        lines[2] = lines[2].replace(y_cell, cell, 1)
+        path = write_raw(tmp_path / "bad.csv", "x,y,z\n" + "".join(lines))
+        message = f"line 4: column y is not a finite number: {cell!r}"
+        for load in (load_population_csv, population._load_reference):
+            with pytest.raises(ValueError) as info:
+                load(path)
+            assert str(info.value) == message
