@@ -75,6 +75,7 @@ from .allocation import (
 from .montecarlo import (
     GeneratorSpec,
     MarginalSpec,
+    PopulationInputError,
     SimConfig,
     SimReport,
     generate_population,

@@ -37,7 +37,7 @@ from .estimators import (
     evaluate_estimator,
     plugin_coefficients,
 )
-from .montecarlo import load_sim_config, run_simulation
+from .montecarlo import PopulationInputError, load_sim_config, run_simulation
 from .population import load_population_csv, population_summary
 from .sampling import SeedSpec, draw_two_phase
 from .variance_theory import AssociationSet, VarianceComponents, variance_components
@@ -48,6 +48,10 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_ORACLE = 4
+
+# simulate --threads only reschedules replicates; more workers than this
+# buy nothing on a batch host and each one is an operating-system thread
+MAX_THREADS = 64
 
 
 class _InputError(Exception):
@@ -209,6 +213,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if not 1 <= args.threads <= MAX_THREADS:
+        raise _InputError(f"--threads must be in 1..{MAX_THREADS}, got {args.threads}")
     overrides = {
         "m": args.m,
         "n": args.n,
@@ -224,7 +230,7 @@ def _cmd_simulate(args) -> int:
         raise _InputError(str(exc)) from None
     try:
         report = run_simulation(config, threads=args.threads)
-    except OSError as exc:  # the population CSV, the only file it reads
+    except (OSError, PopulationInputError) as exc:  # the population CSV, the only file it reads
         raise _InputError(str(exc)) from None
     except ValueError as exc:
         raise _ModelError(str(exc)) from None
@@ -397,7 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int)
     p.add_argument("--seed", type=int, help=f"master seed (default: config, then ${SEED_ENV_VAR})")
     p.add_argument("--estimators", help="comma-separated ids")
-    p.add_argument("--threads", type=int, default=1, help="worker threads (never changes results)")
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help=f"worker threads, 1..{MAX_THREADS} (default 1); never changes results and gives "
+        "no speed-up, because the replicate loop holds the GIL",
+    )
     p.add_argument("--out-json", default="simreport.json")
     p.add_argument("--out-csv", default="simreport.csv")
     p.set_defaults(fn=_cmd_simulate)

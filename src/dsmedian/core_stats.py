@@ -89,7 +89,13 @@ def empirical_quantile(values, p: float) -> float:
     arr = _as_finite_1d(values)
     if not (0.0 < p <= 1.0) or not math.isfinite(p):
         raise ValueError(f"quantile level must be in (0, 1], got {p!r}")
-    return _quantile_sorted(np.sort(arr), p)
+    idx = _quantile_index(arr.size, p)
+    value = np.partition(arr, idx)[idx]
+    if value == 0.0:
+        # -0.0 == 0.0, so among tied zeros selection and sorting may pick
+        # different signs; the sort decides which zero is the quantile
+        value = np.sort(arr)[idx]
+    return float(value)
 
 
 def median(values) -> float:

@@ -64,6 +64,7 @@ __all__ = [
     "load_sim_config",
     "TRUE_VARIANT_IDS",
     "POPULATION_STREAM",
+    "PopulationInputError",
 ]
 
 #: Reserved stream id for drawing the synthetic population itself;
@@ -82,6 +83,12 @@ TRUE_VARIANT_IDS = {
 _ALL_IDS = tuple(ESTIMATOR_IDS) + tuple(TRUE_VARIANT_IDS)
 
 _MARGINAL_KINDS = ("normal", "lognormal")
+
+
+class PopulationInputError(ValueError):
+    """The population CSV a config names is unusable: it does not load, or
+    its row count differs from the config's ``units``.  A fault of the
+    input, unlike the model errors ``run_simulation`` raises as ValueError."""
 
 
 @dataclass(frozen=True)
@@ -109,8 +116,9 @@ class MarginalSpec:
         return peak if self.kind == "normal" else peak / math.exp(self.mu)
 
     def transform(self, std_normal: np.ndarray) -> np.ndarray:
-        shifted = self.mu + self.sigma * std_normal
-        return shifted if self.kind == "normal" else np.exp(shifted)
+        shifted = self.sigma * std_normal
+        shifted += self.mu
+        return shifted if self.kind == "normal" else np.exp(shifted, out=shifted)
 
 
 @dataclass(frozen=True)
@@ -380,9 +388,12 @@ def run_simulation(config: SimConfig, threads: int = 1, keep_estimates: bool = F
         true_summary = config.generator.true_summary(config.N)
         summary_source = "analytic"
     else:
-        pop = load_population_csv(config.csv_path)
+        try:
+            pop = load_population_csv(config.csv_path)
+        except ValueError as exc:
+            raise PopulationInputError(str(exc)) from None
         if pop.N != config.N:
-            raise ValueError(f"CSV population has N={pop.N}, config says N={config.N}")
+            raise PopulationInputError(f"CSV population has N={pop.N}, config says N={config.N}")
         true_summary = population_summary(pop)
         summary_source = "census"
 

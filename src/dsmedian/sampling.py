@@ -79,14 +79,27 @@ def _sample_indices(rng: np.random.Generator, N: int, k: int) -> np.ndarray:
     position i is final.  The pool is kept sparse on Python ints: ``moved``
     maps each position a swap has written to its current value, and every
     other position still holds its own index.
+
+    Only the steps whose pick recurs or lies below k run the swap; every
+    other step outputs its pick unchanged.  That is exact: a position >= k
+    is only ever read as a pick, so a write to it matters only if the pick
+    recurs; a position below k is read at its own step, and only steps that
+    pick it, all of which run, write to it.
     """
-    picks = rng.integers(low=np.arange(k), high=N).tolist()
+    picks = rng.integers(low=np.arange(k), high=N)
+    order = picks.argsort()
+    tie = np.flatnonzero(picks[order[1:]] == picks[order[:-1]])
+    swaps = picks < k
+    swaps[order[tie]] = True
+    swaps[order[tie + 1]] = True
+    steps = np.flatnonzero(swaps)
     moved: dict[int, int] = {}
-    out = []
-    for i, j in enumerate(picks):
-        out.append(moved.get(j, j))
+    values = []
+    for i, j in zip(steps.tolist(), picks[steps].tolist()):
+        values.append(moved.get(j, j))
         moved[j] = moved.get(i, i)
-    return np.array(out, dtype=np.int64)
+    picks[steps] = values
+    return picks
 
 
 def srswor(N: int, k: int, seed: SeedSpec) -> np.ndarray:

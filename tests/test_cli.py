@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,6 +257,90 @@ class TestSimulate:
         assert err.startswith("error: ")
         assert str(missing) in err
         assert not (tmp_path / "x.json").exists()
+
+    @staticmethod
+    def _csv_config(tmp_path, csv_path, units):
+        ini = tmp_path / "sim.ini"
+        ini.write_text(
+            f"[population]\nsource = csv\ncsv_path = {csv_path}\nunits = {units}\n"
+            "[design]\nm = 30\nn = 120\n"
+            "[run]\nreplicates = 2\nmaster_seed = 1\nestimators = median\n"
+        )
+        return str(ini)
+
+    @pytest.mark.parametrize(
+        "defect,line",
+        [("blank", "\n"), ("cell", "1.0,oops,2.0\n")],
+    )
+    def test_bad_csv_exit_2_like_analyze(self, pop_csv, tmp_path, capsys, defect, line):
+        rows = Path(pop_csv).read_text().splitlines(keepends=True)
+        bad = tmp_path / f"{defect}.csv"
+        bad.write_text("".join(rows[:100] + [line] + rows[100:]))
+        assert cli.main(["analyze", str(bad)]) == 2
+        analyze_err = capsys.readouterr().err
+        assert "line 101" in analyze_err
+        code = cli.main(["simulate", self._csv_config(tmp_path, bad, 300),
+                         "--out-json", str(tmp_path / "x.json"),
+                         "--out-csv", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == analyze_err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_csv_size_mismatch_exit_2(self, pop_csv, tmp_path, capsys):
+        code = cli.main(["simulate", self._csv_config(tmp_path, pop_csv, 400),
+                         "--out-json", str(tmp_path / "x.json"),
+                         "--out-csv", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: CSV population has N=300, config says N=400\n"
+
+    def test_degenerate_csv_population_stays_model_error(self, tmp_path, capsys):
+        flat = tmp_path / "flat.csv"
+        flat.write_text("x,y,z\n" + "".join(f"{i},5,{i % 7}\n" for i in range(300)))
+        code = cli.main(["simulate", self._csv_config(tmp_path, flat, 300),
+                         "--out-json", str(tmp_path / "x.json"),
+                         "--out-csv", str(tmp_path / "x.csv")])
+        assert code == 3
+        assert "zero density at median" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-1", str(cli.MAX_THREADS + 1)])
+    def test_threads_out_of_range_exit_2(self, tmp_path, capsys, monkeypatch, threads):
+        def no_run(*args, **kwargs):
+            raise AssertionError("run_simulation reached")
+
+        monkeypatch.setattr(cli, "run_simulation", no_run)
+        ini = tmp_path / "sim.ini"
+        ini.write_text(SIM_INI)
+        code = cli.main(["simulate", str(ini), "--threads", threads,
+                         "--out-json", str(tmp_path / "x.json"),
+                         "--out-csv", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --threads must be in 1..{cli.MAX_THREADS}, got {threads}\n"
+        )
+
+    @pytest.mark.parametrize("threads", ["1", str(cli.MAX_THREADS)])
+    def test_threads_bounds_accepted(self, tmp_path, capsys, monkeypatch, threads):
+        seen = []
+
+        class Stop(Exception):
+            pass
+
+        def record(config, threads):
+            seen.append(threads)
+            raise Stop
+
+        monkeypatch.setattr(cli, "run_simulation", record)
+        ini = tmp_path / "sim.ini"
+        ini.write_text(SIM_INI)
+        with pytest.raises(Stop):
+            cli.main(["simulate", str(ini), "--threads", threads])
+        assert seen == [int(threads)]
+
+    def test_help_states_threads_range(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--help"])
+        assert exc.value.code == 0
+        assert f"1..{cli.MAX_THREADS}" in capsys.readouterr().out
 
 
 class TestAllocate:

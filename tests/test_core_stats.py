@@ -9,6 +9,7 @@ from dsmedian.core_stats import (
     DensityEstimate,
     ProportionMatrix,
     QuantileConvention,
+    _quantile_index,
     empirical_quantile,
     kde_at,
     median,
@@ -62,6 +63,22 @@ class TestEmpiricalQuantile:
             a, c = float(rng.normal()), float(rng.uniform(0.1, 5.0))
             q = empirical_quantile(vals, p)
             assert empirical_quantile(a + c * vals, p) == pytest.approx(a + c * q, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [1e-9, 0.25, 0.5, 0.75, 1.0])
+    def test_bits_match_sorted_order_statistic(self, rng, p):
+        # float.hex() tells -0.0 from 0.0, which compare equal
+        for _ in range(60):
+            k = int(rng.integers(1, 5001))
+            if rng.random() < 0.7:
+                # random weights put the zeros at every quantile level
+                weights = rng.dirichlet(np.ones(6))
+                vals = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], size=k, p=weights)
+            else:
+                vals = rng.normal(size=k)
+            expected = float(np.sort(vals)[_quantile_index(k, p)]).hex()
+            assert empirical_quantile(vals, p).hex() == expected, (k, p)
+            if p == 0.5:
+                assert median(vals).hex() == expected, k
 
     def test_errors(self):
         with pytest.raises(ValueError, match="empty sample"):

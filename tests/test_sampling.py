@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dsmedian.sampling import SeedSpec, TwoPhaseSample, draw_two_phase, srswor
+from dsmedian.sampling import SeedSpec, TwoPhaseSample, _sample_indices, draw_two_phase, srswor
 
 
 def reference_sample_indices(rng, N, k):
@@ -30,6 +30,22 @@ class TestSeedSpec:
     def test_rejects_too_wide(self):
         with pytest.raises(ValueError):
             SeedSpec(2**64, 0)
+
+
+# k close to N, or k large against sqrt(N), makes many picks repeat or fall below k
+ORDER_SIZES = [(2, 2), (10, 10), (50, 49), (1000, 999), (600, 150), (5000, 600), (20000, 1200)]
+
+
+class TestSampleIndices:
+    @pytest.mark.parametrize("N,k", ORDER_SIZES)
+    def test_matches_swap_loop_in_order(self, N, k):
+        # the second phase indexes the first in draw order, so the order counts
+        for r in range(ORACLE_SEEDS):
+            seed = SeedSpec(2002, r)
+            got = _sample_indices(seed.generator(), N, k)
+            expected = reference_sample_indices(seed.generator(), N, k)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expected), (N, k, r)
 
 
 class TestSrswor:
