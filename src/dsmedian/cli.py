@@ -40,7 +40,7 @@ from .estimators import (
 from .montecarlo import PopulationInputError, load_sim_config, run_simulation
 from .population import load_population_csv, population_summary
 from .sampling import SeedSpec, draw_two_phase
-from .variance_theory import AssociationSet, VarianceComponents, variance_components
+from .variance_theory import VarianceComponents, clamped_concordances, variance_components
 
 SEED_ENV_VAR = "DSMEDIAN_SEED"
 
@@ -141,16 +141,11 @@ def _cmd_analyze(args) -> int:
         comps_dict = dataclasses.asdict(variance_components(summary))
     except ValueError as exc:
         # perfectly concordant auxiliaries leave V3 undefined; the summary
-        # and the remaining components are still well defined
-        assoc = AssociationSet.from_summary(summary)
-        v0 = 1.0 / (4.0 * summary.density_y**2)
-        comps_dict = {
-            "V0": v0,
-            "V1": v0 * assoc.rho_xy**2,
-            "V2": v0 * assoc.rho_yz**2,
-            "V3": None,
-            "note": str(exc),
-        }
+        # and V0..V2, which do not involve rho_xz, are still well defined
+        rho_xy, rho_yz, _ = clamped_concordances(summary)
+        v0 = VarianceComponents.scaled_v0(1.0, summary.density_y)
+        comps = VarianceComponents.from_concordances(v0, rho_xy, rho_yz, 0.0)
+        comps_dict = {**dataclasses.asdict(comps), "V3": None, "note": str(exc)}
     payload = {
         "manifest": _manifest("analyze", {"csv": args.csv}, None, [args.csv]),
         "summary": _summary_dict(summary),

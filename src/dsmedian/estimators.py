@@ -21,13 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_stats import (
-    _quantile_sorted,
-    _silverman_bandwidth,
-    kde_at,
-    median,
-    proportion_matrix,
-)
+from .core_stats import _quantile_sorted, _silverman_bandwidth, kde_at, proportion_matrix
 from .population import Population, PopulationSummary
 from .sampling import TwoPhaseSample
 
@@ -43,6 +37,8 @@ __all__ = [
     "position_probability",
     "stratification_estimator",
     "ratio_double",
+    "optimum_coefficients",
+    "composite_concordance",
     "plugin_coefficients",
     "true_coefficients",
     "regression_two_aux",
@@ -53,6 +49,7 @@ __all__ = [
     "ESTIMATOR_IDS",
     "G_FORM_IDS",
     "evaluate_estimator",
+    "evaluate_with_diagnostics",
 ]
 
 
@@ -147,8 +144,8 @@ class SampleView:
             z_m=pop.z[sm],
             x_n=pop.x[sn],
             z_n=pop.z[sn],
-            known_mz=median(pop.z),
-            known_mx=median(pop.x),
+            known_mz=pop.median_z,
+            known_mx=pop.median_x,
         )
 
 
@@ -219,29 +216,45 @@ def position_probability(view: SampleView, exact: bool = False) -> tuple[float, 
     return raw, clamped, clamped != raw
 
 
+# (value, clamped, fell_back): an estimate with the diagnostics of the call
+# that computed it -- the position estimator clamped its proportion into
+# [1/m, 1], the stratification estimator found a stratum empty and returned
+# the sample median
+Estimate = tuple[float, bool, bool]
+
+
+def _position(view: SampleView, exact: bool = False) -> Estimate:
+    _, p_hat, clamped = position_probability(view, exact=exact)
+    return _quantile_sorted(view.sorted_y_m, p_hat), clamped, False
+
+
 def position_estimator(view: SampleView, exact: bool = False) -> float:
     """Position estimator: invert the second-phase ECDF of y at the
     auxiliary-stratified proportion estimate."""
-    _, p_hat, _ = position_probability(view, exact=exact)
-    return _quantile_sorted(view.sorted_y_m, p_hat)
+    return _position(view, exact)[0]
 
 
-def stratification_estimator(view: SampleView, fallback_to_median: bool = False) -> float:
-    """Smallest y where the average of the two within-stratum ECDFs
-    (strata split at the known median of x) reaches 0.5."""
+def _stratified(view: SampleView) -> Estimate:
     mx_known = _require_known_mx(view)
     low = view.x_m <= mx_known
     y_low = np.sort(view.y_m[low])
     y_high = np.sort(view.y_m[~low])
     if y_low.size == 0 or y_high.size == 0:
-        if fallback_to_median:
-            return view.medians.my
-        raise EstimatorError("stratification undefined: one stratum is empty")
+        return view.medians.my, False, True
     ys = view.sorted_y_m
     f_low = np.searchsorted(y_low, ys, side="right") / y_low.size
     f_high = np.searchsorted(y_high, ys, side="right") / y_high.size
     f_avg = 0.5 * (f_low + f_high)
-    return float(ys[int(np.argmax(f_avg >= 0.5))])
+    return float(ys[int(np.argmax(f_avg >= 0.5))]), False, False
+
+
+def stratification_estimator(view: SampleView, fallback_to_median: bool = False) -> float:
+    """Smallest y where the average of the two within-stratum ECDFs
+    (strata split at the known median of x) reaches 0.5."""
+    value, _, fell_back = _stratified(view)
+    if fell_back and not fallback_to_median:
+        raise EstimatorError("stratification undefined: one stratum is empty")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -264,58 +277,74 @@ class PluginCoefficients:
     Normally these are the second-phase sample plug-ins (hats); the same
     container carries the population-true values when the optimum is
     computed from a :class:`PopulationSummary` instead (they are the
-    estimands of the hats).
+    estimands of the hats).  Each set is None outside its own domain:
+    ``alpha1_hat``/``alpha2_hat`` when the median of y is zero,
+    ``a1_hat``..``a3_hat`` when the auxiliaries are collinear.
     """
 
     d1_hat: float
     d2_hat: float
-    alpha1_hat: float
-    alpha2_hat: float
+    alpha1_hat: float | None
+    alpha2_hat: float | None
     alpha1_star_hat: float
     alpha2_star_hat: float
-    a1_hat: float
-    a2_hat: float
-    a3_hat: float
+    a1_hat: float | None
+    a2_hat: float | None
+    a3_hat: float | None
 
     def __post_init__(self) -> None:
         for name in self.__dataclass_fields__:
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
                 raise EstimatorError(f"non-finite coefficient {name}")
 
+    def alphas(self) -> tuple[float, float]:
+        """(alpha1, alpha2), the optimum of the two-ratio class."""
+        if self.alpha1_hat is None:
+            raise EstimatorError("median of y is zero: alpha coefficients undefined")
+        return self.alpha1_hat, self.alpha2_hat
 
-def _coefficients(
-    mx: float,
-    my: float,
-    mz: float,
-    fx: float,
-    fy: float,
-    fz: float,
-    rho_xy: float,
-    rho_yz: float,
-    rho_xz: float,
+    def generalized(self) -> tuple[float, float, float]:
+        """(a1, a2, a3), the optimum of the generalized three-ratio class."""
+        if self.a1_hat is None:
+            raise EstimatorError("collinear auxiliaries: (4 p11(x,z) - 1)^2 reached 1")
+        return self.a1_hat, self.a2_hat, self.a3_hat
+
+
+def composite_concordance(rho_xy: float, rho_yz: float, rho_xz: float) -> float:
+    """D = rho_yz - rho_xy*rho_xz: the y-z concordance left after x."""
+    return rho_yz - rho_xy * rho_xz
+
+
+def optimum_coefficients(
+    medians: tuple[float, float, float],
+    densities: tuple[float, float, float],
+    rhos: tuple[float, float, float],
 ) -> PluginCoefficients:
+    """Every optimum coefficient at medians (M_x, M_y, M_z), densities
+    (f_x, f_y, f_z) at the medians and concordances (rho_xy, rho_yz,
+    rho_xz): the hats at second-phase plug-ins, the true optima at
+    population values.  All need f_y > 0; alpha1/alpha2 also M_y != 0,
+    a1..a3 also 1 - rho_xz^2 > 0."""
+    mx, my, mz = medians
+    fx, fy, fz = densities
+    rho_xy, rho_yz, rho_xz = rhos
     if fy <= 0.0:
         raise EstimatorError("zero density: f_y at its median vanished")
-    denom = 1.0 - rho_xz * rho_xz
-    if denom <= 0.0:
-        raise EstimatorError("collinear auxiliaries: (4 p11(x,z) - 1)^2 reached 1")
-    if my == 0.0:
-        raise EstimatorError("median of y is zero: alpha coefficients undefined")
-    d1 = (fx / fy) * rho_xy
-    d2 = (fz / fy) * rho_yz
     alpha1_star = mx * fx * rho_xy / fy
     alpha2_star = mz * fz * rho_yz / fy
-    return PluginCoefficients(
-        d1_hat=d1,
-        d2_hat=d2,
-        alpha1_hat=alpha1_star / my,
-        alpha2_hat=alpha2_star / my,
-        alpha1_star_hat=alpha1_star,
-        alpha2_star_hat=alpha2_star,
-        a1_hat=(rho_xy - rho_xz * rho_yz) * mx * fx / (denom * fy),
-        a2_hat=rho_xz * (rho_xy - rho_yz * rho_xz) * mz * fz / (denom * fy),
-        a3_hat=(rho_yz - rho_xy * rho_xz) * mz * fz / (denom * fy),
-    )
+    alphas = (None, None) if my == 0.0 else (alpha1_star / my, alpha2_star / my)
+    denom = 1.0 - rho_xz * rho_xz
+    generalized = (None, None, None)
+    if denom > 0.0:
+        d_x = rho_xy - rho_yz * rho_xz
+        generalized = (
+            d_x * mx * fx / (denom * fy),
+            rho_xz * d_x * mz * fz / (denom * fy),
+            composite_concordance(rho_xy, rho_yz, rho_xz) * mz * fz / (denom * fy),
+        )
+    return PluginCoefficients((fx / fy) * rho_xy, (fz / fy) * rho_yz, *alphas,
+                              alpha1_star, alpha2_star, *generalized)
 
 
 def plugin_coefficients(view: SampleView) -> PluginCoefficients:
@@ -341,31 +370,19 @@ def plugin_coefficients(view: SampleView) -> PluginCoefficients:
     pm_xy = proportion_matrix(np.column_stack((view.x_m, view.y_m)), meds.mx, meds.my)
     pm_xz = proportion_matrix(np.column_stack((view.x_m, view.z_m)), meds.mx, meds.mz)
     pm_yz = proportion_matrix(np.column_stack((view.y_m, view.z_m)), meds.my, meds.mz)
-    return _coefficients(
-        meds.mx,
-        meds.my,
-        meds.mz,
-        dens["x"],
-        dens["y"],
-        dens["z"],
-        pm_xy.concordance,
-        pm_yz.concordance,
-        pm_xz.concordance,
+    return optimum_coefficients(
+        (meds.mx, meds.my, meds.mz),
+        (dens["x"], dens["y"], dens["z"]),
+        (pm_xy.concordance, pm_yz.concordance, pm_xz.concordance),
     )
 
 
 def true_coefficients(summary: PopulationSummary) -> PluginCoefficients:
     """Population-true optimum coefficients from a summary (no hats)."""
-    return _coefficients(
-        summary.median_x,
-        summary.median_y,
-        summary.median_z,
-        summary.density_x,
-        summary.density_y,
-        summary.density_z,
-        summary.pm_xy.concordance,
-        summary.pm_yz.concordance,
-        summary.pm_xz.concordance,
+    return optimum_coefficients(
+        (summary.median_x, summary.median_y, summary.median_z),
+        (summary.density_x, summary.density_y, summary.density_z),
+        (summary.pm_xy.concordance, summary.pm_yz.concordance, summary.pm_xz.concordance),
     )
 
 
@@ -504,14 +521,10 @@ def class_F_estimate(view: SampleView, coeffs: PluginCoefficients | None = None)
     my - a1*(u-1) - a2*(v-1) - a3*(w-1), at the (estimated) optimum."""
     if coeffs is None:
         coeffs = plugin_coefficients(view)
+    a1, a2, a3 = coeffs.generalized()
     meds = sample_medians(view)
     u, v, w = _ratios(view, meds)
-    return (
-        meds.my
-        - coeffs.a1_hat * (u - 1.0)
-        - coeffs.a2_hat * (v - 1.0)
-        - coeffs.a3_hat * (w - 1.0)
-    )
+    return meds.my - a1 * (u - 1.0) - a2 * (v - 1.0) - a3 * (w - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +575,19 @@ def evaluate_estimator(
             return regression_two_aux(view, coeffs)
         if est_id == "f-linear":
             return class_F_estimate(view, coeffs)
-        form = gform_estimated_optimum(est_id, coeffs.alpha1_hat, coeffs.alpha2_hat)
-        return class_g_estimate(view, form)
+        return class_g_estimate(view, gform_estimated_optimum(est_id, *coeffs.alphas()))
     raise EstimatorError(f"unknown estimator id {est_id!r}")
+
+
+def evaluate_with_diagnostics(
+    est_id: str, view: SampleView, coeffs: PluginCoefficients | None = None
+) -> Estimate:
+    """:func:`evaluate_estimator` as ``(value, clamped, fell_back)``:
+    ``position`` reports whether its proportion estimate was clamped, and
+    ``stratified`` falls back to the second-phase median on an empty
+    stratum (which :func:`evaluate_estimator` rejects) and says so."""
+    if est_id == "position":
+        return _position(view)
+    if est_id == "stratified":
+        return _stratified(view)
+    return evaluate_estimator(est_id, view, coeffs), False, False

@@ -27,18 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_stats import median
 from .estimators import (
     COEFFICIENT_IDS,
     ESTIMATOR_IDS,
     EstimatorError,
     PluginCoefficients,
     SampleView,
+    evaluate_with_diagnostics,
     plugin_coefficients,
-    position_probability,
-    stratification_estimator,
     true_coefficients,
-    evaluate_estimator,
 )
 from .population import Population, PopulationSummary, load_population_csv, population_summary
 from .sampling import SeedSpec, draw_two_phase
@@ -366,7 +363,10 @@ def _theory_variance(
     if base == "median":
         return var_sample_median(sizes, summary)
     if base == "ratio-double":
-        return var_class_g(sizes, summary, -1.0, 0.0)
+        try:
+            return var_class_g(sizes, summary, -1.0, 0.0)
+        except ValueError:
+            return None  # a zero scale product: the relative-error expansion is undefined
     if comps is None:
         return None
     if base == "reg-x":
@@ -397,9 +397,7 @@ def run_simulation(config: SimConfig, threads: int = 1, keep_estimates: bool = F
         true_summary = population_summary(pop)
         summary_source = "census"
 
-    estimand = median(pop.y)
-    known_mx = median(pop.x)
-    known_mz = median(pop.z)
+    estimand = pop.median_y
     sizes = DesignSizes(config.m, config.n, config.N)
     try:
         comps = variance_components(true_summary)
@@ -413,6 +411,8 @@ def run_simulation(config: SimConfig, threads: int = 1, keep_estimates: bool = F
             true_coeffs = true_coefficients(true_summary)
         except EstimatorError:
             true_coeffs = None  # every true-variant replicate counts as failed
+    # (column, catalog id, whether it runs with the true coefficients)
+    plan = [(j, TRUE_VARIANT_IDS.get(e, e), e in TRUE_VARIANT_IDS) for j, e in enumerate(ids)]
 
     R = config.replicates
     estimates = np.full((R, len(ids)), np.nan)
@@ -421,46 +421,25 @@ def run_simulation(config: SimConfig, threads: int = 1, keep_estimates: bool = F
 
     def one_replicate(r: int) -> None:
         sample = draw_two_phase(config.N, config.n, config.m, SeedSpec(config.master_seed, r))
-        view = SampleView(
-            y_m=pop.y[sample.second_phase],
-            x_m=pop.x[sample.second_phase],
-            z_m=pop.z[sample.second_phase],
-            x_n=pop.x[sample.first_phase],
-            z_n=pop.z[sample.first_phase],
-            known_mz=known_mz,
-            known_mx=known_mx,
-        )
+        view = SampleView.from_population(pop, sample)
         coeffs: PluginCoefficients | None = None
-        coeffs_failed = False
         if needs_plugin:
             try:
                 coeffs = plugin_coefficients(view)
             except EstimatorError:
-                coeffs_failed = True
-        for j, est in enumerate(ids):
+                pass  # the coefficient ids fail this replicate
+        for j, base, uses_true in plan:
+            c = true_coeffs if uses_true else coeffs
+            if c is None and base in COEFFICIENT_IDS:
+                continue  # the coefficients it needs are unavailable: the estimate stays NaN
             try:
-                if est in TRUE_VARIANT_IDS:
-                    if true_coeffs is None:
-                        raise EstimatorError("true optimum coefficients unavailable")
-                    estimates[r, j] = evaluate_estimator(TRUE_VARIANT_IDS[est], view, true_coeffs)
-                elif est == "position":
-                    _, _, fired = position_probability(view)
-                    if fired:
-                        clamps[r, j] = 1
-                    estimates[r, j] = evaluate_estimator(est, view)
-                elif est == "stratified":
-                    low = int(np.count_nonzero(view.x_m <= known_mx))
-                    if low == 0 or low == view.m:
-                        fallbacks[r, j] = 1
-                    estimates[r, j] = stratification_estimator(view, fallback_to_median=True)
-                elif est in ("median", "ratio-known", "ratio-double"):
-                    estimates[r, j] = evaluate_estimator(est, view)
-                else:
-                    if coeffs_failed:
-                        raise EstimatorError("plug-in coefficients unavailable")
-                    estimates[r, j] = evaluate_estimator(est, view, coeffs)
+                estimates[r, j], clamped, fell_back = evaluate_with_diagnostics(base, view, c)
             except EstimatorError:
-                estimates[r, j] = np.nan
+                continue  # the estimate stays NaN
+            if clamped:
+                clamps[r, j] = 1
+            if fell_back:
+                fallbacks[r, j] = 1
 
     if threads <= 1:
         for r in range(R):

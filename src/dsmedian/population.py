@@ -14,6 +14,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,11 @@ class Population:
     @property
     def N(self) -> int:
         return self.x.size
+
+    # census medians, each computed on first use and kept with the population
+    median_x = cached_property(lambda self: median(self.x))
+    median_y = cached_property(lambda self: median(self.y))
+    median_z = cached_property(lambda self: median(self.z))
 
 
 @dataclass(frozen=True)
@@ -135,16 +141,14 @@ def population_summary(pop: Population) -> PopulationSummary:
     matrices split each pair at the medians.  Deterministic: identical
     input bits give identical output bits.
     """
-    meds = {}
+    meds = {"x": pop.median_x, "y": pop.median_y, "z": pop.median_z}
     dens = {}
     for name, values in (("x", pop.x), ("y", pop.y), ("z", pop.z)):
-        m = median(values)
         try:
             h = silverman_bandwidth(values)
         except ValueError as exc:
             raise ValueError(f"zero density at median: variable {name} is degenerate") from exc
-        meds[name] = m
-        dens[name] = kde_at(values, m, h).value
+        dens[name] = kde_at(values, meds[name], h).value
     return PopulationSummary(
         median_x=meds["x"],
         median_y=meds["y"],

@@ -28,12 +28,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .estimators import PluginCoefficients, composite_concordance, optimum_coefficients
 from .population import PopulationSummary
 
 __all__ = [
     "DesignSizes",
     "AssociationSet",
     "VarianceComponents",
+    "clamped_concordances",
     "OptimumGDerivatives",
     "OptimumFDerivatives",
     "var_sample_median",
@@ -73,11 +75,20 @@ class DesignSizes:
         return 1.0 / self.n - 1.0 / self.N
 
 
+def clamped_concordances(summary: PopulationSummary) -> tuple[float, float, float]:
+    """(rho_xy, rho_yz, rho_xz) clamped into [-1, 1]: census concordances of
+    a finite set can overshoot 1 by up to 4/N (ties, odd counts), while the
+    variance algebra holds on the continuous-limit range."""
+    pms = (summary.pm_xy, summary.pm_yz, summary.pm_xz)
+    return tuple(min(1.0, max(-1.0, pm.concordance)) for pm in pms)
+
+
 @dataclass(frozen=True)
 class AssociationSet:
     """Median-concordance coefficients and median-density scale products.
 
-    rho_ab = 4*P11(a, b) - 1 in [-1, 1]; scale_a = M_a * f_a(M_a).
+    rho_ab = 4*P11(a, b) - 1 in [-1, 1]; scale_a = M_a * f_a(M_a), nonzero
+    because the class variances are written in relative errors.
     """
 
     rho_xy: float
@@ -93,27 +104,15 @@ class AssociationSet:
             if not (math.isfinite(r) and -1.0 <= r <= 1.0):
                 raise ValueError(f"{name}={r!r} outside [-1, 1]")
         for name in ("scale_x", "scale_y", "scale_z"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.scale_y == 0.0:
-            raise ValueError("scale_y must be nonzero")
+            s = getattr(self, name)
+            if not (math.isfinite(s) and s != 0.0):
+                raise ValueError(f"{name}={s!r} must be finite and nonzero")
 
     @classmethod
     def from_summary(cls, summary: PopulationSummary) -> "AssociationSet":
-        """Derive the association set from a population summary.
-
-        Census concordances of a finite set can overshoot 1 by up to 4/N
-        (ties, odd counts); they are clamped into [-1, 1] here since the
-        variance algebra holds on the continuous-limit range.
-        """
-
-        def clamp(r: float) -> float:
-            return min(1.0, max(-1.0, r))
-
+        """The clamped concordances and the scale products of a summary."""
         return cls(
-            rho_xy=clamp(summary.pm_xy.concordance),
-            rho_yz=clamp(summary.pm_yz.concordance),
-            rho_xz=clamp(summary.pm_xz.concordance),
+            *clamped_concordances(summary),
             scale_x=summary.median_x * summary.density_x,
             scale_y=summary.median_y * summary.density_y,
             scale_z=summary.median_z * summary.density_z,
@@ -140,13 +139,18 @@ class VarianceComponents:
             if getattr(self, name) > self.V0 * (1.0 + 1e-12):
                 raise ValueError(f"{name} cannot exceed V0")
 
+    @staticmethod
+    def scaled_v0(theta: float, density_y: float) -> float:
+        """theta * V0, as theta / (4 f_y^2); theta = 1 gives V0 itself."""
+        return theta / (4.0 * density_y**2)
+
     @classmethod
     def from_concordances(
         cls, V0: float, rho_xy: float, rho_yz: float, rho_xz: float
     ) -> "VarianceComponents":
         if rho_xz * rho_xz >= 1.0:
             raise ValueError("auxiliary collinearity: |rho_xz| = 1 leaves V3 undefined")
-        d = rho_yz - rho_xy * rho_xz
+        d = composite_concordance(rho_xy, rho_yz, rho_xz)
         return cls(
             V0=V0,
             V1=V0 * rho_xy * rho_xy,
@@ -156,15 +160,14 @@ class VarianceComponents:
 
 
 def variance_components(summary: PopulationSummary) -> VarianceComponents:
-    """V0..V3 of a population summary."""
-    assoc = AssociationSet.from_summary(summary)
-    v0 = 1.0 / (4.0 * summary.density_y**2)
-    return VarianceComponents.from_concordances(v0, assoc.rho_xy, assoc.rho_yz, assoc.rho_xz)
+    """V0..V3 of a population summary: f_y and the clamped concordances."""
+    v0 = VarianceComponents.scaled_v0(1.0, summary.density_y)
+    return VarianceComponents.from_concordances(v0, *clamped_concordances(summary))
 
 
 def var_sample_median(sizes: DesignSizes, summary: PopulationSummary) -> float:
     """First-order variance of the plain sample median: theta_mN / (4 f_y^2)."""
-    return sizes.theta_mN / (4.0 * summary.density_y**2)
+    return VarianceComponents.scaled_v0(sizes.theta_mN, summary.density_y)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +185,7 @@ def var_class_g(
     rz = assoc.scale_y / assoc.scale_z
     a_term = rx * g1_deriv * (rx * g1_deriv + 2.0 * assoc.rho_xy)
     b_term = rz * g2_deriv * (rz * g2_deriv + 2.0 * assoc.rho_yz)
-    v0 = 1.0 / (4.0 * summary.density_y**2)
+    v0 = VarianceComponents.scaled_v0(1.0, summary.density_y)
     return v0 * (sizes.theta_mN + sizes.theta_mn * a_term + sizes.theta_nN * b_term)
 
 
@@ -199,20 +202,28 @@ class OptimumGDerivatives:
     alpha2_star: float
 
 
+def _optimum(summary: PopulationSummary) -> PluginCoefficients:
+    """The optimum coefficients at the summary's clamped concordances."""
+    return optimum_coefficients(
+        (summary.median_x, summary.median_y, summary.median_z),
+        (summary.density_x, summary.density_y, summary.density_z),
+        clamped_concordances(summary),
+    )
+
+
 def optimum_g_derivatives(summary: PopulationSummary) -> OptimumGDerivatives:
-    """g1 = -(scale_x/scale_y) rho_xy and g2 = -(scale_z/scale_y) rho_yz,
-    together with alpha1/alpha2 (their negatives) and the starred variants
-    that keep the M_y factor out."""
-    assoc = AssociationSet.from_summary(summary)
-    alpha1 = (assoc.scale_x / assoc.scale_y) * assoc.rho_xy
-    alpha2 = (assoc.scale_z / assoc.scale_y) * assoc.rho_yz
+    """(g1, g2) = -(alpha1, alpha2) with alpha1 = (scale_x/scale_y) rho_xy
+    and alpha2 = (scale_z/scale_y) rho_yz, and the starred variants that
+    keep the M_y factor out."""
+    c = _optimum(summary)
+    alpha1, alpha2 = c.alphas()
     return OptimumGDerivatives(
         g1=-alpha1,
         g2=-alpha2,
         alpha1=alpha1,
         alpha2=alpha2,
-        alpha1_star=assoc.scale_x * assoc.rho_xy / summary.density_y,
-        alpha2_star=assoc.scale_z * assoc.rho_yz / summary.density_y,
+        alpha1_star=c.alpha1_star_hat,
+        alpha2_star=c.alpha2_star_hat,
     )
 
 
@@ -254,7 +265,7 @@ def var_class_F(
     a3_term = cz * (
         cz * f3_deriv**2 + 2.0 * assoc.rho_yz * f3_deriv + 2.0 * cz * f3_deriv * f4_deriv
     )
-    v0 = 1.0 / (4.0 * summary.density_y**2)
+    v0 = VarianceComponents.scaled_v0(1.0, summary.density_y)
     return v0 * (
         sizes.theta_mN * a1_term + sizes.theta_mn * a2_term + sizes.theta_nN * a3_term
     )
@@ -279,17 +290,12 @@ class OptimumFDerivatives:
 
 def optimum_F_derivatives(summary: PopulationSummary) -> OptimumFDerivatives:
     """Closed-form optimum derivatives of the generalized class."""
-    assoc = AssociationSet.from_summary(summary)
-    s = assoc.rho_xz * assoc.rho_xz
-    if s >= 1.0:
+    c = _optimum(summary)
+    if c.a1_hat is None:
         raise ValueError("auxiliary collinearity: |rho_xz| = 1")
-    denom = 1.0 - s
-    fy = summary.density_y
-    d_comp = assoc.rho_yz - assoc.rho_xy * assoc.rho_xz
-    a1 = (assoc.rho_xy - assoc.rho_xz * assoc.rho_yz) * assoc.scale_x / (denom * fy)
-    a2 = assoc.rho_xz * (assoc.rho_xy - assoc.rho_yz * assoc.rho_xz) * assoc.scale_z / (denom * fy)
-    a3 = d_comp * assoc.scale_z / (denom * fy)
-    return OptimumFDerivatives(F2=-a1, F3=-a2, F4=-a3, D=d_comp, a1=a1, a2=a2, a3=a3)
+    d = composite_concordance(*clamped_concordances(summary))
+    return OptimumFDerivatives(F2=-c.a1_hat, F3=-c.a2_hat, F4=-c.a3_hat, D=d,
+                               a1=c.a1_hat, a2=c.a2_hat, a3=c.a3_hat)
 
 
 def min_var_F(sizes: DesignSizes, comps: VarianceComponents) -> float:

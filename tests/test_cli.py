@@ -123,7 +123,7 @@ class TestEstimate:
         assert cli.main(["estimate", pop_csv, "--m", "100", "--n", "30"]) == 2
 
     def test_per_estimator_errors_surfaced(self, tmp_path, capsys):
-        # x and z identical: coefficient estimators fail, the median still reports
+        # x and z identical: the generalized class fails, the others still report
         rng = np.random.default_rng(1)
         from dsmedian.population import Population
 
@@ -131,12 +131,14 @@ class TestEstimate:
         pop = Population(x=x, y=rng.normal(10, 2, size=80), z=x)
         path = write_population_csv(tmp_path / "c.csv", pop)
         code, out = run_cli(capsys, "estimate", path, "--m", "20", "--n", "60",
-                            "--seed", "3", "--estimators", "median,reg-xz")
+                            "--seed", "3", "--estimators", "median,f-linear,reg-xz")
         assert code == 0
         doc = json.loads(out)
         assert "value" in doc["estimates"]["median"]
-        assert "error" in doc["estimates"]["reg-xz"]
-        assert doc["coefficients_error"] is not None
+        assert "error" in doc["estimates"]["f-linear"]
+        assert "value" in doc["estimates"]["reg-xz"]
+        assert doc["coefficients"]["a1_hat"] is None
+        assert doc["coefficients_error"] is None
 
 
 SIM_INI = """
@@ -259,12 +261,12 @@ class TestSimulate:
         assert not (tmp_path / "x.json").exists()
 
     @staticmethod
-    def _csv_config(tmp_path, csv_path, units):
+    def _csv_config(tmp_path, csv_path, units, m=30, n=120, replicates=2, estimators="median"):
         ini = tmp_path / "sim.ini"
         ini.write_text(
             f"[population]\nsource = csv\ncsv_path = {csv_path}\nunits = {units}\n"
-            "[design]\nm = 30\nn = 120\n"
-            "[run]\nreplicates = 2\nmaster_seed = 1\nestimators = median\n"
+            f"[design]\nm = {m}\nn = {n}\n"
+            f"[run]\nreplicates = {replicates}\nmaster_seed = 1\nestimators = {estimators}\n"
         )
         return str(ini)
 
@@ -424,3 +426,103 @@ class TestCompare:
         doc = json.loads(out)
         assert doc["verdicts"]["g_vs_single"]["verdict"] == "profitable"
         assert set(doc["verdicts"]) == {"g_vs_single", "g_vs_H", "F_vs_H", "F_vs_g"}
+
+
+def _write_columns(path, x, y, z) -> str:
+    with open(path, "w") as fh:
+        fh.write("x,y,z\n")
+        for row in zip(x, y, z):
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    return str(path)
+
+
+def _signed_zero_column(values):
+    """Values rounded to integers, with every zero written as -0.0: a
+    column whose median is a signed zero."""
+    out = np.round(3.0 * values)
+    out[out == 0.0] = -0.0
+    return out
+
+
+@pytest.fixture
+def correlated_normals():
+    rng = np.random.default_rng(17)
+    cov = [[1.0, 0.8, 0.7], [0.8, 1.0, 0.6], [0.7, 0.6, 1.0]]
+    return rng.multivariate_normal([0.0, 0.0, 0.0], cov, size=600).T
+
+
+class TestDegenerateMedians:
+    COST = ("--c0", "1000", "--c1", "4", "--c2", "0.7", "--c3", "0.3", "--units", "600")
+
+    def test_zero_y_median_components(self, tmp_path, capsys, correlated_normals):
+        c = correlated_normals
+        path = _write_columns(tmp_path / "y0.csv", 10 + 2 * c[0], _signed_zero_column(c[1]),
+                              5 + c[2])
+        code, out = run_cli(capsys, "analyze", path)
+        assert code == 0
+        doc = json.loads(out)
+        assert str(doc["summary"]["median_y"]) == "-0.0"
+        comps = doc["variance_components"]
+        assert set(comps) == {"V0", "V1", "V2", "V3"}
+        assert all(isinstance(v, float) for v in comps.values())
+        for sub, extra in (("allocate", ("--strategy", "all", "--oracle")), ("compare", ())):
+            code, out = run_cli(capsys, sub, *self.COST, "--csv", path, *extra)
+            assert code == 0, sub
+            assert json.loads(out)["manifest"]["config"]["components"] == comps
+
+    def test_zero_x_median_simulate(self, tmp_path, capsys, correlated_normals):
+        c = correlated_normals
+        path = _write_columns(tmp_path / "x0.csv", _signed_zero_column(c[0]), 10 + 2 * c[1],
+                              _signed_zero_column(c[2]))
+        oj = tmp_path / "r.json"
+        ini = TestSimulate._csv_config(tmp_path, path, 600, m=40, n=160, replicates=40,
+                                       estimators="median, ratio-double, reg-x")
+        code = cli.main(["simulate", ini,
+                         "--out-json", str(oj), "--out-csv", str(tmp_path / "r.csv")])
+        capsys.readouterr()
+        assert code == 0
+        rows = {r["estimator"]: r for r in json.loads(oj.read_text())["report"]["estimators"]}
+        assert rows["ratio-double"]["theory_variance"] is None
+        assert rows["ratio-double"]["mse_theory_ratio"] is None
+        assert rows["median"]["theory_variance"] is not None
+        assert rows["reg-x"]["theory_variance"] is not None
+
+
+class TestCollinearAuxiliaries:
+    """z = 2x + 1: only the generalized class divides by 1 - rho_xz^2."""
+
+    @pytest.fixture
+    def collinear_csv(self, tmp_path):
+        rng = np.random.default_rng(4)
+        x = rng.integers(0, 9, size=3000).astype(float)
+        y = np.clip(x + rng.integers(-2, 3, size=3000), 0, 12)
+        return _write_columns(tmp_path / "collinear.csv", x, y, 2 * x + 1)
+
+    def test_estimate(self, collinear_csv, capsys):
+        code, out = run_cli(capsys, "estimate", collinear_csv, "--m", "31", "--n", "100",
+                            "--seed", "1")
+        assert code == 0
+        doc = json.loads(out)
+        failed = {k for k, v in doc["estimates"].items() if "error" in v}
+        assert failed == {"f-linear"}
+        assert doc["estimates"]["f-linear"]["error"].startswith("collinear auxiliaries")
+        assert list(doc["coefficients"]) == [
+            "d1_hat", "d2_hat", "alpha1_hat", "alpha2_hat", "alpha1_star_hat",
+            "alpha2_star_hat", "a1_hat", "a2_hat", "a3_hat"]
+        assert [k for k, v in doc["coefficients"].items() if v is None] == [
+            "a1_hat", "a2_hat", "a3_hat"]
+        assert doc["coefficients_error"] is None
+
+    def test_simulate(self, collinear_csv, tmp_path, capsys):
+        oj = tmp_path / "r.json"
+        ids = "reg-x, reg-xz, g1, g7, f-linear, reg-x-true, reg-xz-true, f-linear-true"
+        ini = TestSimulate._csv_config(tmp_path, collinear_csv, 3000, m=31, n=100,
+                                       replicates=40, estimators=ids)
+        code = cli.main(["simulate", ini,
+                         "--out-json", str(oj), "--out-csv", str(tmp_path / "r.csv")])
+        capsys.readouterr()
+        assert code == 0
+        rows = json.loads(oj.read_text())["report"]["estimators"]
+        failures = {r["estimator"]: r["failures"] for r in rows}
+        assert failures == {"reg-x": 0, "reg-xz": 0, "g1": 0, "g7": 0, "f-linear": 40,
+                            "reg-x-true": 0, "reg-xz-true": 0, "f-linear-true": 40}

@@ -6,9 +6,20 @@ import numpy as np
 import pytest
 
 from conftest import write_population_csv
+from dsmedian import core_stats, estimators
 from dsmedian.core_stats import median
+from dsmedian.estimators import (
+    COEFFICIENT_IDS,
+    ESTIMATOR_IDS,
+    EstimatorError,
+    SampleView,
+    evaluate_estimator,
+    plugin_coefficients,
+    true_coefficients,
+)
 from dsmedian.montecarlo import (
     POPULATION_STREAM,
+    TRUE_VARIANT_IDS,
     GeneratorSpec,
     MarginalSpec,
     SimConfig,
@@ -17,7 +28,7 @@ from dsmedian.montecarlo import (
     run_simulation,
 )
 from dsmedian.population import population_summary
-from dsmedian.sampling import SeedSpec
+from dsmedian.sampling import SeedSpec, draw_two_phase
 
 NORMAL = MarginalSpec("normal", 10.0, 2.0)
 GEN = GeneratorSpec(r_xy=0.8, r_yz=0.6, r_xz=0.7,
@@ -138,7 +149,8 @@ class TestRunSimulation:
             assert abs(rep.estimates[0, j] - med) <= 1.0
 
     def test_failures_counted_not_imputed(self, tmp_path):
-        # z identical to x forces collinear plug-in coefficients in every replicate
+        # z identical to x makes the generalized plug-in coefficients
+        # collinear in every replicate; reg-xz does not use rho_xz
         rng = np.random.default_rng(0)
         x = rng.normal(10, 2, size=60)
         from dsmedian.population import Population
@@ -146,11 +158,12 @@ class TestRunSimulation:
         pop = Population(x=x, y=rng.normal(10, 2, size=60), z=x)
         path = write_population_csv(tmp_path / "collinear.csv", pop)
         cfg = SimConfig(m=10, n=30, N=60, replicates=20, master_seed=3,
-                        estimators=("median", "reg-xz"), csv_path=path)
+                        estimators=("median", "f-linear", "reg-xz"), csv_path=path)
         rep = run_simulation(cfg)
-        med_row, reg_row = rep.rows
+        med_row, f_row, reg_row = rep.rows
         assert med_row.failures == 0
-        assert reg_row.failures == 20
+        assert f_row.failures == 20
+        assert reg_row.failures == 0
         assert not rep.valid
 
     def test_csv_population_round_trip(self, tmp_path, rng):
@@ -207,6 +220,101 @@ class TestRunSimulation:
             mses.append(run_simulation(cfg).rows[0].mse)
         slope = np.polyfit(np.log(ms), np.log(mses), 1)[0]
         assert -1.15 <= slope <= -0.85, (slope, mses)
+
+
+ALL_IDS = (*ESTIMATOR_IDS, *TRUE_VARIANT_IDS)
+
+
+def _position_clamped(view) -> bool:
+    """Whether the position estimator's proportion leaves [1/m, 1], from
+    the quadrant counts about the second-phase medians."""
+    x, y = np.asarray(view.x_m), np.asarray(view.y_m)
+    mx, my = sorted(x)[(x.size - 1) // 2], sorted(y)[(y.size - 1) // 2]
+    m = x.size
+    p11 = np.count_nonzero((x <= mx) & (y <= my)) / m
+    p12 = np.count_nonzero((x > mx) & (y <= my)) / m
+    m_x = int(np.count_nonzero(x <= view.known_mx))
+    raw = 2.0 * (m_x * p11 + (m - m_x) * p12) / m
+    return not 1.0 / m <= raw <= 1.0
+
+
+class TestReplicateDiagnostics:
+    """run_simulation against a replay through the public scalar API, with
+    the clamp and fallback counts recomputed from the data."""
+
+    CONFIG = dict(m=4, n=20, N=200, replicates=300, master_seed=5, estimators=ALL_IDS)
+
+    def test_equals_scalar_replay(self):
+        cfg = quick_config(**self.CONFIG)
+        rep = run_simulation(cfg, keep_estimates=True)
+        pop = generate_population(GEN, cfg.N, SeedSpec(cfg.master_seed, POPULATION_STREAM))
+        true_coeffs = true_coefficients(GEN.true_summary(cfg.N))
+        expected = np.full((cfg.replicates, len(ALL_IDS)), np.nan)
+        clamps = fallbacks = 0
+        for r in range(cfg.replicates):
+            sample = draw_two_phase(cfg.N, cfg.n, cfg.m, SeedSpec(cfg.master_seed, r))
+            view = SampleView.from_population(pop, sample)
+            try:
+                coeffs = plugin_coefficients(view)
+            except EstimatorError:
+                coeffs = None
+            low = np.asarray(view.x_m) <= view.known_mx
+            empty_stratum = low.all() or not low.any()
+            clamps += _position_clamped(view)
+            fallbacks += empty_stratum
+            for j, est in enumerate(ALL_IDS):
+                base = TRUE_VARIANT_IDS.get(est, est)
+                c = true_coeffs if base != est else coeffs
+                if base in COEFFICIENT_IDS and c is None:
+                    continue
+                if base == "stratified" and empty_stratum:
+                    expected[r, j] = median(view.y_m)
+                    continue
+                try:
+                    expected[r, j] = evaluate_estimator(base, view, c)
+                except EstimatorError:
+                    pass
+        assert np.array_equal(rep.estimates, expected, equal_nan=True)
+        assert (clamps, fallbacks) == (8, 47)
+        assert rep.stats("position").clamps == clamps
+        assert rep.stats("stratified").fallbacks == fallbacks
+        assert sum(r.clamps + r.fallbacks for r in rep.rows) == clamps + fallbacks
+
+    def test_position_probability_once_per_replicate(self, monkeypatch):
+        # each position_probability call, whoever makes it, tabulates the
+        # (x, y) quadrants once; no other id here tabulates any
+        calls = []
+        real = estimators.proportion_matrix
+
+        def counting(pairs, t_a, t_b):
+            calls.append(pairs)
+            return real(pairs, t_a, t_b)
+
+        monkeypatch.setattr(estimators, "proportion_matrix", counting)
+        run_simulation(quick_config(replicates=25, estimators=("median", "position")))
+        assert len(calls) == 25
+
+    @pytest.mark.parametrize("source", ["synthetic", "csv"])
+    def test_census_medians_once_per_variable(self, source, tmp_path, monkeypatch):
+        N = 300
+        cfg = quick_config(N=N, n=120, replicates=20, estimators=ALL_IDS)
+        if source == "csv":
+            pop = generate_population(GEN, N, SeedSpec(8, POPULATION_STREAM))
+            path = write_population_csv(tmp_path / "pop.csv", pop)
+            cfg = quick_config(N=N, n=120, replicates=20, estimators=ALL_IDS,
+                               generator=None, csv_path=path)
+        census = []
+        real = core_stats.empirical_quantile
+
+        def counting(values, p):
+            if p == 0.5 and np.size(values) == N:
+                census.append(np.asarray(values).copy())
+            return real(values, p)
+
+        monkeypatch.setattr(core_stats, "empirical_quantile", counting)
+        run_simulation(cfg)
+        assert len(census) == 3
+        assert not any(np.array_equal(a, b) for i, a in enumerate(census) for b in census[:i])
 
 
 class TestConfigFile:

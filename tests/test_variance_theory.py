@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_summary, realizable_concordances
+from dsmedian.estimators import true_coefficients
 from dsmedian.population import PopulationSummary
 from dsmedian.variance_theory import (
     AssociationSet,
@@ -252,6 +253,34 @@ class TestOptimumFDerivatives:
         s = PopulationSummary.from_parameters((3, 5, 7), (0.2, 0.5, 0.11), (0.5, 0.5, 1.0), 100)
         with pytest.raises(ValueError, match="collinearity"):
             optimum_F_derivatives(s)
+
+
+class TestOneOwner:
+    def test_optima_are_the_true_coefficients(self, rng):
+        # theory and the *-true estimators evaluate one function: the fields
+        # agree bit for bit on in-range summaries
+        for _ in range(200):
+            s = random_summary(rng)
+            c = true_coefficients(s)
+            og, of = optimum_g_derivatives(s), optimum_F_derivatives(s)
+            assert (og.alpha1, og.alpha2, og.alpha1_star, og.alpha2_star) == (
+                c.alpha1_hat, c.alpha2_hat, c.alpha1_star_hat, c.alpha2_star_hat)
+            assert (og.g1, og.g2) == (-c.alpha1_hat, -c.alpha2_hat)
+            assert (of.a1, of.a2, of.a3) == (c.a1_hat, c.a2_hat, c.a3_hat)
+            assert (of.F2, of.F3, of.F4) == (-c.a1_hat, -c.a2_hat, -c.a3_hat)
+
+    def test_zero_y_median_keeps_components(self):
+        s = PopulationSummary.from_parameters((3, -0.0, 7), (0.2, 0.5, 0.11), (0.8, 0.6, 0.7),
+                                              10_000)
+        assert variance_components(s) == variance_components(WORKED)
+
+    @pytest.mark.parametrize("medians,scale", [((-0.0, 5, 7), "scale_x"), ((3, 5, 0.0), "scale_z")])
+    def test_zero_scale_named(self, medians, scale):
+        s = PopulationSummary.from_parameters(medians, (0.2, 0.5, 0.11), (0.8, 0.6, 0.7), 10_000)
+        with pytest.raises(ValueError, match=scale):
+            var_class_g(SIZES, s, -1.0, 0.0)
+        with pytest.raises(ValueError, match=scale):
+            var_class_F(SIZES, s, -1.0, 0.0, 0.0)
 
 
 def moment_matrix(sizes, summary):
