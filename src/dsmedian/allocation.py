@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -191,11 +190,27 @@ def _allocate_two_phase(
     )
 
 
-# the three two-phase strategies, under C1*m + C2*n = C0 (H) or C1*m + (C2 + C3)*n = C0 (g, F)
-allocate_H = partial(_allocate_two_phase, "H")
-allocate_g = partial(_allocate_two_phase, "g")
-allocate_F = partial(_allocate_two_phase, "F")
-_ALLOCATORS = {"single": allocate_single, "H": allocate_H, "g": allocate_g, "F": allocate_F}
+def allocate_H(cost: CostModel, comps: VarianceComponents, N: int) -> AllocationResult:
+    """Optimal (m, n) for the single-auxiliary strategy under C1*m + C2*n = C0."""
+    return _allocate_two_phase("H", cost, comps, N)
+
+
+def allocate_g(cost: CostModel, comps: VarianceComponents, N: int) -> AllocationResult:
+    """Optimal (m, n) for the two-auxiliary strategy under C1*m + (C2+C3)*n = C0."""
+    return _allocate_two_phase("g", cost, comps, N)
+
+
+def allocate_F(cost: CostModel, comps: VarianceComponents, N: int) -> AllocationResult:
+    """Optimal (m, n) for the generalized strategy under C1*m + (C2+C3)*n = C0."""
+    return _allocate_two_phase("F", cost, comps, N)
+
+
+_ALLOCATORS = {
+    "single": allocate_single,
+    "H": allocate_H,
+    "g": allocate_g,
+    "F": allocate_F,
+}
 
 
 def allocate(strategy: str, cost: CostModel, comps: VarianceComponents, N: int) -> AllocationResult:

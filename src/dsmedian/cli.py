@@ -144,6 +144,8 @@ def _cmd_analyze(args) -> int:
         # and V0..V2, which do not involve rho_xz, are still well defined
         rho_xy, rho_yz, _ = clamped_concordances(summary)
         v0 = VarianceComponents.scaled_v0(1.0, summary.density_y)
+        # rho_xz = 0.0 is a placeholder: V3 is the only term that reads it,
+        # and it is reported as null
         comps = VarianceComponents.from_concordances(v0, rho_xy, rho_yz, 0.0)
         comps_dict = {**dataclasses.asdict(comps), "V3": None, "note": str(exc)}
     payload = {

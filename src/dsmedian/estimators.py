@@ -21,7 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_stats import _quantile_sorted, _silverman_bandwidth, kde_at, proportion_matrix
+from .core_stats import (
+    _quantile_sorted,
+    _silverman_bandwidth,
+    kde_at,
+    proportion_matrix,
+)
 from .population import Population, PopulationSummary
 from .sampling import TwoPhaseSample
 
@@ -248,11 +253,12 @@ def _stratified(view: SampleView) -> Estimate:
     return float(ys[int(np.argmax(f_avg >= 0.5))]), False, False
 
 
-def stratification_estimator(view: SampleView, fallback_to_median: bool = False) -> float:
+def stratification_estimator(view: SampleView) -> float:
     """Smallest y where the average of the two within-stratum ECDFs
-    (strata split at the known median of x) reaches 0.5."""
+    (strata split at the known median of x) reaches 0.5; an empty stratum
+    raises (:func:`evaluate_with_diagnostics` falls back instead)."""
     value, _, fell_back = _stratified(view)
-    if fell_back and not fallback_to_median:
+    if fell_back:
         raise EstimatorError("stratification undefined: one stratum is empty")
     return value
 
@@ -333,18 +339,27 @@ def optimum_coefficients(
         raise EstimatorError("zero density: f_y at its median vanished")
     alpha1_star = mx * fx * rho_xy / fy
     alpha2_star = mz * fz * rho_yz / fy
-    alphas = (None, None) if my == 0.0 else (alpha1_star / my, alpha2_star / my)
+    alpha1 = alpha2 = a1 = a2 = a3 = None
+    if my != 0.0:
+        alpha1 = alpha1_star / my
+        alpha2 = alpha2_star / my
     denom = 1.0 - rho_xz * rho_xz
-    generalized = (None, None, None)
     if denom > 0.0:
         d_x = rho_xy - rho_yz * rho_xz
-        generalized = (
-            d_x * mx * fx / (denom * fy),
-            rho_xz * d_x * mz * fz / (denom * fy),
-            composite_concordance(rho_xy, rho_yz, rho_xz) * mz * fz / (denom * fy),
-        )
-    return PluginCoefficients((fx / fy) * rho_xy, (fz / fy) * rho_yz, *alphas,
-                              alpha1_star, alpha2_star, *generalized)
+        a1 = d_x * mx * fx / (denom * fy)
+        a2 = rho_xz * d_x * mz * fz / (denom * fy)
+        a3 = composite_concordance(rho_xy, rho_yz, rho_xz) * mz * fz / (denom * fy)
+    return PluginCoefficients(
+        d1_hat=(fx / fy) * rho_xy,
+        d2_hat=(fz / fy) * rho_yz,
+        alpha1_hat=alpha1,
+        alpha2_hat=alpha2,
+        alpha1_star_hat=alpha1_star,
+        alpha2_star_hat=alpha2_star,
+        a1_hat=a1,
+        a2_hat=a2,
+        a3_hat=a3,
+    )
 
 
 def plugin_coefficients(view: SampleView) -> PluginCoefficients:

@@ -23,7 +23,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -267,6 +267,12 @@ class EstimatorStats:
     fallbacks: int
 
 
+def _report_row(row: EstimatorStats) -> dict:
+    """One row keyed by its report column names (``est_id`` is ``estimator``)."""
+    d = asdict(row)
+    return {"estimator": d.pop("est_id"), **d}
+
+
 @dataclass(frozen=True, eq=False)
 class SimReport:
     """Per-estimator statistics plus provenance; ``estimates`` holds the
@@ -292,57 +298,16 @@ class SimReport:
             "estimand": self.estimand,
             "summary_source": self.summary_source,
             "valid": self.valid,
-            "estimators": [
-                {
-                    "estimator": r.est_id,
-                    "replicates_ok": r.replicates_ok,
-                    "mean": r.mean,
-                    "bias": r.bias,
-                    "relative_bias": r.relative_bias,
-                    "mse": r.mse,
-                    "mse_mc_se": r.mse_mc_se,
-                    "theory_variance": r.theory_variance,
-                    "mse_theory_ratio": r.mse_theory_ratio,
-                    "failures": r.failures,
-                    "clamps": r.clamps,
-                    "fallbacks": r.fallbacks,
-                }
-                for r in self.rows
-            ],
+            "estimators": [_report_row(r) for r in self.rows],
         }
 
     def csv_header(self) -> list[str]:
-        return [
-            "estimator",
-            "replicates_ok",
-            "mean",
-            "bias",
-            "relative_bias",
-            "mse",
-            "mse_mc_se",
-            "theory_variance",
-            "mse_theory_ratio",
-            "failures",
-            "clamps",
-            "fallbacks",
-        ]
+        return ["estimator", *(f.name for f in fields(EstimatorStats)[1:])]
 
     def csv_rows(self) -> list[list]:
+        # repr keeps every bit of a float; a missing theory value is an empty cell
         return [
-            [
-                r.est_id,
-                r.replicates_ok,
-                repr(r.mean),
-                repr(r.bias),
-                repr(r.relative_bias),
-                repr(r.mse),
-                repr(r.mse_mc_se),
-                "" if r.theory_variance is None else repr(r.theory_variance),
-                "" if r.mse_theory_ratio is None else repr(r.mse_theory_ratio),
-                r.failures,
-                r.clamps,
-                r.fallbacks,
-            ]
+            [r.est_id, *("" if v is None else repr(v) for v in astuple(r)[1:])]
             for r in self.rows
         ]
 
@@ -457,35 +422,31 @@ def run_simulation(config: SimConfig, threads: int = 1, keep_estimates: bool = F
         failures = R - k
         if failures > 0.05 * R:
             valid = False
-        if k == 0:
-            rows.append(
-                EstimatorStats(est, 0, math.nan, math.nan, math.nan, math.nan, math.nan,
-                               _theory_variance(est, sizes, true_summary, comps), None,
-                               failures, int(clamps[:, j].sum()), int(fallbacks[:, j].sum()))
-            )
-            continue
-        vals = col[ok]
-        mean = math.fsum(vals) / k
-        sq_err = (vals - estimand) ** 2
-        mse = math.fsum(sq_err) / k
-        if k > 1:
-            var_sq = math.fsum((sq_err - mse) ** 2) / (k - 1)
-            mse_mc_se = math.sqrt(var_sq / k)
-        else:
-            mse_mc_se = math.nan
         theory = _theory_variance(est, sizes, true_summary, comps)
-        bias = mean - estimand
+        mean = bias = relative_bias = mse = mse_mc_se = math.nan
+        ratio = None
+        if k:
+            vals = col[ok]
+            mean = math.fsum(vals) / k
+            sq_err = (vals - estimand) ** 2
+            mse = math.fsum(sq_err) / k
+            if k > 1:
+                var_sq = math.fsum((sq_err - mse) ** 2) / (k - 1)
+                mse_mc_se = math.sqrt(var_sq / k)
+            bias = mean - estimand
+            relative_bias = bias / estimand if estimand != 0.0 else math.inf
+            ratio = mse / theory if theory else None
         rows.append(
             EstimatorStats(
                 est_id=est,
                 replicates_ok=k,
                 mean=mean,
                 bias=bias,
-                relative_bias=bias / estimand if estimand != 0.0 else math.inf,
+                relative_bias=relative_bias,
                 mse=mse,
                 mse_mc_se=mse_mc_se,
                 theory_variance=theory,
-                mse_theory_ratio=mse / theory if theory else None,
+                mse_theory_ratio=ratio,
                 failures=failures,
                 clamps=int(clamps[:, j].sum()),
                 fallbacks=int(fallbacks[:, j].sum()),

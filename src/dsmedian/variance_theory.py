@@ -294,8 +294,15 @@ def optimum_F_derivatives(summary: PopulationSummary) -> OptimumFDerivatives:
     if c.a1_hat is None:
         raise ValueError("auxiliary collinearity: |rho_xz| = 1")
     d = composite_concordance(*clamped_concordances(summary))
-    return OptimumFDerivatives(F2=-c.a1_hat, F3=-c.a2_hat, F4=-c.a3_hat, D=d,
-                               a1=c.a1_hat, a2=c.a2_hat, a3=c.a3_hat)
+    return OptimumFDerivatives(
+        F2=-c.a1_hat,
+        F3=-c.a2_hat,
+        F4=-c.a3_hat,
+        D=d,
+        a1=c.a1_hat,
+        a2=c.a2_hat,
+        a3=c.a3_hat,
+    )
 
 
 def min_var_F(sizes: DesignSizes, comps: VarianceComponents) -> float:

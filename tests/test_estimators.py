@@ -17,6 +17,7 @@ from dsmedian.estimators import (
     class_F_estimate,
     class_g_estimate,
     evaluate_estimator,
+    evaluate_with_diagnostics,
     gform_estimated_optimum,
     plugin_coefficients,
     position_estimator,
@@ -281,7 +282,7 @@ class TestStratificationEstimator:
                       x_n=[1, 2, 3, 4], z_n=[0, 0, 1, 1], known_mz=1.0, known_mx=0.0)
         with pytest.raises(EstimatorError, match="stratification undefined"):
             stratification_estimator(v)
-        assert stratification_estimator(v, fallback_to_median=True) == 2.0
+        assert evaluate_with_diagnostics("stratified", v) == (2.0, False, True)
 
 
 class TestRatioDouble:
