@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 from .core_stats import (
     DensityEstimate,
     ProportionMatrix,
-    QuantileConvention,
     empirical_quantile,
     kde_at,
     median,
@@ -42,12 +41,10 @@ from .estimators import (
     ratio_known,
     regression_single_aux,
     regression_two_aux,
-    sample_medians,
     stratification_estimator,
     true_coefficients,
 )
 from .variance_theory import (
-    AssociationSet,
     DesignSizes,
     VarianceComponents,
     min_var_F,

@@ -8,13 +8,14 @@ experiment from a config file), ``allocate`` (cost-optimal sample sizes),
 deterministic given that manifest: the manifest timestamp is null unless
 supplied, so identical invocations emit identical bytes.
 
-Exit codes: 0 success, 2 input error, 3 infeasible or degenerate model,
-4 internal oracle disagreement.
+Exit codes: 0 success, 2 input error (an unwritable output path included),
+3 infeasible or degenerate model, 4 internal oracle disagreement.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -81,11 +82,21 @@ def _manifest(subcommand: str, config: dict, seed: int | None, inputs: list[str]
     }
 
 
+@contextlib.contextmanager
+def _artifact(path: str, newline: str | None = None):
+    """``path`` opened for writing; a path that cannot be written is an input error."""
+    try:
+        with open(path, "w", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise _InputError(str(exc)) from None
+
+
 def _emit(payload: dict, out_path: str | None) -> None:
     text = json.dumps(payload, indent=2)
     print(text)
     if out_path:
-        with open(out_path, "w") as fh:
+        with _artifact(out_path) as fh:
             fh.write(text + "\n")
 
 
@@ -237,11 +248,8 @@ def _cmd_simulate(args) -> int:
         ),
         "report": report.to_json_dict(),
     }
-    text = json.dumps(payload, indent=2)
-    print(text)
-    with open(args.out_json, "w") as fh:
-        fh.write(text + "\n")
-    with open(args.out_csv, "w", newline="") as fh:
+    _emit(payload, args.out_json)
+    with _artifact(args.out_csv, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(report.csv_header())
         writer.writerows(report.csv_rows())
@@ -280,10 +288,6 @@ def _cost_from_args(args) -> CostModel:
     return cost
 
 
-def _allocation_dict(result) -> dict:
-    return dataclasses.asdict(result)
-
-
 def _cmd_allocate(args) -> int:
     comps, inputs = _components_from_args(args)
     cost = _cost_from_args(args)
@@ -294,7 +298,7 @@ def _cmd_allocate(args) -> int:
     if args.oracle:
         for s, res in results.items():
             grid = grid_search_allocation(cost, comps, args.units, s)
-            oracle_results[s] = _allocation_dict(grid)
+            oracle_results[s] = dataclasses.asdict(grid)
             if res.feasible != grid.feasible:
                 oracle_ok = False
             elif res.feasible and grid.feasible:
@@ -314,7 +318,7 @@ def _cmd_allocate(args) -> int:
     }
     payload = {
         "manifest": _manifest("allocate", config, None, inputs),
-        "allocations": {s: _allocation_dict(r) for s, r in results.items()},
+        "allocations": {s: dataclasses.asdict(r) for s, r in results.items()},
     }
     if args.oracle:
         payload["oracle"] = oracle_results
@@ -346,7 +350,7 @@ def _cmd_compare(args) -> int:
             name: dataclasses.asdict(getattr(report, name))
             for name in ("g_vs_single", "g_vs_H", "F_vs_H", "F_vs_g")
         },
-        "allocations": {s: _allocation_dict(getattr(report, s)) for s in STRATEGIES},
+        "allocations": {s: dataclasses.asdict(getattr(report, s)) for s in STRATEGIES},
     }
     _emit(payload, args.out)
     return EXIT_OK

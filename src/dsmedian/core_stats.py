@@ -14,14 +14,12 @@ thresholds (normally the two medians).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "QuantileConvention",
     "ProportionMatrix",
     "DensityEstimate",
     "empirical_quantile",
@@ -32,12 +30,6 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-class QuantileConvention(enum.Enum):
-    """The single quantile rule used throughout (auditable, not configurable)."""
-
-    LEFT_CONTINUOUS_INVERSE = "left-continuous-inverse"
 
 
 def _as_finite_1d(values, name: str = "values") -> np.ndarray:

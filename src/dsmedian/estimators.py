@@ -36,7 +36,6 @@ __all__ = [
     "SampleMedians",
     "PluginCoefficients",
     "GForm",
-    "sample_medians",
     "ratio_known",
     "position_estimator",
     "position_probability",
@@ -165,11 +164,6 @@ class SampleMedians:
     mz1: float
 
 
-def sample_medians(view: SampleView) -> SampleMedians:
-    """All five phase-correct sample medians used by the catalog."""
-    return view.medians
-
-
 # ---------------------------------------------------------------------------
 # Known-auxiliary-median baselines
 # ---------------------------------------------------------------------------
@@ -184,39 +178,29 @@ def _require_known_mx(view: SampleView) -> float:
 def ratio_known(view: SampleView) -> float:
     """Ratio estimator with known auxiliary median: my * Mx / mx."""
     mx_known = _require_known_mx(view)
-    meds = sample_medians(view)
+    meds = view.medians
     if meds.mx == 0.0:
         raise EstimatorError("ratio undefined: second-phase median of x is zero")
     return meds.my * (mx_known / meds.mx)
 
 
-def position_probability(view: SampleView, exact: bool = False) -> tuple[float, float, bool]:
+def position_probability(view: SampleView) -> tuple[float, float, bool]:
     """The re-estimated proportion below the median used by the position
     estimator.
 
-    Returns (raw, clamped, clamp_fired).  The default is the two-term
-    approximation 2*(m_x*p11 + (m - m_x)*p12)/m with quadrant proportions
-    taken about the second-phase sample medians and m_x counted against
-    the known median of x; ``exact=True`` uses the conditional form with
-    the row-marginal denominators instead.
+    Returns (raw, clamped, clamp_fired).  The proportion is the two-term
+    form 2*(m_x*p11 + (m - m_x)*p12)/m with quadrant proportions taken
+    about the second-phase sample medians and m_x counted against the
+    known median of x.
     """
     mx_known = _require_known_mx(view)
     m = view.m
     if m < 2:
         raise EstimatorError("position estimator needs m >= 2")
-    meds = sample_medians(view)
+    meds = view.medians
     pm = proportion_matrix(np.column_stack((view.x_m, view.y_m)), meds.mx, meds.my)
     m_x = int(np.count_nonzero(view.x_m <= mx_known))
-    if exact:
-        low_total = pm.rowA_low
-        high_total = 1.0 - low_total
-        low_term = m_x * pm.p11 / low_total if m_x else 0.0
-        if m_x < m and high_total == 0.0:
-            raise EstimatorError("position undefined: empty high-x conditional")
-        high_term = (m - m_x) * pm.p12 / high_total if m_x < m else 0.0
-        raw = (low_term + high_term) / m
-    else:
-        raw = 2.0 * (m_x * pm.p11 + (m - m_x) * pm.p12) / m
+    raw = 2.0 * (m_x * pm.p11 + (m - m_x) * pm.p12) / m
     clamped = min(max(raw, 1.0 / m), 1.0)
     return raw, clamped, clamped != raw
 
@@ -228,15 +212,15 @@ def position_probability(view: SampleView, exact: bool = False) -> tuple[float, 
 Estimate = tuple[float, bool, bool]
 
 
-def _position(view: SampleView, exact: bool = False) -> Estimate:
-    _, p_hat, clamped = position_probability(view, exact=exact)
+def _position(view: SampleView) -> Estimate:
+    _, p_hat, clamped = position_probability(view)
     return _quantile_sorted(view.sorted_y_m, p_hat), clamped, False
 
 
-def position_estimator(view: SampleView, exact: bool = False) -> float:
+def position_estimator(view: SampleView) -> float:
     """Position estimator: invert the second-phase ECDF of y at the
     auxiliary-stratified proportion estimate."""
-    return _position(view, exact)[0]
+    return _position(view)[0]
 
 
 def _stratified(view: SampleView) -> Estimate:
@@ -270,7 +254,7 @@ def stratification_estimator(view: SampleView) -> float:
 
 def ratio_double(view: SampleView) -> float:
     """Double-sampling ratio estimator: my * mx1 / mx."""
-    meds = sample_medians(view)
+    meds = view.medians
     if meds.mx == 0.0:
         raise EstimatorError("ratio undefined: second-phase median of x is zero")
     return meds.my * (meds.mx1 / meds.mx)
@@ -370,7 +354,7 @@ def plugin_coefficients(view: SampleView) -> PluginCoefficients:
     """
     if view.m < 4:
         raise EstimatorError("plug-in coefficients need m >= 4")
-    meds = sample_medians(view)
+    meds = view.medians
     dens = {}
     for name, values, ordered, at in (
         ("x", view.x_m, view.sorted_x_m, meds.mx),
@@ -401,13 +385,11 @@ def true_coefficients(summary: PopulationSummary) -> PluginCoefficients:
     )
 
 
-def regression_two_aux(view: SampleView, coeffs: PluginCoefficients | None = None) -> float:
+def regression_two_aux(view: SampleView, coeffs: PluginCoefficients) -> float:
     """Linear regression estimator with both auxiliaries:
     my + d1*(mx1 - mx) + d2*(Mz - mz1).  Attains the class minimum
     variance to first order."""
-    if coeffs is None:
-        coeffs = plugin_coefficients(view)
-    meds = sample_medians(view)
+    meds = view.medians
     return (
         meds.my
         + coeffs.d1_hat * (meds.mx1 - meds.mx)
@@ -415,11 +397,9 @@ def regression_two_aux(view: SampleView, coeffs: PluginCoefficients | None = Non
     )
 
 
-def regression_single_aux(view: SampleView, coeffs: PluginCoefficients | None = None) -> float:
+def regression_single_aux(view: SampleView, coeffs: PluginCoefficients) -> float:
     """Single-auxiliary regression estimator: my + d1*(mx1 - mx)."""
-    if coeffs is None:
-        coeffs = plugin_coefficients(view)
-    meds = sample_medians(view)
+    meds = view.medians
     return meds.my + coeffs.d1_hat * (meds.mx1 - meds.mx)
 
 
@@ -464,30 +444,33 @@ class GForm:
 
     def __call__(self, u: float, v: float) -> float:
         a, b = self.alpha, self.beta
-        if self.form == "g1":
-            _require_positive_ratios(u, v)
-            return u**a * v**b
-        if self.form == "g2":
-            denom = 1.0 - b * (v - 1.0)
-            if denom == 0.0:
-                raise EstimatorError("g2 denominator vanished")
-            return (1.0 + a * (u - 1.0)) / denom
-        if self.form == "g3":
-            return 1.0 + a * (u - 1.0) + b * (v - 1.0)
-        if self.form == "g4":
-            denom = 1.0 - a * (u - 1.0) - b * (v - 1.0)
-            if denom <= 0.0:
-                raise EstimatorError("g4 denominator not positive")
-            return 1.0 / denom
-        if self.form == "g5":
-            _require_positive_ratios(u, v)
-            return self.w1 * u**a + self.w2 * v**b
-        if self.form == "g6":
-            if v <= 0.0:
-                raise EstimatorError("invalid ratio for power form: requires v > 0")
-            return a * u + (1.0 - a) * v**b
-        # g7
-        return math.exp(a * (u - 1.0) + b * (v - 1.0))
+        try:
+            if self.form == "g1":
+                _require_positive_ratios(u, v)
+                return u**a * v**b
+            if self.form == "g2":
+                denom = 1.0 - b * (v - 1.0)
+                if denom == 0.0:
+                    raise EstimatorError("g2 denominator vanished")
+                return (1.0 + a * (u - 1.0)) / denom
+            if self.form == "g3":
+                return 1.0 + a * (u - 1.0) + b * (v - 1.0)
+            if self.form == "g4":
+                denom = 1.0 - a * (u - 1.0) - b * (v - 1.0)
+                if denom <= 0.0:
+                    raise EstimatorError("g4 denominator not positive")
+                return 1.0 / denom
+            if self.form == "g5":
+                _require_positive_ratios(u, v)
+                return self.w1 * u**a + self.w2 * v**b
+            if self.form == "g6":
+                if v <= 0.0:
+                    raise EstimatorError("invalid ratio for power form: requires v > 0")
+                return a * u + (1.0 - a) * v**b
+            # g7
+            return math.exp(a * (u - 1.0) + b * (v - 1.0))
+        except OverflowError:
+            raise EstimatorError(f"{self.form} overflows at u={u!r}, v={v!r}") from None
 
 
 def _require_positive_ratios(u: float, v: float) -> None:
@@ -526,18 +509,16 @@ def _ratios(view: SampleView, meds: SampleMedians) -> tuple[float, float, float]
 
 def class_g_estimate(view: SampleView, form: GForm) -> float:
     """my * g(u, v) for a concrete parametric form."""
-    meds = sample_medians(view)
+    meds = view.medians
     u, v, _ = _ratios(view, meds)
     return meds.my * form(u, v)
 
 
-def class_F_estimate(view: SampleView, coeffs: PluginCoefficients | None = None) -> float:
+def class_F_estimate(view: SampleView, coeffs: PluginCoefficients) -> float:
     """Linear representative of the generalized three-ratio class:
     my - a1*(u-1) - a2*(v-1) - a3*(w-1), at the (estimated) optimum."""
-    if coeffs is None:
-        coeffs = plugin_coefficients(view)
     a1, a2, a3 = coeffs.generalized()
-    meds = sample_medians(view)
+    meds = view.medians
     u, v, w = _ratios(view, meds)
     return meds.my - a1 * (u - 1.0) - a2 * (v - 1.0) - a3 * (w - 1.0)
 

@@ -31,6 +31,7 @@ from .estimators import (
     COEFFICIENT_IDS,
     ESTIMATOR_IDS,
     EstimatorError,
+    G_FORM_IDS,
     PluginCoefficients,
     SampleView,
     evaluate_with_diagnostics,
@@ -336,7 +337,7 @@ def _theory_variance(
         return None
     if base == "reg-x":
         return min_var_H(sizes, comps)
-    if base in ("reg-xz", "g1", "g2", "g3", "g4", "g5", "g6", "g7"):
+    if base in ("reg-xz", *G_FORM_IDS):
         return min_var_g(sizes, comps)
     if base == "f-linear":
         return min_var_F(sizes, comps)

@@ -33,7 +33,6 @@ from .population import PopulationSummary
 
 __all__ = [
     "DesignSizes",
-    "AssociationSet",
     "VarianceComponents",
     "clamped_concordances",
     "OptimumGDerivatives",
@@ -83,40 +82,15 @@ def clamped_concordances(summary: PopulationSummary) -> tuple[float, float, floa
     return tuple(min(1.0, max(-1.0, pm.concordance)) for pm in pms)
 
 
-@dataclass(frozen=True)
-class AssociationSet:
-    """Median-concordance coefficients and median-density scale products.
-
-    rho_ab = 4*P11(a, b) - 1 in [-1, 1]; scale_a = M_a * f_a(M_a), nonzero
-    because the class variances are written in relative errors.
-    """
-
-    rho_xy: float
-    rho_yz: float
-    rho_xz: float
-    scale_x: float
-    scale_y: float
-    scale_z: float
-
-    def __post_init__(self) -> None:
-        for name in ("rho_xy", "rho_yz", "rho_xz"):
-            r = getattr(self, name)
-            if not (math.isfinite(r) and -1.0 <= r <= 1.0):
-                raise ValueError(f"{name}={r!r} outside [-1, 1]")
-        for name in ("scale_x", "scale_y", "scale_z"):
-            s = getattr(self, name)
-            if not (math.isfinite(s) and s != 0.0):
-                raise ValueError(f"{name}={s!r} must be finite and nonzero")
-
-    @classmethod
-    def from_summary(cls, summary: PopulationSummary) -> "AssociationSet":
-        """The clamped concordances and the scale products of a summary."""
-        return cls(
-            *clamped_concordances(summary),
-            scale_x=summary.median_x * summary.density_x,
-            scale_y=summary.median_y * summary.density_y,
-            scale_z=summary.median_z * summary.density_z,
-        )
+def _scale_ratios(numerator: float, summary: PopulationSummary) -> tuple[float, float]:
+    """numerator / scale_x and numerator / scale_z, with scale_a = M_a f_a(M_a).
+    The class variances are written in relative errors of the auxiliary
+    medians, so both products must be finite and nonzero."""
+    scales = (summary.median_x * summary.density_x, summary.median_z * summary.density_z)
+    for name, scale in zip(("scale_x", "scale_z"), scales):
+        if not (math.isfinite(scale) and scale != 0.0):
+            raise ValueError(f"{name}={scale!r} must be finite and nonzero")
+    return numerator / scales[0], numerator / scales[1]
 
 
 @dataclass(frozen=True)
@@ -180,11 +154,10 @@ def var_class_g(
 ) -> float:
     """First-order variance of the two-ratio class at derivatives
     (g1, g2) = (dg/du, dg/dv) at (1, 1)."""
-    assoc = AssociationSet.from_summary(summary)
-    rx = assoc.scale_y / assoc.scale_x
-    rz = assoc.scale_y / assoc.scale_z
-    a_term = rx * g1_deriv * (rx * g1_deriv + 2.0 * assoc.rho_xy)
-    b_term = rz * g2_deriv * (rz * g2_deriv + 2.0 * assoc.rho_yz)
+    rx, rz = _scale_ratios(summary.median_y * summary.density_y, summary)
+    rho_xy, rho_yz, _ = clamped_concordances(summary)
+    a_term = rx * g1_deriv * (rx * g1_deriv + 2.0 * rho_xy)
+    b_term = rz * g2_deriv * (rz * g2_deriv + 2.0 * rho_yz)
     v0 = VarianceComponents.scaled_v0(1.0, summary.density_y)
     return v0 * (sizes.theta_mN + sizes.theta_mn * a_term + sizes.theta_nN * b_term)
 
@@ -253,17 +226,16 @@ def var_class_F(
 ) -> float:
     """First-order variance of the generalized class at derivatives
     (F2, F3, F4) with respect to (u, v, w) at the expansion point."""
-    assoc = AssociationSet.from_summary(summary)
-    cx = summary.density_y / assoc.scale_x
-    cz = summary.density_y / assoc.scale_z
-    a1_term = 1.0 + (cz * f4_deriv) ** 2 + 2.0 * assoc.rho_yz * cz * f4_deriv
+    cx, cz = _scale_ratios(summary.density_y, summary)
+    rho_xy, rho_yz, rho_xz = clamped_concordances(summary)
+    a1_term = 1.0 + (cz * f4_deriv) ** 2 + 2.0 * rho_yz * cz * f4_deriv
     a2_term = cx * (
         cx * f2_deriv**2
-        + 2.0 * assoc.rho_xy * f2_deriv
-        + 2.0 * assoc.rho_xz * cz * f2_deriv * f4_deriv
+        + 2.0 * rho_xy * f2_deriv
+        + 2.0 * rho_xz * cz * f2_deriv * f4_deriv
     )
     a3_term = cz * (
-        cz * f3_deriv**2 + 2.0 * assoc.rho_yz * f3_deriv + 2.0 * cz * f3_deriv * f4_deriv
+        cz * f3_deriv**2 + 2.0 * rho_yz * f3_deriv + 2.0 * cz * f3_deriv * f4_deriv
     )
     v0 = VarianceComponents.scaled_v0(1.0, summary.density_y)
     return v0 * (

@@ -8,7 +8,6 @@ import pytest
 from dsmedian.core_stats import (
     DensityEstimate,
     ProportionMatrix,
-    QuantileConvention,
     _quantile_index,
     empirical_quantile,
     kde_at,
@@ -87,9 +86,6 @@ class TestEmpiricalQuantile:
             empirical_quantile([1.0, float("nan")], 0.5)
         with pytest.raises(ValueError, match="quantile level"):
             empirical_quantile([1.0], 0.0)
-
-    def test_convention_is_named(self):
-        assert QuantileConvention.LEFT_CONTINUOUS_INVERSE.value == "left-continuous-inverse"
 
 
 def brute_proportions(pairs, ta, tb):

@@ -26,7 +26,6 @@ from dsmedian.estimators import (
     ratio_known,
     regression_single_aux,
     regression_two_aux,
-    sample_medians,
     stratification_estimator,
     true_coefficients,
 )
@@ -124,26 +123,26 @@ class TestSampleMedians:
             y_m=[1, 2, 3], x_m=[4, 5, 6], z_m=[7, 8, 9],
             x_n=[4, 5, 6, 10, 11], z_n=[7, 8, 9, 1, 2], known_mz=8.0,
         )
-        meds = sample_medians(v)
+        meds = v.medians
         assert meds.my == 2 and meds.mx == 5 and meds.mz == 8
         assert meds.mx1 == 6 and meds.mz1 == 7
 
     def test_equal_phases_equal_medians(self):
         v = make_view(y_m=[1, 2], x_m=[3, 4], z_m=[5, 6], x_n=[3, 4], z_n=[5, 6], known_mz=5.0)
-        meds = sample_medians(v)
+        meds = v.medians
         assert meds.mx == meds.mx1 and meds.mz == meds.mz1
 
     def test_matches_sort_oracle(self, rng):
         for _ in range(50):
             v = random_view(rng, m=int(rng.integers(1, 12)), n=int(rng.integers(12, 30)))
-            meds = sample_medians(v)
+            meds = v.medians
             assert meds.my == oracle_quantile(list(v.y_m), 0.5)
             assert meds.mx1 == oracle_quantile(list(v.x_n), 0.5)
             assert meds.mz == oracle_quantile(list(v.z_m), 0.5)
 
     def test_cached_medians_equal_raw_medians(self, rng):
         for v in oracle_views(rng):
-            meds = sample_medians(v)
+            meds = v.medians
             assert meds.my == median(v.y_m) and meds.mx == median(v.x_m)
             assert meds.mz == median(v.z_m)
             assert meds.mx1 == median(v.x_n) and meds.mz1 == median(v.z_n)
@@ -163,7 +162,7 @@ class TestSampleMedians:
                          z=rng.normal(10, 2, 30))
         sample = draw_two_phase(pop.N, pop.N, 8, SeedSpec(4, 0))
         view = SampleView.from_population(pop, sample)
-        assert sample_medians(view).mx1 == pop_median(pop.x)
+        assert view.medians.mx1 == pop_median(pop.x)
 
 
 class TestKnownMedianBaselines:
@@ -174,9 +173,9 @@ class TestKnownMedianBaselines:
 
     def test_ratio_known_identity(self, rng):
         v = random_view(rng)
-        mx_hat = sample_medians(v).mx
+        mx_hat = v.medians.mx
         v_eq = make_view(v.y_m, v.x_m, v.z_m, v.x_n, v.z_n, v.known_mz, known_mx=mx_hat)
-        assert ratio_known(v_eq) == pytest.approx(sample_medians(v).my, abs=1e-12)
+        assert ratio_known(v_eq) == pytest.approx(v.medians.my, abs=1e-12)
 
     def test_ratio_known_constant_y(self):
         v = make_view(y_m=[3, 3, 3], x_m=[1, 2, 4], z_m=[1, 2, 3],
@@ -238,28 +237,6 @@ class TestPositionEstimator:
         assert fired
         assert position_estimator(v) == 1.0
 
-    def test_exact_form(self):
-        v = make_view(y_m=[1, 2, 3, 4], x_m=[-1, -2, 1, 2], z_m=[0, 0, 1, 1],
-                      x_n=[-1, -2, 1, 2, 0], z_n=[0, 0, 1, 1, 2], known_mz=1.0, known_mx=0.0)
-        raw, _, _ = position_probability(v, exact=True)
-        # conditional form: (2*(0.5/0.5) + 2*(0/0.5))/4
-        assert raw == pytest.approx(0.5, abs=1e-15)
-
-    def test_exact_equals_approx_for_even_untied_samples(self, rng):
-        # with even m and no ties the sample-median split is exactly half,
-        # so the conditional and two-term forms coincide
-        for _ in range(20):
-            m = 2 * int(rng.integers(2, 12))
-            x = rng.normal(size=m)
-            y = rng.normal(size=m)
-            v = make_view(y_m=y, x_m=x, z_m=rng.normal(size=m),
-                          x_n=np.concatenate([x, rng.normal(size=3)]),
-                          z_n=rng.normal(size=m + 3), known_mz=0.0,
-                          known_mx=float(rng.normal()))
-            approx, _, _ = position_probability(v)
-            exact, _, _ = position_probability(v, exact=True)
-            assert exact == pytest.approx(approx, rel=1e-12)
-
 
 class TestStratificationEstimator:
     def test_hand_example(self):
@@ -296,11 +273,11 @@ class TestRatioDouble:
         z = rng.normal(5, 1, size=12)
         y = rng.normal(8, 1, size=12)
         v = make_view(y_m=y, x_m=vals, z_m=z, x_n=vals, z_n=z, known_mz=5.0)
-        assert ratio_double(v) == sample_medians(v).my
+        assert ratio_double(v) == v.medians.my
 
     def test_sign_follows_my(self, rng):
         v = random_view(rng)
-        assert (ratio_double(v) > 0) == (sample_medians(v).my > 0)
+        assert (ratio_double(v) > 0) == (v.medians.my > 0)
 
 
 class TestPluginCoefficients:
@@ -413,7 +390,7 @@ class TestRegressionEstimators:
     def test_zero_coefficients_return_my(self, rng):
         v = random_view(rng)
         c = PluginCoefficients(0, 0, 0, 0, 0, 0, 0, 0, 0)
-        my = sample_medians(v).my
+        my = v.medians.my
         assert regression_two_aux(v, c) == my
         assert regression_single_aux(v, c) == my
 
@@ -424,7 +401,7 @@ class TestRegressionEstimators:
         v = make_view(y_m=y, x_m=vals, z_m=z, x_n=vals, z_n=z,
                       known_mz=oracle_quantile(list(z), 0.5))
         c = plugin_coefficients(v)
-        my = sample_medians(v).my
+        my = v.medians.my
         assert regression_two_aux(v, c) == my
         assert regression_single_aux(v, c) == my
 
@@ -443,7 +420,7 @@ class TestClassG:
         y = rng.normal(8, 1, size=8)
         v = make_view(y_m=y, x_m=vals, z_m=z, x_n=vals, z_n=z,
                       known_mz=oracle_quantile(list(z), 0.5))
-        my = sample_medians(v).my
+        my = v.medians.my
         for form in ("g1", "g2", "g3", "g4", "g6", "g7"):
             assert class_g_estimate(v, GForm(form=form, alpha=0.8, beta=-0.4)) == my
         assert class_g_estimate(v, GForm(form="g5", alpha=0.8, beta=-0.4, w1=0.3, w2=0.7)) == my
@@ -464,7 +441,7 @@ class TestClassG:
         # g3 optimum equals my*(1 - alpha1*(u-1) - alpha2*(v-1)) exactly
         v = random_view(rng)
         c = plugin_coefficients(v)
-        meds = sample_medians(v)
+        meds = v.medians
         u = meds.mx / meds.mx1
         w = meds.mz1 / v.known_mz
         expected = meds.my * (1 - c.alpha1_hat * (u - 1) - c.alpha2_hat * (w - 1))
@@ -476,7 +453,7 @@ class TestClassG:
         # Constant first-phase vectors pin the first-phase medians exactly.
         base = random_view(rng)
         c = plugin_coefficients(base)
-        meds = sample_medians(base)
+        meds = base.medians
         n = base.x_n.size
 
         def gap(scale):
@@ -503,6 +480,13 @@ class TestClassG:
         with pytest.raises(EstimatorError, match="g4 denominator"):
             class_g_estimate(v, GForm(form="g4", alpha=1.0, beta=0.0))
 
+    @pytest.mark.parametrize("form", ["g1", "g5", "g6", "g7"])
+    def test_overflow_is_an_estimator_error(self, form):
+        # beta >= 1000 at v = 10: every power and exponential form leaves the float range
+        g = gform_estimated_optimum(form, 0.0, -1000.0)
+        with pytest.raises(EstimatorError, match=f"{form} overflows"):
+            g(1.0, 10.0)
+
     def test_g5_weights_must_sum_to_one(self):
         with pytest.raises(EstimatorError, match="sum to 1"):
             GForm(form="g5", alpha=1.0, beta=1.0, w1=0.6, w2=0.6)
@@ -522,7 +506,7 @@ class TestClassF:
     def test_zero_coefficients(self, rng):
         v = random_view(rng)
         c = PluginCoefficients(0, 0, 0, 0, 0, 0, 0, 0, 0)
-        assert class_F_estimate(v, c) == sample_medians(v).my
+        assert class_F_estimate(v, c) == v.medians.my
 
     def test_all_ratios_one(self, rng):
         vals = rng.normal(10, 2, size=8)
@@ -531,7 +515,7 @@ class TestClassF:
         v = make_view(y_m=y, x_m=vals, z_m=z, x_n=vals, z_n=z,
                       known_mz=oracle_quantile(list(z), 0.5))
         c = plugin_coefficients(v)
-        assert class_F_estimate(v, c) == sample_medians(v).my
+        assert class_F_estimate(v, c) == v.medians.my
 
     def test_zero_known_mz_rejected(self, rng):
         v = random_view(rng)

@@ -6,11 +6,12 @@ import pytest
 
 from conftest import random_summary, realizable_concordances
 from dsmedian.estimators import true_coefficients
+from dsmedian.core_stats import ProportionMatrix
 from dsmedian.population import PopulationSummary
 from dsmedian.variance_theory import (
-    AssociationSet,
     DesignSizes,
     VarianceComponents,
+    clamped_concordances,
     min_var_F,
     min_var_H,
     min_var_g,
@@ -43,19 +44,28 @@ class TestDesignSizes:
             DesignSizes(m=5, n=10, N=9)
 
 
-class TestAssociationSet:
-    def test_from_summary(self):
-        a = AssociationSet.from_summary(WORKED)
-        assert a.rho_xy == pytest.approx(0.8, abs=1e-12)
-        assert a.rho_yz == pytest.approx(0.6, abs=1e-12)
-        assert a.rho_xz == pytest.approx(0.7, abs=1e-12)
-        assert a.scale_y == pytest.approx(2.5, abs=1e-12)
+class TestClassDomain:
+    """The class variances read the clamped concordances and divide by the
+    scale products M_x f_x and M_z f_z only (a zero one of these is named in
+    TestOneOwner::test_zero_scale_named)."""
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            AssociationSet(1.5, 0.0, 0.0, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            AssociationSet(0.0, 0.0, 0.0, 1.0, 0.0, 1.0)
+    def test_concordances_from_summary(self):
+        assert clamped_concordances(WORKED) == pytest.approx((0.8, 0.6, 0.7), abs=1e-12)
+        # ties in a census can put more than half of the units in p11
+        over = ProportionMatrix(p11=0.5005, p12=0.0, p21=0.0, p22=0.4995)
+        census = PopulationSummary(median_x=3.0, median_y=5.0, median_z=7.0,
+                                   density_x=0.2, density_y=0.5, density_z=0.11,
+                                   pm_xy=over, pm_xz=over, pm_yz=over, N=100)
+        assert over.concordance > 1.0
+        assert clamped_concordances(census) == (1.0, 1.0, 1.0)
+
+    def test_zero_y_median_reduces_to_sample_median(self):
+        s = PopulationSummary.from_parameters((3.0, -0.0, 7.0), (0.2, 0.5, 0.11),
+                                              (0.8, 0.6, 0.7), 10_000)
+        sizes = DesignSizes(100, 400, 10_000)
+        assert var_sample_median(sizes, s) == 0.0099
+        assert var_class_F(sizes, s, 0.0, 0.0, 0.0) == 0.0099
+        assert var_class_g(sizes, s, -1.0, 0.0) == 0.0099
 
 
 class TestVarianceComponents:
@@ -144,7 +154,7 @@ class TestOptimumGDerivatives:
         for _ in range(20):
             s = random_summary(rng)
             opt = optimum_g_derivatives(s)
-            rho = AssociationSet.from_summary(s).rho_xy
+            rho = clamped_concordances(s)[0]
             if rho > 0:
                 assert opt.g1 < 0 or rho == 0
 
@@ -211,8 +221,7 @@ class TestClassFVariance:
         for _ in range(20):
             s = random_summary(rng)
             sizes = DesignSizes(m=50, n=200, N=5000)
-            a = AssociationSet.from_summary(s)
-            f2 = -(a.scale_x / s.density_y) * a.rho_xy
+            f2 = -(s.median_x * s.density_x / s.density_y) * clamped_concordances(s)[0]
             assert var_class_F(sizes, s, f2, 0.0, 0.0) == pytest.approx(
                 min_var_H(sizes, variance_components(s)), rel=1e-12
             )
@@ -291,20 +300,22 @@ def moment_matrix(sizes, summary):
     e0 = my_hat/M_y - 1 (second phase), e1/e2 the second/first-phase
     x-median errors, e3/e4 the second/first-phase z-median errors.
     """
-    a = AssociationSet.from_summary(summary)
+    rho_xy, rho_yz, rho_xz = clamped_concordances(summary)
     lam_m = sizes.theta_mN / 4.0
     lam_n = sizes.theta_nN / 4.0
-    sx, sy, sz = a.scale_x, a.scale_y, a.scale_z
+    sx = summary.median_x * summary.density_x
+    sy = summary.median_y * summary.density_y
+    sz = summary.median_z * summary.density_z
     cov = np.zeros((4, 4))
     cov[0, 0] = lam_m / sy**2
     cov[1, 1] = (lam_m - lam_n) / sx**2
     cov[2, 2] = lam_n / sz**2
     cov[3, 3] = lam_m / sz**2
-    cov[0, 1] = cov[1, 0] = (lam_m - lam_n) * a.rho_xy / (sx * sy)
-    cov[0, 2] = cov[2, 0] = lam_n * a.rho_yz / (sy * sz)
-    cov[0, 3] = cov[3, 0] = lam_m * a.rho_yz / (sy * sz)
+    cov[0, 1] = cov[1, 0] = (lam_m - lam_n) * rho_xy / (sx * sy)
+    cov[0, 2] = cov[2, 0] = lam_n * rho_yz / (sy * sz)
+    cov[0, 3] = cov[3, 0] = lam_m * rho_yz / (sy * sz)
     cov[1, 2] = cov[2, 1] = 0.0  # first- and mixed-phase x-z errors cancel
-    cov[1, 3] = cov[3, 1] = (lam_m - lam_n) * a.rho_xz / (sx * sz)
+    cov[1, 3] = cov[3, 1] = (lam_m - lam_n) * rho_xz / (sx * sz)
     cov[2, 3] = cov[3, 2] = lam_n / sz**2
     return cov
 
