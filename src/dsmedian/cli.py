@@ -50,8 +50,8 @@ EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_ORACLE = 4
 
-# simulate --threads only reschedules replicates; more workers than this
-# buy nothing on a batch host and each one is an operating-system thread
+# simulate --threads only reschedules replicates over worker processes,
+# which run_simulation caps at the core count; the bound catches typos
 MAX_THREADS = 64
 
 
@@ -116,24 +116,6 @@ def _resolve_seed(flag_value: int | None, fallback: int = 0) -> int:
     return seed
 
 
-def _summary_dict(summary) -> dict:
-    def pm(p) -> dict:
-        return {"p11": p.p11, "p12": p.p12, "p21": p.p21, "p22": p.p22}
-
-    return {
-        "N": summary.N,
-        "median_x": summary.median_x,
-        "median_y": summary.median_y,
-        "median_z": summary.median_z,
-        "density_x": summary.density_x,
-        "density_y": summary.density_y,
-        "density_z": summary.density_z,
-        "pm_xy": pm(summary.pm_xy),
-        "pm_xz": pm(summary.pm_xz),
-        "pm_yz": pm(summary.pm_yz),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -161,7 +143,7 @@ def _cmd_analyze(args) -> int:
         comps_dict = {**dataclasses.asdict(comps), "V3": None, "note": str(exc)}
     payload = {
         "manifest": _manifest("analyze", {"csv": args.csv}, None, [args.csv]),
-        "summary": _summary_dict(summary),
+        "summary": {"N": summary.N, **dataclasses.asdict(summary)},  # N, then the fields
         "variance_components": comps_dict,
     }
     _emit(payload, args.out)
@@ -408,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help=f"worker threads, 1..{MAX_THREADS} (default 1); never changes results and gives "
-        "no speed-up, because the replicate loop holds the GIL",
+        help=f"worker processes, 1..{MAX_THREADS} (default 1), at most one per core; never "
+        "changes results",
     )
     p.add_argument("--out-json", default="simreport.json")
     p.add_argument("--out-csv", default="simreport.csv")

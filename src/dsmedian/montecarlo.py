@@ -6,8 +6,8 @@ and reports empirical bias and MSE next to the first-order theoretical
 variance evaluated at the true population summary.  Everything is a pure
 function of the configuration: replicate r uses random stream r, the
 population (when synthetic) uses a reserved stream, and aggregation is
-compensated summation in stream order, so serial and threaded runs agree
-bit for bit.
+compensated summation in stream order over the rows that forked workers
+return in blocks, so runs on any number of processes agree bit for bit.
 
 Synthetic populations come from a trivariate Gaussian copula.  For a
 median split of a bivariate normal with correlation r, the both-low
@@ -22,7 +22,8 @@ import configparser
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+from collections.abc import Callable
 from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
@@ -59,6 +60,7 @@ __all__ = [
     "SimReport",
     "generate_population",
     "run_simulation",
+    "map_replicates",
     "load_sim_config",
     "TRUE_VARIANT_IDS",
     "POPULATION_STREAM",
@@ -113,10 +115,12 @@ class MarginalSpec:
         peak = 1.0 / (self.sigma * math.sqrt(2.0 * math.pi))
         return peak if self.kind == "normal" else peak / math.exp(self.mu)
 
-    def transform(self, std_normal: np.ndarray) -> np.ndarray:
-        shifted = self.sigma * std_normal
-        shifted += self.mu
-        return shifted if self.kind == "normal" else np.exp(shifted, out=shifted)
+    def transform(self, values: np.ndarray) -> None:
+        """Map standard normal ``values`` to this marginal, in place."""
+        values *= self.sigma
+        values += self.mu
+        if self.kind == "lognormal":
+            np.exp(values, out=values)
 
 
 @dataclass(frozen=True)
@@ -178,17 +182,14 @@ class GeneratorSpec:
 
 def generate_population(spec: GeneratorSpec, N: int, seed: SeedSpec) -> Population:
     """N i.i.d. trivariate draws: correlated standard normals through the
-    Cholesky factor, then the marginal transforms."""
+    Cholesky factor, transformed in place; the population adopts the rows."""
     if N < 4:
         raise ValueError("population size must be at least 4")
     rng = seed.generator()
-    std = rng.standard_normal(size=(3, N))
-    corr = spec.cholesky() @ std
-    return Population(
-        x=spec.marginal_x.transform(corr[0]),
-        y=spec.marginal_y.transform(corr[1]),
-        z=spec.marginal_z.transform(corr[2]),
-    )
+    values = np.matmul(spec.cholesky(), rng.standard_normal((3, N)))
+    for marginal, row in zip((spec.marginal_x, spec.marginal_y, spec.marginal_z), values):
+        marginal.transform(row)
+    return Population(*values, _adopt=True)
 
 
 @dataclass(frozen=True)
@@ -344,9 +345,73 @@ def _theory_variance(
     return None
 
 
+def _mse_mc_se(sq_err: np.ndarray, mse: float) -> float:
+    """Monte Carlo standard error of ``mse``, the mean of ``sq_err``.  Where
+    the squared deviations from a finite ``mse`` overflow, they are summed
+    relative to ``mse``; a finite direct sum keeps every bit."""
+    k = sq_err.size
+    with np.errstate(over="ignore"):
+        dev_sq = (sq_err - mse) ** 2
+    try:
+        var_sq = math.fsum(dev_sq) / (k - 1)
+    except OverflowError:  # finite terms whose sum overflows
+        var_sq = math.inf
+    if math.isfinite(var_sq) or not math.isfinite(mse):
+        return math.sqrt(var_sq / k)
+    return mse * math.sqrt(math.fsum((sq_err / mse - 1.0) ** 2) / (k - 1) / k)
+
+
+def map_replicates(block: Callable[[int, int], np.ndarray], count: int, workers: int) -> np.ndarray:
+    """``block(0, count)`` from contiguous blocks on forked worker processes.
+
+    ``block(start, stop)`` returns one row per replicate.  The blocks of
+    ``min(workers, os.cpu_count(), count)`` workers are concatenated in
+    replicate order, so ``workers`` never changes the result.  Workers
+    inherit ``block`` and its data (only rows and exceptions are pickled;
+    a worker's exception is raised here), so the caller must run no other
+    threads.  One worker runs ``block`` here, without multiprocessing."""
+    workers = min(workers, os.cpu_count() or 1, count)
+    if workers <= 1:
+        return block(0, count)
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    bounds = [count * w // workers for w in range(workers + 1)]
+    jobs, parts = [], []
+    try:
+        for start, stop in zip(bounds, bounds[1:]):
+            receiver, sender = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_send_block, args=(sender, block, start, stop))
+            with sender:
+                proc.start()
+            jobs.append((proc, receiver))
+        for proc, receiver in jobs:
+            failed, rows = receiver.recv()  # EOFError: the worker died without replying
+            if failed:
+                raise rows
+            parts.append(rows)
+    finally:
+        for proc, receiver in jobs:
+            if len(parts) < len(jobs):  # a worker failed: stop the others
+                proc.terminate()
+            proc.join()
+            receiver.close()
+    return np.concatenate(parts)
+
+
+def _send_block(sender, block: Callable[[int, int], np.ndarray], start: int, stop: int) -> None:
+    """Worker body of :func:`map_replicates`: send ``(failed, rows or exception)``."""
+    with sender:
+        try:
+            reply = (False, block(start, stop))
+        except Exception as exc:  # the parent raises it
+            reply = (True, exc)
+        sender.send(reply)
+
+
 def run_simulation(config: SimConfig, threads: int = 1, keep_estimates: bool = False) -> SimReport:
     """Run the experiment and aggregate.  Deterministic given the config;
-    ``threads`` only changes the execution schedule, never the results."""
+    ``threads``, the worker process count, never changes the results."""
     if config.generator is not None:
         pop = generate_population(
             config.generator, config.N, SeedSpec(config.master_seed, POPULATION_STREAM)
@@ -381,38 +446,31 @@ def run_simulation(config: SimConfig, threads: int = 1, keep_estimates: bool = F
     plan = [(j, TRUE_VARIANT_IDS.get(e, e), e in TRUE_VARIANT_IDS) for j, e in enumerate(ids)]
 
     R = config.replicates
-    estimates = np.full((R, len(ids)), np.nan)
-    clamps = np.zeros((R, len(ids)), dtype=np.int64)
-    fallbacks = np.zeros((R, len(ids)), dtype=np.int64)
 
-    def one_replicate(r: int) -> None:
-        sample = draw_two_phase(config.N, config.n, config.m, SeedSpec(config.master_seed, r))
-        view = SampleView.from_population(pop, sample)
-        coeffs: PluginCoefficients | None = None
-        if needs_plugin:
-            try:
-                coeffs = plugin_coefficients(view)
-            except EstimatorError:
-                pass  # the coefficient ids fail this replicate
-        for j, base, uses_true in plan:
-            c = true_coeffs if uses_true else coeffs
-            if c is None and base in COEFFICIENT_IDS:
-                continue  # the coefficients it needs are unavailable: the estimate stays NaN
-            try:
-                estimates[r, j], clamped, fell_back = evaluate_with_diagnostics(base, view, c)
-            except EstimatorError:
-                continue  # the estimate stays NaN
-            if clamped:
-                clamps[r, j] = 1
-            if fell_back:
-                fallbacks[r, j] = 1
+    def replicate_rows(start: int, stop: int) -> np.ndarray:
+        # per replicate: the estimates, then clamp and fallback flags, one column per id
+        rows = np.zeros((stop - start, 3, len(ids)))
+        rows[:, 0] = np.nan
+        for row, r in zip(rows, range(start, stop)):
+            sample = draw_two_phase(config.N, config.n, config.m, SeedSpec(config.master_seed, r))
+            view = SampleView.from_population(pop, sample)
+            coeffs: PluginCoefficients | None = None
+            if needs_plugin:
+                try:
+                    coeffs = plugin_coefficients(view)
+                except EstimatorError:
+                    pass  # the coefficient ids fail this replicate
+            for j, base, uses_true in plan:
+                c = true_coeffs if uses_true else coeffs
+                if c is None and base in COEFFICIENT_IDS:
+                    continue  # the coefficients it needs are unavailable: the estimate stays NaN
+                try:
+                    row[0, j], row[1, j], row[2, j] = evaluate_with_diagnostics(base, view, c)
+                except EstimatorError:
+                    continue  # the estimate stays NaN
+        return rows
 
-    if threads <= 1:
-        for r in range(R):
-            one_replicate(r)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one_replicate, range(R)))
+    estimates, clamps, fallbacks = map_replicates(replicate_rows, R, threads).transpose(1, 0, 2)
 
     rows = []
     valid = True
@@ -432,8 +490,7 @@ def run_simulation(config: SimConfig, threads: int = 1, keep_estimates: bool = F
             sq_err = (vals - estimand) ** 2
             mse = math.fsum(sq_err) / k
             if k > 1:
-                var_sq = math.fsum((sq_err - mse) ** 2) / (k - 1)
-                mse_mc_se = math.sqrt(var_sq / k)
+                mse_mc_se = _mse_mc_se(sq_err, mse)
             bias = mean - estimand
             relative_bias = bias / estimand if estimand != 0.0 else math.inf
             ratio = mse / theory if theory else None
@@ -465,7 +522,7 @@ def run_simulation(config: SimConfig, threads: int = 1, keep_estimates: bool = F
         summary_source=summary_source,
         rows=tuple(rows),
         valid=valid,
-        estimates=estimates if keep_estimates else None,
+        estimates=np.ascontiguousarray(estimates) if keep_estimates else None,
     )
 
 

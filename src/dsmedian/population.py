@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,8 +31,8 @@ __all__ = ["Population", "PopulationSummary", "population_summary", "load_popula
 CSV_COLUMNS = ("x", "y", "z")
 
 
-def _frozen_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float).ravel().copy()
+def _frozen_array(values, name: str, adopt: bool) -> np.ndarray:
+    arr = np.array(values, dtype=float, copy=not adopt).ravel()
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"population variable {name} contains non-finite values")
     arr.flags.writeable = False
@@ -41,16 +41,17 @@ def _frozen_array(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Population:
-    """A finite population of N units carrying (x, y, z) values."""
+    """A finite population of N units carrying (x, y, z) values: frozen copies
+    of the arrays passed in (``_adopt``, for generate_population, skips the copy)."""
 
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
+    _adopt: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _frozen_array(self.x, "x"))
-        object.__setattr__(self, "y", _frozen_array(self.y, "y"))
-        object.__setattr__(self, "z", _frozen_array(self.z, "z"))
+    def __post_init__(self, _adopt: bool) -> None:
+        for name in ("x", "y", "z"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), name, _adopt))
         if not (self.x.size == self.y.size == self.z.size):
             raise ValueError("x, y, z must have equal length")
         if self.x.size < 4:

@@ -23,6 +23,7 @@ Two deliberate, documented implementation choices:
 """
 
 import math
+import os
 import time
 
 import numpy as np
@@ -51,6 +52,7 @@ from dsmedian.montecarlo import (
     MarginalSpec,
     SimConfig,
     generate_population,
+    map_replicates,
     run_simulation,
 )
 from dsmedian.population import population_summary
@@ -208,24 +210,35 @@ def test_criterion_4_estimated_optimum_equivalence(mc_run):
 def _superpopulation_bias(m: int, n: int, N: int, replicates: int, master_seed: int):
     """Mean bias of each class estimator against the superpopulation median,
     population redrawn for every replicate (stream pairing: population on
-    even streams, two-phase draw on odd)."""
+    even streams, two-phase draw on odd).  Replicates run in blocks on
+    forked workers; the sums accumulate here, in replicate order."""
+    target = GEN.marginal_y.true_median
+
+    def block(start: int, stop: int) -> np.ndarray:
+        # per replicate: a kept flag, then each class estimator's error
+        rows = np.zeros((stop - start, 1 + len(CLASS_IDS)))
+        for row, r in zip(rows, range(start, stop)):
+            pop = generate_population(GEN, N, SeedSpec(master_seed, 2 * r))
+            sample = draw_two_phase(N, n, m, SeedSpec(master_seed, 2 * r + 1))
+            view = SampleView.from_population(pop, sample)
+            try:
+                coeffs = plugin_coefficients(view)
+                row[1:] = np.array(
+                    [evaluate_estimator(e, view, coeffs) for e in CLASS_IDS]) - target
+            except EstimatorError:
+                continue
+            row[0] = 1.0
+        return rows
+
     sums = np.zeros(len(CLASS_IDS))
     sums_sq = np.zeros(len(CLASS_IDS))
     kept = 0
-    target = GEN.marginal_y.true_median
-    for r in range(replicates):
-        pop = generate_population(GEN, N, SeedSpec(master_seed, 2 * r))
-        sample = draw_two_phase(N, n, m, SeedSpec(master_seed, 2 * r + 1))
-        view = SampleView.from_population(pop, sample)
-        try:
-            coeffs = plugin_coefficients(view)
-            errs = np.array(
-                [evaluate_estimator(e, view, coeffs) for e in CLASS_IDS]) - target
-        except EstimatorError:
-            continue
-        sums += errs
-        sums_sq += errs**2
-        kept += 1
+    for row in map_replicates(block, replicates, os.cpu_count() or 1):
+        if row[0]:
+            errs = row[1:]
+            sums += errs
+            sums_sq += errs**2
+            kept += 1
     bias = sums / kept
     se = np.sqrt((sums_sq / kept - bias**2) / kept)
     return bias, se, kept

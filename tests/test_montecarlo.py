@@ -1,6 +1,11 @@
 """Monte Carlo harness: generator analytics, determinism, aggregation."""
 
+import hashlib
+import json
 import math
+import multiprocessing
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -25,9 +30,10 @@ from dsmedian.montecarlo import (
     SimConfig,
     generate_population,
     load_sim_config,
+    map_replicates,
     run_simulation,
 )
-from dsmedian.population import population_summary
+from dsmedian.population import Population, population_summary
 from dsmedian.sampling import SeedSpec, draw_two_phase
 
 NORMAL = MarginalSpec("normal", 10.0, 2.0)
@@ -109,6 +115,25 @@ class TestGeneratePopulation:
         pop = generate_population(gen, 500, SeedSpec(7, POPULATION_STREAM))
         assert np.all(pop.x > 0) and np.all(pop.y > 0)
 
+    # sha256 of the x, y, z bytes, pinned so that no rewrite of the generator
+    # moves a bit; normal and lognormal marginals, N in {4, 20000}
+    MIXED = GeneratorSpec(r_xy=0.5, r_yz=0.3, r_xz=0.4,
+                          marginal_x=MarginalSpec("lognormal", 1.0, 0.5),
+                          marginal_y=MarginalSpec("normal", -3.0, 0.7),
+                          marginal_z=MarginalSpec("lognormal", 0.2, 1.5))
+
+    @pytest.mark.parametrize("gen, N, digest", [
+        (GEN, 4, "b80a3e3e40521bde2246e8bae4f05c7dd37a5de41831bbedfe9961cbf6ac4736"),
+        (GEN, 20_000, "2815b86673c3334704c66f3ffc6e03ca6581d090b61e9ebeef3a67187211d894"),
+        (MIXED, 4, "67c57e786e54248383bc294c20b816a24993f34ffac436ad83c7625841ab1cdf"),
+        (MIXED, 20_000, "25d7f2f68eacee3248394a7ba9f9e13c4efc5b1fc3a788ed756c5f391f48dbc1"),
+    ])
+    def test_bits_pinned(self, gen, N, digest):
+        pop = generate_population(gen, N, SeedSpec(3, 7))
+        assert not (pop.x.flags.writeable or pop.y.flags.writeable or pop.z.flags.writeable)
+        blob = b"".join(v.tobytes() for v in (pop.x, pop.y, pop.z))
+        assert hashlib.sha256(blob).hexdigest() == digest
+
 
 class TestSimConfig:
     def test_validation(self):
@@ -138,6 +163,30 @@ class TestRunSimulation:
         serial = run_simulation(cfg)
         threaded = run_simulation(cfg, threads=4)
         assert serial.to_json_dict() == threaded.to_json_dict()
+
+    def test_mse_mc_se_finite_when_squared_deviations_overflow(self, tmp_path):
+        # y has median 0, so g5's relative errors reach about 1e92 in one
+        # replicate: its mse (2.5e183) is finite, its squared deviations are not
+        rng = np.random.default_rng(0)
+        corr = np.array([[1.0, 0.8, 0.7], [0.8, 1.0, 0.6], [0.7, 0.6, 1.0]])
+        c = np.linalg.cholesky(corr) @ rng.standard_normal((3, 1001))
+        y = c[1] - np.sort(c[1])[500]
+        y[np.argmin(np.abs(y))] = 0.0
+        path = write_population_csv(tmp_path / "zero_median.csv",
+                                    Population(x=10 + 2 * c[0], y=y, z=10 + 2 * c[2]))
+        cfg = SimConfig(m=31, n=120, N=1001, replicates=150, master_seed=4,
+                        estimators=tuple(ESTIMATOR_IDS), csv_path=path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = run_simulation(cfg, keep_estimates=True)
+        g5 = rep.stats("g5")
+        assert g5.mse == 2.467050410400265e183
+        assert math.isfinite(g5.mse_mc_se) and g5.mse_mc_se > 0.0
+        # a finite direct sum keeps its bits
+        sq_err = (rep.estimates[:, 0] - rep.estimand) ** 2
+        k = sq_err.size
+        direct = math.sqrt(math.fsum((sq_err - rep.stats("median").mse) ** 2) / (k - 1) / k)
+        assert rep.stats("median").mse_mc_se == direct
 
     def test_census_like_config(self):
         # m = n - 1 = N - 1: every double-sampling estimate hugs the sample median
@@ -280,6 +329,16 @@ class TestReplicateDiagnostics:
         assert rep.stats("stratified").fallbacks == fallbacks
         assert sum(r.clamps + r.fallbacks for r in rep.rows) == clamps + fallbacks
 
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_worker_processes_do_not_change_results(self, threads, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        cfg = quick_config(**{**self.CONFIG, "replicates": 7})
+        serial = run_simulation(cfg, keep_estimates=True)
+        forked = run_simulation(cfg, threads=threads, keep_estimates=True)
+        assert (serial.stats("position").clamps, serial.stats("stratified").fallbacks) == (1, 2)
+        assert json.dumps(forked.to_json_dict()) == json.dumps(serial.to_json_dict())
+        assert np.array_equal(forked.estimates, serial.estimates, equal_nan=True)
+
     def test_position_probability_once_per_replicate(self, monkeypatch):
         # each position_probability call, whoever makes it, tabulates the
         # (x, y) quadrants once; no other id here tabulates any
@@ -315,6 +374,39 @@ class TestReplicateDiagnostics:
         run_simulation(cfg)
         assert len(census) == 3
         assert not any(np.array_equal(a, b) for i, a in enumerate(census) for b in census[:i])
+
+
+def _squares(start: int, stop: int) -> np.ndarray:
+    r = np.arange(start, stop, dtype=float)
+    return np.column_stack((r, r**2))
+
+
+class TestMapReplicates:
+    @pytest.fixture(autouse=True)
+    def eight_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+    @pytest.mark.parametrize("count, workers", [(2, 5), (7, 3), (10, 4), (5, 1)])
+    def test_equals_serial(self, count, workers):
+        assert np.array_equal(map_replicates(_squares, count, workers), _squares(0, count))
+
+    def test_worker_exception_reaches_caller(self):
+        def block(start, stop):
+            if start > 0:
+                raise EstimatorError(f"block {start}..{stop} failed")
+            return _squares(start, stop)
+
+        with pytest.raises(EstimatorError, match="block 3..6 failed"):
+            map_replicates(block, 6, 2)
+
+    def test_one_core_starts_no_process(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+        def start(process):
+            raise AssertionError("a worker process was started")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+        assert np.array_equal(map_replicates(_squares, 5, 4), _squares(0, 5))
 
 
 class TestConfigFile:

@@ -33,6 +33,14 @@ class TestPopulation:
         with pytest.raises(ValueError):
             pop.x[0] = 99.0
 
+    def test_copies_even_read_only_input(self):
+        x = np.arange(1.0, 9.0)
+        x.flags.writeable = False
+        pop = Population(x=x, y=x, z=x)
+        x.flags.writeable = True
+        x[0] = 99.0
+        assert pop.x[0] == pop.y[0] == pop.z[0] == 1.0
+
 
 class TestPopulationSummary:
     def test_identical_variables_example(self):
