@@ -81,6 +81,11 @@ def empirical_quantile(values, p: float) -> float:
     arr = _as_finite_1d(values)
     if not (0.0 < p <= 1.0) or not math.isfinite(p):
         raise ValueError(f"quantile level must be in (0, 1], got {p!r}")
+    return _quantile_selected(arr, p)
+
+
+def _quantile_selected(arr: np.ndarray, p: float) -> float:
+    """Quantile of a validated sample by selection, with the bits of the sort."""
     idx = _quantile_index(arr.size, p)
     value = np.partition(arr, idx)[idx]
     if value == 0.0:

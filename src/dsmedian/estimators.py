@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core_stats import (
+    _quantile_selected,
     _quantile_sorted,
     _silverman_bandwidth,
     kde_at,
@@ -71,6 +72,19 @@ def _frozen(values, name: str) -> np.ndarray:
     return arr
 
 
+class _KnownMedianX:
+    """SampleView.known_mx: a finite float, None, or a Population read as its median of x."""
+
+    def __get__(self, view, owner=None):
+        known = None if view is None else view.__dict__["_known_mx"]
+        return known.median_x if isinstance(known, Population) else known
+
+    def __set__(self, view, known) -> None:
+        if not (known is None or isinstance(known, Population) or math.isfinite(known)):
+            raise EstimatorError("known_mx must be finite when given")
+        view.__dict__["_known_mx"] = known
+
+
 @dataclass(frozen=True, eq=False)
 class SampleView:
     """The data an estimator sees: second-phase (x, y, z) triples,
@@ -78,15 +92,15 @@ class SampleView:
 
     ``known_mz`` (the population median of z) is always available in the
     designs covered here; ``known_mx`` is optional and only consumed by
-    the single-phase baselines (ratio-known, position, stratified).
+    the single-phase baselines (ratio-known, position, stratified); given
+    the population, it is its census median, computed on first read.
 
     Every estimator is a function of the same order statistics, so the
-    view sorts each variable once when it is built: ``sorted_y_m``,
-    ``sorted_x_m``, ``sorted_z_m``, ``sorted_x_n`` and ``sorted_z_n`` are
-    read-only sorted copies, and ``medians`` holds the five phase medians.
-    Standard deviations and kernel sums still run over the arrays in
-    their original order, because the summation order decides the last
-    bits of a floating-point sum.
+    view keeps three read-only sorted copies, ``sorted_y_m``, ``sorted_x_m``
+    and ``sorted_z_m``; ``medians`` holds their medians and the two
+    first-phase medians, selected.  Standard deviations and kernel sums
+    run over the arrays in their original order, because the summation
+    order decides the last bits of a floating-point sum.
     """
 
     y_m: np.ndarray
@@ -95,20 +109,18 @@ class SampleView:
     x_n: np.ndarray
     z_n: np.ndarray
     known_mz: float
-    known_mx: float | None = None
+    known_mx: float | Population | None = _KnownMedianX()
     sorted_y_m: np.ndarray = field(init=False, repr=False)
     sorted_x_m: np.ndarray = field(init=False, repr=False)
     sorted_z_m: np.ndarray = field(init=False, repr=False)
-    sorted_x_n: np.ndarray = field(init=False, repr=False)
-    sorted_z_n: np.ndarray = field(init=False, repr=False)
     medians: SampleMedians = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("y_m", "x_m", "z_m", "x_n", "z_n"):
-            arr = _frozen(getattr(self, name), name)
-            ordered = np.sort(arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name), name))
+        for name in ("y_m", "x_m", "z_m"):
+            ordered = np.sort(getattr(self, name))
             ordered.flags.writeable = False
-            object.__setattr__(self, name, arr)
             object.__setattr__(self, "sorted_" + name, ordered)
         if not (self.y_m.size == self.x_m.size == self.z_m.size):
             raise EstimatorError("second-phase variables must have equal length")
@@ -118,14 +130,12 @@ class SampleView:
             raise EstimatorError("first phase cannot be smaller than second phase")
         if not math.isfinite(self.known_mz):
             raise EstimatorError("known_mz must be finite")
-        if self.known_mx is not None and not math.isfinite(self.known_mx):
-            raise EstimatorError("known_mx must be finite when given")
         medians = SampleMedians(
             my=_quantile_sorted(self.sorted_y_m, 0.5),
             mx=_quantile_sorted(self.sorted_x_m, 0.5),
-            mx1=_quantile_sorted(self.sorted_x_n, 0.5),
+            mx1=_quantile_selected(self.x_n, 0.5),
             mz=_quantile_sorted(self.sorted_z_m, 0.5),
-            mz1=_quantile_sorted(self.sorted_z_n, 0.5),
+            mz1=_quantile_selected(self.z_n, 0.5),
         )
         object.__setattr__(self, "medians", medians)
 
@@ -149,7 +159,7 @@ class SampleView:
             x_n=pop.x[sn],
             z_n=pop.z[sn],
             known_mz=pop.median_z,
-            known_mx=pop.median_x,
+            known_mx=pop,
         )
 
 
@@ -351,6 +361,9 @@ def plugin_coefficients(view: SampleView) -> PluginCoefficients:
 
     Quadrant proportions are taken about the second-phase sample medians;
     densities are Gaussian KDEs with Silverman bandwidths at those medians.
+    The concordances 4*p11 - 1 are not clamped, unlike the census ones the
+    variance theory reads: about a lower median they reach 1 + 2/m at odd
+    m (ties push them further), and |rho_xz| >= 1 leaves a1..a3 None.
     """
     if view.m < 4:
         raise EstimatorError("plug-in coefficients need m >= 4")

@@ -24,7 +24,7 @@ import json
 import math
 import os
 from collections.abc import Callable
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -70,6 +70,8 @@ __all__ = [
 #: Reserved stream id for drawing the synthetic population itself;
 #: replicates use stream ids 0..R-1.
 POPULATION_STREAM = 2**63
+
+_CHOLESKY_BLOCK = 2048  # most columns per step of generate_population's Cholesky product
 
 #: Fixed-coefficient twins of the plug-in estimators: same formulas run
 #: with the population-true optimum coefficients (for estimated-optimum
@@ -133,13 +135,18 @@ class GeneratorSpec:
     marginal_x: MarginalSpec
     marginal_y: MarginalSpec
     marginal_z: MarginalSpec
+    _factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("r_xy", "r_yz", "r_xz"):
             r = getattr(self, name)
             if not (math.isfinite(r) and abs(r) < 1.0):
                 raise ValueError(f"correlation {name}={r!r} must satisfy |r| < 1")
-        self.cholesky()
+        try:
+            object.__setattr__(self, "_factor", np.linalg.cholesky(self.correlation_matrix()))
+        except np.linalg.LinAlgError:
+            raise ValueError("correlation matrix is not positive definite") from None
+        self._factor.flags.writeable = False
 
     def correlation_matrix(self) -> np.ndarray:
         return np.array(
@@ -151,10 +158,8 @@ class GeneratorSpec:
         )
 
     def cholesky(self) -> np.ndarray:
-        try:
-            return np.linalg.cholesky(self.correlation_matrix())
-        except np.linalg.LinAlgError:
-            raise ValueError("correlation matrix is not positive definite") from None
+        """The read-only lower Cholesky factor, computed once at construction."""
+        return self._factor
 
     def concordances(self) -> tuple[float, float, float]:
         """(rho_xy, rho_yz, rho_xz): 2*arcsin(r)/pi for a median split of
@@ -182,11 +187,14 @@ class GeneratorSpec:
 
 def generate_population(spec: GeneratorSpec, N: int, seed: SeedSpec) -> Population:
     """N i.i.d. trivariate draws: correlated standard normals through the
-    Cholesky factor, transformed in place; the population adopts the rows."""
+    Cholesky factor, applied in place over near-equal column blocks (never
+    one column wide, which numpy multiplies on another path), then
+    transformed in place; the population adopts the rows."""
     if N < 4:
         raise ValueError("population size must be at least 4")
-    rng = seed.generator()
-    values = np.matmul(spec.cholesky(), rng.standard_normal((3, N)))
+    values = seed.generator().standard_normal((3, N))
+    for block in np.array_split(values, -(-N // _CHOLESKY_BLOCK), axis=1):
+        block[...] = np.matmul(spec.cholesky(), block)
     for marginal, row in zip((spec.marginal_x, spec.marginal_y, spec.marginal_z), values):
         marginal.transform(row)
     return Population(*values, _adopt=True)

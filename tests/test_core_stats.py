@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dsmedian.core_stats import (
     DensityEstimate,
     ProportionMatrix,
     _quantile_index,
+    _quantile_selected,
+    _quantile_sorted,
     empirical_quantile,
     kde_at,
     median,
@@ -78,6 +82,22 @@ class TestEmpiricalQuantile:
             assert empirical_quantile(vals, p).hex() == expected, (k, p)
             if p == 0.5:
                 assert median(vals).hex() == expected, k
+
+    # a SampleView selects its first-phase medians and reads the
+    # second-phase ones off sorted copies, so the two rules must agree bit
+    # for bit, signed zeros included; numpy selects on another path above
+    # 256 elements, so sizes run past the first phases the views meet
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(k=st.integers(1, 1300), seed=st.integers(0, 2**32 - 1),
+           extra=st.floats(allow_nan=False, allow_infinity=False),
+           weights=st.lists(st.integers(0, 9), min_size=7, max_size=7).filter(any))
+    @example(k=600, seed=0, extra=0.0, weights=[0, 1, 4, 4, 1, 0, 0])
+    @example(k=601, seed=1, extra=-0.0, weights=[0, 0, 1, 1, 0, 0, 0])
+    def test_selection_median_equals_sorted_rule(self, k, seed, extra, weights):
+        pool = [-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, extra]
+        a = np.random.default_rng(seed).choice(pool, size=k, p=np.array(weights) / sum(weights))
+        expected = _quantile_sorted(np.sort(a), 0.5).hex()
+        assert median(a).hex() == _quantile_selected(a, 0.5).hex() == expected
 
     def test_errors(self):
         with pytest.raises(ValueError, match="empty sample"):

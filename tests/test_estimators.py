@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dsmedian import estimators
-from dsmedian.core_stats import median, silverman_bandwidth
+from dsmedian.core_stats import _quantile_sorted, median, proportion_matrix, silverman_bandwidth
 from dsmedian.estimators import (
     ESTIMATOR_IDS,
     EstimatorError,
@@ -145,8 +145,11 @@ class TestSampleMedians:
             meds = v.medians
             assert meds.my == median(v.y_m) and meds.mx == median(v.x_m)
             assert meds.mz == median(v.z_m)
-            assert meds.mx1 == median(v.x_n) and meds.mz1 == median(v.z_n)
-            for name in ("y_m", "x_m", "z_m", "x_n", "z_n"):
+            # first-phase medians are selected; no sorted copy is kept
+            assert meds.mx1.hex() == _quantile_sorted(np.sort(v.x_n), 0.5).hex()
+            assert meds.mz1.hex() == _quantile_sorted(np.sort(v.z_n), 0.5).hex()
+            assert not hasattr(v, "sorted_x_n") and not hasattr(v, "sorted_z_n")
+            for name in ("y_m", "x_m", "z_m"):
                 ordered = getattr(v, "sorted_" + name)
                 assert np.array_equal(ordered, np.sort(getattr(v, name)))
                 assert not ordered.flags.writeable
@@ -163,6 +166,21 @@ class TestSampleMedians:
         sample = draw_two_phase(pop.N, pop.N, 8, SeedSpec(4, 0))
         view = SampleView.from_population(pop, sample)
         assert view.medians.mx1 == pop_median(pop.x)
+
+    def test_census_median_of_x_computed_on_first_read(self, rng):
+        from dsmedian.population import Population
+        from dsmedian.sampling import SeedSpec, draw_two_phase
+
+        pop = Population(x=rng.normal(10, 2, 200), y=rng.normal(10, 2, 200),
+                         z=rng.normal(10, 2, 200))
+        view = SampleView.from_population(pop, draw_two_phase(pop.N, 60, 20, SeedSpec(4, 0)))
+        coeffs = plugin_coefficients(view)
+        for est in ("median", "ratio-double", "reg-x", "reg-xz", "g1", "f-linear"):
+            evaluate_estimator(est, view, coeffs)
+        assert "median_x" not in pop.__dict__
+        assert view.known_mx == median(pop.x)
+        assert pop.__dict__["median_x"] == view.known_mx
+        assert ratio_known(view) == view.medians.my * (median(pop.x) / view.medians.mx)
 
 
 class TestKnownMedianBaselines:
@@ -361,6 +379,27 @@ class TestPluginCoefficients:
         with pytest.raises(EstimatorError, match="collinear auxiliaries"):
             evaluate_estimator("f-linear", v, c)
         assert math.isfinite(evaluate_estimator("reg-xz", v, c))
+
+    def test_odd_m_concordance_overshoots_unclamped(self):
+        # x, y, z in the same order at m = 5: three of five points lie at or
+        # below both lower medians, so every plug-in concordance is
+        # 4 * 3/5 - 1 = 1 + 2/m = 1.4; it is kept, and only the generalized
+        # set, which needs 1 - rho_xz^2 > 0, is lost
+        x, y, z = [1.0, 2.0, 3.0, 4.0, 5.0], [2.0, 3.0, 5.0, 7.0, 11.0], [1.5, 2.5, 3.5, 4.5, 6.0]
+        v = make_view(y_m=y, x_m=x, z_m=z, x_n=x + [0.5, 6.5, 8.0],
+                      z_n=z + [1.0, 5.0, 7.5], known_mz=3.5)
+        meds = v.medians
+        for a, b, ta, tb in ((x, z, meds.mx, meds.mz), (x, y, meds.mx, meds.my)):
+            rho = proportion_matrix(np.column_stack((a, b)), ta, tb).concordance
+            assert rho == pytest.approx(1.0 + 2.0 / 5)
+        c = plugin_coefficients(v)
+        o = oracle_coefficients(x, y, z)
+        assert c.d1_hat == pytest.approx(o["d1"], rel=1e-12)  # built on rho_xy = 1.4
+        assert c.a1_hat is None and c.a2_hat is None and c.a3_hat is None
+        with pytest.raises(EstimatorError, match="collinear auxiliaries"):
+            evaluate_estimator("f-linear", v, c)
+        assert math.isfinite(evaluate_estimator("reg-x", v, c))
+        assert math.isfinite(evaluate_estimator("g1", v, c))
 
     def test_needs_four_points(self):
         v = make_view(y_m=[1, 2, 3], x_m=[1, 2, 3], z_m=[3, 1, 2],

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import write_population_csv
-from dsmedian import core_stats, estimators
+from dsmedian import core_stats, estimators, montecarlo
 from dsmedian.core_stats import median
 from dsmedian.estimators import (
     COEFFICIENT_IDS,
@@ -76,6 +76,16 @@ class TestGeneratorSpec:
             GeneratorSpec(r_xy=0.9, r_yz=0.9, r_xz=-0.9,
                           marginal_x=NORMAL, marginal_y=NORMAL, marginal_z=NORMAL)
 
+    def test_cholesky_factored_once(self, monkeypatch):
+        spec, twin = (GeneratorSpec(r_xy=0.5, r_yz=0.3, r_xz=0.4, marginal_x=NORMAL,
+                                    marginal_y=NORMAL, marginal_z=NORMAL) for _ in range(2))
+        factor = spec.cholesky()
+        assert factor is spec.cholesky() and not factor.flags.writeable
+        assert np.array_equal(factor, np.linalg.cholesky(spec.correlation_matrix()))
+        assert spec == twin and hash(spec) == hash(twin)  # the factor is not compared
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: pytest.fail("factored again"))
+        generate_population(spec, 100, SeedSpec(1, 2))
+
     def test_true_summary_matches_marginals(self):
         s = GEN.true_summary(5000)
         assert s.median_y == 10.0
@@ -133,6 +143,29 @@ class TestGeneratePopulation:
         assert not (pop.x.flags.writeable or pop.y.flags.writeable or pop.z.flags.writeable)
         blob = b"".join(v.tobytes() for v in (pop.x, pop.y, pop.z))
         assert hashlib.sha256(blob).hexdigest() == digest
+
+    # the factor is applied in column blocks of at most B; around the block
+    # edges the bits must be those of one full product.  Unit-scale
+    # marginals keep a last-bit difference of the product visible.
+    B = montecarlo._CHOLESKY_BLOCK
+    UNIT = {kind: GeneratorSpec(r_xy=0.8, r_yz=0.6, r_xz=0.7,
+                                **{f"marginal_{v}": MarginalSpec(kind, 0.0, 1.0) for v in "xyz"})
+            for kind in ("normal", "lognormal")}
+
+    @pytest.mark.parametrize("kind", ["normal", "lognormal"])
+    @pytest.mark.parametrize("N", [4, B - 1, B, B + 1, 2 * B + 1])
+    def test_blocks_equal_full_product(self, kind, N):
+        gen = self.UNIT[kind]
+        for seed in range(10):
+            pop = generate_population(gen, N, SeedSpec(seed, 5))
+            draws = SeedSpec(seed, 5).generator().standard_normal((3, N))
+            values = np.matmul(np.linalg.cholesky(gen.correlation_matrix()), draws)
+            for row, marginal, got in zip(values, (gen.marginal_x, gen.marginal_y, gen.marginal_z),
+                                          (pop.x, pop.y, pop.z)):
+                expected = row * marginal.sigma + marginal.mu
+                if marginal.kind == "lognormal":
+                    expected = np.exp(expected)
+                assert expected.tobytes() == got.tobytes()
 
 
 class TestSimConfig:
