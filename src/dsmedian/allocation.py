@@ -16,7 +16,9 @@ sqrt(A/C1) and n proportional to sqrt(B/cn), giving the optimal variance
 (sqrt(A*C1) + sqrt(B*cn))^2 / C0 - K/N.  Profitability verdicts are
 decided by comparing these optimal variances numerically (large-N terms),
 with the closed-form threshold ratios reported as diagnostics; an
-exhaustive integer grid search provides an independent oracle.
+exhaustive integer grid search provides an independent oracle.  F is
+infeasible where V3 is None (collinear auxiliaries), so its verdicts are
+not-comparable there; the other strategies never read V3.
 """
 
 from __future__ import annotations
@@ -101,6 +103,9 @@ def _infeasible(strategy: str, note: str) -> AllocationResult:
     )
 
 
+_NO_V3 = "V3 undefined: collinear auxiliaries (|rho_xz| = 1)"
+
+
 def _strategy_terms(strategy: str, comps: VarianceComponents, cost: CostModel):
     """(A, B, K, cn) of the strategy's variance A/m + B/n - K/N and its
     first-phase unit cost."""
@@ -141,6 +146,8 @@ def allocate_single(cost: CostModel, comps: VarianceComponents, N: int) -> Alloc
 def _allocate_two_phase(
     strategy: str, cost: CostModel, comps: VarianceComponents, N: int
 ) -> AllocationResult:
+    if strategy == "F" and comps.V3 is None:
+        return _infeasible("F", _NO_V3)
     a_coef, b_coef, k_coef, cn = _strategy_terms(strategy, comps, cost)
     if a_coef <= 0.0:
         names = {"H": "V0 - V1", "g": "V0 - V1", "F": "V0 - V1 - V3"}
@@ -249,6 +256,8 @@ def grid_search_allocation(
             note="grid",
         )
 
+    if strategy == "F" and comps.V3 is None:
+        return _infeasible("F", _NO_V3)
     a_coef, b_coef, k_coef, cn = _strategy_terms(strategy, comps, cost)
     m_upper = int(math.floor((cost.c0 - cn) / (cost.c1 + cn)))
     if m_upper < 2:
@@ -352,7 +361,7 @@ def profitability_report(cost: CostModel, comps: VarianceComponents, N: int) -> 
 
     lhs_fg = cn / cost.c1
     rhs_fg = None
-    if v0 - v1 - v3 >= 0.0 and v1 - v2 >= 0.0 and v1 - v2 + v3 >= 0.0:
+    if v3 is not None and v0 - v1 - v3 >= 0.0 and v1 - v2 >= 0.0 and v1 - v2 + v3 >= 0.0:
         den = math.sqrt(v1 - v2 + v3) - math.sqrt(v1 - v2)
         if den > 0.0:
             rhs_fg = ((math.sqrt(v0 - v1) - math.sqrt(v0 - v1 - v3)) / den) ** 2

@@ -39,9 +39,9 @@ from .estimators import (
     plugin_coefficients,
 )
 from .montecarlo import PopulationInputError, load_sim_config, run_simulation
-from .population import load_population_csv, population_summary
+from .population import PopulationSummary, load_population_csv, population_summary
 from .sampling import SeedSpec, draw_two_phase
-from .variance_theory import VarianceComponents, clamped_concordances, variance_components
+from .variance_theory import VarianceComponents, variance_components
 
 SEED_ENV_VAR = "DSMEDIAN_SEED"
 
@@ -121,30 +121,26 @@ def _resolve_seed(flag_value: int | None, fallback: int = 0) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_analyze(args) -> int:
+def _census(path: str) -> tuple[PopulationSummary, VarianceComponents]:
+    """The census summary of a population CSV and its V0..V3: a file that
+    does not load is an input error, a degenerate population a model error."""
     try:
-        pop = load_population_csv(args.csv)
+        pop = load_population_csv(path)
     except (OSError, ValueError) as exc:
         raise _InputError(str(exc)) from None
     try:
         summary = population_summary(pop)
+        return summary, variance_components(summary)
     except ValueError as exc:
         raise _ModelError(str(exc)) from None
-    try:
-        comps_dict = dataclasses.asdict(variance_components(summary))
-    except ValueError as exc:
-        # perfectly concordant auxiliaries leave V3 undefined; the summary
-        # and V0..V2, which do not involve rho_xz, are still well defined
-        rho_xy, rho_yz, _ = clamped_concordances(summary)
-        v0 = VarianceComponents.scaled_v0(1.0, summary.density_y)
-        # rho_xz = 0.0 is a placeholder: V3 is the only term that reads it,
-        # and it is reported as null
-        comps = VarianceComponents.from_concordances(v0, rho_xy, rho_yz, 0.0)
-        comps_dict = {**dataclasses.asdict(comps), "V3": None, "note": str(exc)}
+
+
+def _cmd_analyze(args) -> int:
+    summary, comps = _census(args.csv)
     payload = {
         "manifest": _manifest("analyze", {"csv": args.csv}, None, [args.csv]),
         "summary": {"N": summary.N, **dataclasses.asdict(summary)},  # N, then the fields
-        "variance_components": comps_dict,
+        "variance_components": dataclasses.asdict(comps),
     }
     _emit(payload, args.out)
     return EXIT_OK
@@ -243,11 +239,7 @@ def _cmd_simulate(args) -> int:
 def _components_from_args(args) -> tuple[VarianceComponents, list[str]]:
     inputs: list[str] = []
     if args.csv is not None:
-        try:
-            pop = load_population_csv(args.csv)
-            comps = variance_components(population_summary(pop))
-        except (OSError, ValueError) as exc:
-            raise _InputError(str(exc)) from None
+        _, comps = _census(args.csv)
         inputs.append(args.csv)
         return comps, inputs
     missing = [k for k in ("v0", "v1", "v2") if getattr(args, k) is None]
@@ -270,6 +262,18 @@ def _cost_from_args(args) -> CostModel:
     return cost
 
 
+def _planning_config(args, comps: VarianceComponents) -> dict:
+    """The manifest config that allocate and compare share."""
+    return {
+        "c0": args.c0,
+        "c1": args.c1,
+        "c2": args.c2,
+        "c3": args.c3,
+        "components": dataclasses.asdict(comps),
+        "units": args.units,
+    }
+
+
 def _cmd_allocate(args) -> int:
     comps, inputs = _components_from_args(args)
     cost = _cost_from_args(args)
@@ -289,15 +293,7 @@ def _cmd_allocate(args) -> int:
                     oracle_ok = False
                 if s != "single" and abs(grid.m_int - res.m_int) > 1:
                     oracle_ok = False
-    config = {
-        "c0": args.c0,
-        "c1": args.c1,
-        "c2": args.c2,
-        "c3": args.c3,
-        "components": dataclasses.asdict(comps),
-        "units": args.units,
-        "strategy": args.strategy,
-    }
+    config = {**_planning_config(args, comps), "strategy": args.strategy}
     payload = {
         "manifest": _manifest("allocate", config, None, inputs),
         "allocations": {s: dataclasses.asdict(r) for s, r in results.items()},
@@ -318,16 +314,8 @@ def _cmd_compare(args) -> int:
     comps, inputs = _components_from_args(args)
     cost = _cost_from_args(args)
     report = profitability_report(cost, comps, args.units)
-    config = {
-        "c0": args.c0,
-        "c1": args.c1,
-        "c2": args.c2,
-        "c3": args.c3,
-        "components": dataclasses.asdict(comps),
-        "units": args.units,
-    }
     payload = {
-        "manifest": _manifest("compare", config, None, inputs),
+        "manifest": _manifest("compare", _planning_config(args, comps), None, inputs),
         "verdicts": {
             name: dataclasses.asdict(getattr(report, name))
             for name in ("g_vs_single", "g_vs_H", "F_vs_H", "F_vs_g")

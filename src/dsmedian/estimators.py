@@ -361,9 +361,10 @@ def plugin_coefficients(view: SampleView) -> PluginCoefficients:
 
     Quadrant proportions are taken about the second-phase sample medians;
     densities are Gaussian KDEs with Silverman bandwidths at those medians.
-    The concordances 4*p11 - 1 are not clamped, unlike the census ones the
-    variance theory reads: about a lower median they reach 1 + 2/m at odd
-    m (ties push them further), and |rho_xz| >= 1 leaves a1..a3 None.
+    The concordances 4*p11 - 1 are not clamped, unlike the census ones of
+    :attr:`PopulationSummary.concordances`: about a lower median they reach
+    1 + 2/m at odd m (ties push them further), and |rho_xz| >= 1 leaves
+    a1..a3 None.
     """
     if view.m < 4:
         raise EstimatorError("plug-in coefficients need m >= 4")
@@ -390,11 +391,13 @@ def plugin_coefficients(view: SampleView) -> PluginCoefficients:
 
 
 def true_coefficients(summary: PopulationSummary) -> PluginCoefficients:
-    """Population-true optimum coefficients from a summary (no hats)."""
+    """Population-true optimum coefficients from a summary (no hats), at its
+    clamped concordances: the one optimum at a summary, which the variance
+    theory and the ``*-true`` estimators both read."""
     return optimum_coefficients(
         (summary.median_x, summary.median_y, summary.median_z),
         (summary.density_x, summary.density_y, summary.density_z),
-        (summary.pm_xy.concordance, summary.pm_yz.concordance, summary.pm_xz.concordance),
+        summary.concordances,
     )
 
 

@@ -332,7 +332,7 @@ def _theory_variance(
     est_id: str,
     sizes: DesignSizes,
     summary: PopulationSummary,
-    comps: VarianceComponents | None,
+    comps: VarianceComponents,
 ) -> float | None:
     base = TRUE_VARIANT_IDS.get(est_id, est_id)
     if base == "median":
@@ -342,13 +342,11 @@ def _theory_variance(
             return var_class_g(sizes, summary, -1.0, 0.0)
         except ValueError:
             return None  # a zero scale product: the relative-error expansion is undefined
-    if comps is None:
-        return None
     if base == "reg-x":
         return min_var_H(sizes, comps)
     if base in ("reg-xz", *G_FORM_IDS):
         return min_var_g(sizes, comps)
-    if base == "f-linear":
+    if base == "f-linear" and comps.V3 is not None:
         return min_var_F(sizes, comps)
     return None
 
@@ -438,10 +436,7 @@ def run_simulation(config: SimConfig, threads: int = 1, keep_estimates: bool = F
 
     estimand = pop.median_y
     sizes = DesignSizes(config.m, config.n, config.N)
-    try:
-        comps = variance_components(true_summary)
-    except ValueError:
-        comps = None  # collinear auxiliaries: class minima undefined
+    comps = variance_components(true_summary)
     ids = config.estimators
     needs_plugin = any(e in COEFFICIENT_IDS for e in ids)
     true_coeffs: PluginCoefficients | None = None
@@ -570,17 +565,19 @@ def load_sim_config(
     flat key -> string pairs (CLI flags) that take precedence, ``defaults``
     fill keys the file leaves out.  ``None`` values are ignored."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
-    if not read:
-        raise ValueError(f"cannot read config file {path}")
     flat = {k: str(v) for k, v in (defaults or {}).items() if v is not None}
-    for section, keys in _INI_KEYS.items():
-        if not parser.has_section(section):
-            continue
-        for key, value in parser.items(section):
-            if key not in keys:
-                raise ValueError(f"unknown config key [{section}] {key}")
-            flat[key] = value
+    try:  # a syntax or interpolation error is a fault of the file, like any other
+        if not parser.read(path):
+            raise ValueError(f"cannot read config file {path}")
+        for section, keys in _INI_KEYS.items():
+            if not parser.has_section(section):
+                continue
+            for key, value in parser.items(section):
+                if key not in keys:
+                    raise ValueError(f"unknown config key [{section}] {key}")
+                flat[key] = value
+    except configparser.Error as exc:
+        raise ValueError(str(exc)) from None
     if overrides:
         flat.update({k: str(v) for k, v in overrides.items() if v is not None})
 

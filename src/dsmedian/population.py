@@ -98,6 +98,15 @@ class PopulationSummary:
         if self.N < 4:
             raise ValueError("summary requires N >= 4")
 
+    @property
+    def concordances(self) -> tuple[float, float, float]:
+        """(rho_xy, rho_yz, rho_xz), each 4*p11 - 1 clamped into [-1, 1]:
+        odd counts and ties can push a census concordance past 1, while the
+        variance algebra and the true optimum hold on the continuous-limit
+        range.  Every reader of a summary's concordances reads them here."""
+        pms = (self.pm_xy, self.pm_yz, self.pm_xz)
+        return tuple(min(1.0, max(-1.0, pm.concordance)) for pm in pms)
+
     @classmethod
     def from_parameters(
         cls,

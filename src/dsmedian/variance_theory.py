@@ -21,6 +21,14 @@ D = rho_yz - rho_xy * rho_xz.  The minimum variances then read
 
 so the efficiency ordering F <= g <= H <= median holds identically, with
 the g-vs-H gap exactly theta_nN*V2 and the F-vs-g gap exactly theta_mn*V3.
+
+Every formula reads a summary's concordances through
+:attr:`PopulationSummary.concordances`, clamped into [-1, 1], and the
+optimum derivatives are :func:`true_coefficients` of the summary, the same
+values the ``*-true`` estimators run with.  Only the generalized class
+needs 1 - rho_xz^2 > 0: at |rho_xz| = 1 (collinear auxiliaries) V3 is None
+and min var (F) and the optimum F derivatives raise, while V0..V2 and
+every other class stay defined.
 """
 
 from __future__ import annotations
@@ -28,13 +36,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .estimators import PluginCoefficients, composite_concordance, optimum_coefficients
+from .estimators import composite_concordance, true_coefficients
 from .population import PopulationSummary
 
 __all__ = [
     "DesignSizes",
     "VarianceComponents",
-    "clamped_concordances",
     "OptimumGDerivatives",
     "OptimumFDerivatives",
     "var_sample_median",
@@ -74,14 +81,6 @@ class DesignSizes:
         return 1.0 / self.n - 1.0 / self.N
 
 
-def clamped_concordances(summary: PopulationSummary) -> tuple[float, float, float]:
-    """(rho_xy, rho_yz, rho_xz) clamped into [-1, 1]: census concordances of
-    a finite set can overshoot 1 by up to 4/N (ties, odd counts), while the
-    variance algebra holds on the continuous-limit range."""
-    pms = (summary.pm_xy, summary.pm_yz, summary.pm_xz)
-    return tuple(min(1.0, max(-1.0, pm.concordance)) for pm in pms)
-
-
 def _scale_ratios(numerator: float, summary: PopulationSummary) -> tuple[float, float]:
     """numerator / scale_x and numerator / scale_z, with scale_a = M_a f_a(M_a).
     The class variances are written in relative errors of the auxiliary
@@ -95,18 +94,21 @@ def _scale_ratios(numerator: float, summary: PopulationSummary) -> tuple[float, 
 
 @dataclass(frozen=True)
 class VarianceComponents:
-    """V0 with the three nested gain terms V1, V2, V3 (squared y-units)."""
+    """V0 with the three nested gain terms V1, V2, V3 (squared y-units);
+    V3 is None where the auxiliaries are collinear (|rho_xz| = 1)."""
 
     V0: float
     V1: float
     V2: float
-    V3: float
+    V3: float | None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.V0) and self.V0 > 0.0):
             raise ValueError(f"V0 must be positive, got {self.V0!r}")
         for name in ("V1", "V2", "V3"):
             v = getattr(self, name)
+            if v is None and name == "V3":
+                continue
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be nonnegative, got {v!r}")
         for name in ("V1", "V2"):
@@ -122,21 +124,17 @@ class VarianceComponents:
     def from_concordances(
         cls, V0: float, rho_xy: float, rho_yz: float, rho_xz: float
     ) -> "VarianceComponents":
-        if rho_xz * rho_xz >= 1.0:
-            raise ValueError("auxiliary collinearity: |rho_xz| = 1 leaves V3 undefined")
-        d = composite_concordance(rho_xy, rho_yz, rho_xz)
-        return cls(
-            V0=V0,
-            V1=V0 * rho_xy * rho_xy,
-            V2=V0 * rho_yz * rho_yz,
-            V3=V0 * d * d / (1.0 - rho_xz * rho_xz),
-        )
+        v3 = None
+        if rho_xz * rho_xz < 1.0:
+            d = composite_concordance(rho_xy, rho_yz, rho_xz)
+            v3 = V0 * d * d / (1.0 - rho_xz * rho_xz)
+        return cls(V0=V0, V1=V0 * rho_xy * rho_xy, V2=V0 * rho_yz * rho_yz, V3=v3)
 
 
 def variance_components(summary: PopulationSummary) -> VarianceComponents:
     """V0..V3 of a population summary: f_y and the clamped concordances."""
     v0 = VarianceComponents.scaled_v0(1.0, summary.density_y)
-    return VarianceComponents.from_concordances(v0, *clamped_concordances(summary))
+    return VarianceComponents.from_concordances(v0, *summary.concordances)
 
 
 def var_sample_median(sizes: DesignSizes, summary: PopulationSummary) -> float:
@@ -155,7 +153,7 @@ def var_class_g(
     """First-order variance of the two-ratio class at derivatives
     (g1, g2) = (dg/du, dg/dv) at (1, 1)."""
     rx, rz = _scale_ratios(summary.median_y * summary.density_y, summary)
-    rho_xy, rho_yz, _ = clamped_concordances(summary)
+    rho_xy, rho_yz, _ = summary.concordances
     a_term = rx * g1_deriv * (rx * g1_deriv + 2.0 * rho_xy)
     b_term = rz * g2_deriv * (rz * g2_deriv + 2.0 * rho_yz)
     v0 = VarianceComponents.scaled_v0(1.0, summary.density_y)
@@ -175,20 +173,11 @@ class OptimumGDerivatives:
     alpha2_star: float
 
 
-def _optimum(summary: PopulationSummary) -> PluginCoefficients:
-    """The optimum coefficients at the summary's clamped concordances."""
-    return optimum_coefficients(
-        (summary.median_x, summary.median_y, summary.median_z),
-        (summary.density_x, summary.density_y, summary.density_z),
-        clamped_concordances(summary),
-    )
-
-
 def optimum_g_derivatives(summary: PopulationSummary) -> OptimumGDerivatives:
     """(g1, g2) = -(alpha1, alpha2) with alpha1 = (scale_x/scale_y) rho_xy
     and alpha2 = (scale_z/scale_y) rho_yz, and the starred variants that
     keep the M_y factor out."""
-    c = _optimum(summary)
+    c = true_coefficients(summary)
     alpha1, alpha2 = c.alphas()
     return OptimumGDerivatives(
         g1=-alpha1,
@@ -227,7 +216,7 @@ def var_class_F(
     """First-order variance of the generalized class at derivatives
     (F2, F3, F4) with respect to (u, v, w) at the expansion point."""
     cx, cz = _scale_ratios(summary.density_y, summary)
-    rho_xy, rho_yz, rho_xz = clamped_concordances(summary)
+    rho_xy, rho_yz, rho_xz = summary.concordances
     a1_term = 1.0 + (cz * f4_deriv) ** 2 + 2.0 * rho_yz * cz * f4_deriv
     a2_term = cx * (
         cx * f2_deriv**2
@@ -262,10 +251,10 @@ class OptimumFDerivatives:
 
 def optimum_F_derivatives(summary: PopulationSummary) -> OptimumFDerivatives:
     """Closed-form optimum derivatives of the generalized class."""
-    c = _optimum(summary)
+    c = true_coefficients(summary)
     if c.a1_hat is None:
         raise ValueError("auxiliary collinearity: |rho_xz| = 1")
-    d = composite_concordance(*clamped_concordances(summary))
+    d = composite_concordance(*summary.concordances)
     return OptimumFDerivatives(
         F2=-c.a1_hat,
         F3=-c.a2_hat,
@@ -279,4 +268,6 @@ def optimum_F_derivatives(summary: PopulationSummary) -> OptimumFDerivatives:
 
 def min_var_F(sizes: DesignSizes, comps: VarianceComponents) -> float:
     """Minimum variance of the generalized class: min_var_g - theta_mn*V3."""
+    if comps.V3 is None:
+        raise ValueError("V3 undefined: collinear auxiliaries (|rho_xz| = 1)")
     return min_var_g(sizes, comps) - sizes.theta_mn * comps.V3

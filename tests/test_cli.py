@@ -16,7 +16,9 @@ from dsmedian.montecarlo import (
     MarginalSpec,
     generate_population,
 )
+from dsmedian.population import load_population_csv, population_summary
 from dsmedian.sampling import SeedSpec
+from dsmedian.variance_theory import VarianceComponents
 
 NORMAL = MarginalSpec("normal", 10.0, 2.0)
 GEN = GeneratorSpec(r_xy=0.8, r_yz=0.6, r_xz=0.7,
@@ -74,6 +76,21 @@ class TestAnalyze:
         p.write_text("x,y,z\n" + "1,2,3\n" * 5)
         code = cli.main(["analyze", str(p)])
         assert code == 3
+
+    def test_overflowing_v0_exit_3(self, tmp_path, capsys):
+        # y in two clusters near -+1e152 around a lone median of 0: f_y is
+        # about 3e-155, so V0 = 1 / (4 f_y^2) overflows while var(y) does not
+        rng = np.random.default_rng(17)
+        big = 1e152 * (1.0 + 0.1 * rng.random(600))
+        y = np.concatenate([-big[:299], [0.0], big[300:]])
+        path = _write_columns(tmp_path / "huge_y.csv", y / 1e152 + rng.normal(size=600), y,
+                              y / 1e152 + rng.normal(size=600))
+        ini = TestSimulate._csv_config(tmp_path, path, 600, m=30, n=120, replicates=3,
+                                       estimators="median, reg-x")
+        for argv in (["analyze", path], ["simulate", ini, "--out-json", str(tmp_path / "r.json"),
+                                         "--out-csv", str(tmp_path / "r.csv")]):
+            assert cli.main(argv) == 3
+            assert capsys.readouterr().err == "error: V0 must be positive, got inf\n"
 
     def test_out_file(self, pop_csv, tmp_path, capsys):
         out_path = tmp_path / "summary.json"
@@ -220,6 +237,22 @@ class TestSimulate:
         assert cli.main(["simulate", str(ini),
                          "--out-json", str(tmp_path / "x.json"),
                          "--out-csv", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("text,message", [
+        ("units = 400\n", "File contains no section headers"),
+        (SIM_INI.replace("units = 400", "units = 400\nunits = 500"),
+         "option 'units' in section 'population' already exists"),
+        (SIM_INI + "[design]\nm = 3\n", "section 'design' already exists"),
+        (SIM_INI.replace("mu_x = 10.0", "mu_x = 5%"), "'%' must be followed by '%' or '('"),
+    ], ids=["no-section-header", "duplicate-option", "duplicate-section", "lone-percent"])
+    def test_config_syntax_error_exit_2(self, tmp_path, capsys, text, message):
+        ini = tmp_path / "sim.ini"
+        ini.write_text(text)
+        code = cli.main(["simulate", str(ini), "--out-json", str(tmp_path / "x.json"),
+                         "--out-csv", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err
 
     def test_flag_overrides(self, tmp_path, capsys):
         ini = tmp_path / "sim.ini"
@@ -423,6 +456,18 @@ class TestAllocate:
         assert code == 2
         assert "--units must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sub", ["allocate", "compare"])
+    def test_degenerate_csv_exit_3(self, tmp_path, capsys, sub):
+        # a constant z loads but has no density at its median: a model error,
+        # as under analyze and simulate
+        p = tmp_path / "flat_z.csv"
+        p.write_text("x,y,z\n" + "".join(f"{i},{2 * i},3\n" for i in range(1, 9)))
+        code = cli.main([sub, *self.ARGS[:-6], "--csv", str(p)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: zero density at median: variable z is degenerate\n")
+        assert cli.main(["analyze", str(p)]) == 3
+
     def test_components_from_csv(self, pop_csv, capsys):
         code, out = run_cli(capsys, "allocate", "--c0", "500", "--c1", "4", "--c2", "1",
                             "--c3", "0.5", "--units", "300", "--csv", pop_csv)
@@ -551,7 +596,10 @@ class TestDegenerateMedians:
 
 
 class TestCollinearAuxiliaries:
-    """z = 2x + 1: only the generalized class divides by 1 - rho_xz^2."""
+    """z = 2x + 1, and tie-heavy integer auxiliaries whose census rho_xz
+    exceeds 1: only the generalized class divides by 1 - rho_xz^2."""
+
+    COST = ("--c0", "500", "--c1", "4", "--c2", "0.7", "--c3", "0.3", "--units", "1200")
 
     @pytest.fixture
     def collinear_csv(self, tmp_path):
@@ -559,6 +607,17 @@ class TestCollinearAuxiliaries:
         x = rng.integers(0, 9, size=3000).astype(float)
         y = np.clip(x + rng.integers(-2, 3, size=3000), 0, 12)
         return _write_columns(tmp_path / "collinear.csv", x, y, 2 * x + 1)
+
+    @pytest.fixture
+    def tie_heavy_csv(self, tmp_path):
+        # x in 0..6 and z in 0..13 split a common latent variable: census
+        # rho_xz = 1.47, clamped to 1, while V1 > V2 keeps g feasible
+        rng = np.random.default_rng(3)
+        w = rng.normal(size=1200)
+        x = np.clip(np.floor(1.5 * w) + 3, 0, 6)
+        z = np.clip(np.floor(3 * w) + 7, 0, 13)
+        y = np.round(2 * w + 2 * rng.normal(size=1200))
+        return _write_columns(tmp_path / "ties.csv", x, y, z)
 
     def test_estimate(self, collinear_csv, capsys):
         code, out = run_cli(capsys, "estimate", collinear_csv, "--m", "31", "--n", "100",
@@ -588,3 +647,50 @@ class TestCollinearAuxiliaries:
         failures = {r["estimator"]: r["failures"] for r in rows}
         assert failures == {"reg-x": 0, "reg-xz": 0, "g1": 0, "g7": 0, "f-linear": 40,
                             "reg-x-true": 0, "reg-xz-true": 0, "f-linear-true": 40}
+
+    def test_simulate_theory(self, tie_heavy_csv, tmp_path, capsys):
+        # only the generalized class's minimum reads V3
+        oj = tmp_path / "r.json"
+        ids = "median, reg-x, reg-xz, g1, g2, g3, g4, g5, g6, g7, f-linear, f-linear-true"
+        ini = TestSimulate._csv_config(tmp_path, tie_heavy_csv, 1200, m=31, n=100,
+                                       replicates=5, estimators=ids)
+        code = cli.main(["simulate", ini,
+                         "--out-json", str(oj), "--out-csv", str(tmp_path / "r.csv")])
+        capsys.readouterr()
+        assert code == 0
+        rows = json.loads(oj.read_text())["report"]["estimators"]
+        undefined = {r["estimator"] for r in rows if r["theory_variance"] is None}
+        assert undefined == {"f-linear", "f-linear-true"}
+
+    def test_analyze(self, tie_heavy_csv, capsys):
+        code, out = run_cli(capsys, "analyze", tie_heavy_csv)
+        assert code == 0
+        comps = json.loads(out)["variance_components"]
+        assert list(comps) == ["V0", "V1", "V2", "V3"]
+        assert comps["V3"] is None
+        # V0..V2 as they were built with rho_xz in range, which none of them reads
+        summary = population_summary(load_population_csv(tie_heavy_csv))
+        rho_xy, rho_yz, rho_xz = summary.concordances
+        assert summary.pm_xz.concordance > 1.0 and rho_xz == 1.0
+        v0 = VarianceComponents.scaled_v0(1.0, summary.density_y)
+        in_range = VarianceComponents.from_concordances(v0, rho_xy, rho_yz, 0.0)
+        assert [comps[k] for k in ("V0", "V1", "V2")] == [in_range.V0, in_range.V1, in_range.V2]
+
+    def test_allocate_F_infeasible(self, tie_heavy_csv, capsys):
+        code, out = run_cli(capsys, "allocate", *self.COST, "--csv", tie_heavy_csv,
+                            "--strategy", "all", "--oracle")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["oracle_agreement"] is True
+        assert doc["manifest"]["config"]["components"]["V3"] is None
+        feasible = {s: a["feasible"] for s, a in doc["allocations"].items()}
+        assert feasible == {"single": True, "H": True, "g": True, "F": False}
+        assert "V3 undefined" in doc["allocations"]["F"]["note"]
+        assert doc["oracle"]["F"]["feasible"] is False
+
+    def test_compare_F_not_comparable(self, tie_heavy_csv, capsys):
+        code, out = run_cli(capsys, "compare", *self.COST, "--csv", tie_heavy_csv)
+        assert code == 0
+        verdicts = {k: v["verdict"] for k, v in json.loads(out)["verdicts"].items()}
+        assert verdicts["F_vs_H"] == verdicts["F_vs_g"] == "not-comparable"
+        assert verdicts["g_vs_H"] != "not-comparable"

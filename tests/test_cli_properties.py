@@ -1,0 +1,143 @@
+"""Property suite over the command line: small tie-heavy integer CSVs through
+``analyze``, ``allocate --csv --oracle`` and ``compare --csv``, and small
+``simulate`` configs.  Every run ends in a documented exit code (0, 2, 3 or
+4) with a message, never in an uncaught exception.
+
+The commands run in-process, so an uncaught exception fails the test with
+its traceback.  Sizes stay small (N <= 200, replicates <= 3) to keep the
+suite fast.
+"""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from dsmedian import cli
+from dsmedian.estimators import ESTIMATOR_IDS
+from dsmedian.montecarlo import TRUE_VARIANT_IDS
+
+EXIT_CODES = {0, 2, 3, 4}
+SETTINGS = settings(derandomize=True, max_examples=100, deadline=None, database=None)
+COSTS = ("--c1", "4", "--c2", "0.7", "--c3", "0.3")
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    return code, err.getvalue()
+
+
+def assert_documented(argv: list[str]) -> int:
+    code, err = run(argv)
+    assert code in EXIT_CODES, (argv, code, err)
+    assert "Traceback" not in err
+    if code in (2, 3):
+        assert err.startswith("error: "), (argv, err)
+    return code
+
+
+@st.composite
+def populations(draw) -> list[tuple[int, int, int]]:
+    """3 to 200 integer rows (3 is too few for a population).  Each column
+    spans 0..hi for a drawn hi, so ties, constant columns and census
+    concordances past 1 are common; y then follows x and z with drawn signs."""
+    hi = [draw(st.sampled_from([0, 1, 6, 13])) for _ in range(3)]
+    cells = draw(st.lists(st.tuples(*(st.integers(0, h) for h in hi)), min_size=3, max_size=200))
+    bx, bz = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    return [(x, y + bx * x + bz * z, z) for x, y, z in cells]
+
+
+def csv_text(cells: list[tuple[int, int, int]], bad_line: bool = False) -> str:
+    body = "".join(f"{x},{y},{z}\n" for x, y, z in cells)
+    return "x,y,z\n" + body + ("1,2\n" if bad_line else "")
+
+
+@SETTINGS
+@given(
+    cells=populations(),
+    bad_line=st.sampled_from([False, False, False, True]),
+    c0=st.sampled_from(["20", "150", "500", "5000"]),
+)
+def test_csv_commands_exit_documented(cells, bad_line, c0):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pop.csv"
+        path.write_text(csv_text(cells, bad_line))
+        plan = ["--c0", c0, *COSTS, "--units", str(len(cells)), "--csv", str(path)]
+        analyze = assert_documented(["analyze", str(path)])
+        allocate = assert_documented(["allocate", *plan, "--strategy", "all", "--oracle"])
+        compare = assert_documented(["compare", *plan])
+    # the costs are valid, so only the CSV can make allocate or compare an input error
+    assert allocate != 2 or analyze == 2
+    assert compare != 2 or analyze == 2
+
+
+IDS = (*ESTIMATOR_IDS, *TRUE_VARIANT_IDS, "bogus")
+RHO = st.floats(-0.45, 0.45).map(repr)  # any three keep the correlation matrix definite
+# (section, key) pairs a mutation may replace, or drop when its value is None
+MUTABLE = [("population", k) for k in ("units", "r_xy", "r_xz", "marginal_x", "mu_x", "sigma_x")]
+MUTABLE += [("design", "m"), ("design", "n"), ("run", "replicates"), ("run", "master_seed"),
+            ("run", "estimators")]
+
+
+@st.composite
+def sim_configs(draw) -> tuple[str, list[tuple[int, int, int]] | None]:
+    """A simulate INI text, valid but for at most one mutated or dropped key,
+    and the rows of its population CSV when the source is csv."""
+    rows = draw(st.one_of(st.none(), populations()))
+    if rows is None:
+        units = draw(st.integers(4, 200))
+        population = {
+            "units": units,
+            "r_xy": draw(RHO),
+            "r_yz": draw(RHO),
+            "r_xz": draw(RHO),
+            "marginal_x": draw(st.sampled_from(["normal", "lognormal"])),
+            "mu_x": draw(st.floats(-3.0, 3.0)),
+            "sigma_x": draw(st.floats(0.1, 3.0)),
+            "marginal_z": draw(st.sampled_from(["normal", "lognormal"])),
+        }
+    else:
+        units = max(len(rows), 4)
+        population = {"source": "csv", "csv_path": "{csv}", "units": len(rows)}
+    m = draw(st.integers(2, units - 2))
+    sections = {
+        "population": population,
+        "design": {"m": m, "n": draw(st.integers(m + 1, units))},
+        "run": {
+            "replicates": draw(st.integers(1, 3)),
+            "master_seed": draw(st.integers(0, 2**64 - 1)),
+            "estimators": ", ".join(draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=5))),
+        },
+    }
+    mutation = draw(st.one_of(st.none(), st.tuples(
+        st.sampled_from(MUTABLE), st.sampled_from([None, "-1", "0", "nan", "x", "1e400", "%"]))))
+    if mutation is not None:
+        (section, key), value = mutation
+        sections[section].pop(key, None)
+        if value is not None:
+            sections[section][key] = value
+    text = "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()
+    )
+    return text, rows
+
+
+@SETTINGS
+@given(config=sim_configs())
+def test_simulate_exit_documented(config):
+    text, rows = config
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if rows is not None:
+            (tmp / "pop.csv").write_text(csv_text(rows))
+        (tmp / "sim.ini").write_text(text.replace("{csv}", str(tmp / "pop.csv")))
+        assert_documented(["simulate", str(tmp / "sim.ini"),
+                           "--out-json", str(tmp / "r.json"), "--out-csv", str(tmp / "r.csv")])

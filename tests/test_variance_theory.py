@@ -11,7 +11,6 @@ from dsmedian.population import PopulationSummary
 from dsmedian.variance_theory import (
     DesignSizes,
     VarianceComponents,
-    clamped_concordances,
     min_var_F,
     min_var_H,
     min_var_g,
@@ -27,6 +26,11 @@ WORKED = PopulationSummary.from_parameters(
     medians=(3.0, 5.0, 7.0), densities=(0.2, 0.5, 0.11), rhos=(0.8, 0.6, 0.7), N=10_000
 )
 SIZES = DesignSizes(m=100, n=400, N=10_000)
+# ties in a census can put more than half of the units in p11
+OVER = ProportionMatrix(p11=0.5005, p12=0.0, p21=0.0, p22=0.4995)
+OVER_RANGE = PopulationSummary(median_x=3.0, median_y=5.0, median_z=7.0,
+                               density_x=0.2, density_y=0.5, density_z=0.11,
+                               pm_xy=OVER, pm_xz=OVER, pm_yz=OVER, N=100)
 
 
 class TestDesignSizes:
@@ -50,14 +54,9 @@ class TestClassDomain:
     TestOneOwner::test_zero_scale_named)."""
 
     def test_concordances_from_summary(self):
-        assert clamped_concordances(WORKED) == pytest.approx((0.8, 0.6, 0.7), abs=1e-12)
-        # ties in a census can put more than half of the units in p11
-        over = ProportionMatrix(p11=0.5005, p12=0.0, p21=0.0, p22=0.4995)
-        census = PopulationSummary(median_x=3.0, median_y=5.0, median_z=7.0,
-                                   density_x=0.2, density_y=0.5, density_z=0.11,
-                                   pm_xy=over, pm_xz=over, pm_yz=over, N=100)
-        assert over.concordance > 1.0
-        assert clamped_concordances(census) == (1.0, 1.0, 1.0)
+        assert WORKED.concordances == pytest.approx((0.8, 0.6, 0.7), abs=1e-12)
+        assert OVER.concordance > 1.0
+        assert OVER_RANGE.concordances == (1.0, 1.0, 1.0)
 
     def test_zero_y_median_reduces_to_sample_median(self):
         s = PopulationSummary.from_parameters((3.0, -0.0, 7.0), (0.2, 0.5, 0.11),
@@ -81,8 +80,16 @@ class TestVarianceComponents:
         assert comps.V1 == comps.V2 == comps.V3 == 0.0
 
     def test_collinearity_guard(self):
-        with pytest.raises(ValueError, match="collinearity"):
-            VarianceComponents.from_concordances(1.0, 0.5, 0.5, 1.0)
+        # only V3 divides by 1 - rho_xz^2: at |rho_xz| = 1 it is None, and
+        # V0..V2 keep the bits they have at any other rho_xz
+        defined = VarianceComponents.from_concordances(0.3, 0.7, 0.9, 0.0)
+        for rho_xz in (1.0, -1.0):
+            comps = VarianceComponents.from_concordances(0.3, 0.7, 0.9, rho_xz)
+            assert comps.V3 is None
+            assert (comps.V0, comps.V1, comps.V2) == (defined.V0, defined.V1, defined.V2)
+            assert min_var_g(SIZES, comps) == min_var_g(SIZES, defined)
+            with pytest.raises(ValueError, match="V3 undefined"):
+                min_var_F(SIZES, comps)
 
     def test_gain_cannot_exceed_scale(self):
         with pytest.raises(ValueError):
@@ -154,7 +161,7 @@ class TestOptimumGDerivatives:
         for _ in range(20):
             s = random_summary(rng)
             opt = optimum_g_derivatives(s)
-            rho = clamped_concordances(s)[0]
+            rho = s.concordances[0]
             if rho > 0:
                 assert opt.g1 < 0 or rho == 0
 
@@ -221,7 +228,7 @@ class TestClassFVariance:
         for _ in range(20):
             s = random_summary(rng)
             sizes = DesignSizes(m=50, n=200, N=5000)
-            f2 = -(s.median_x * s.density_x / s.density_y) * clamped_concordances(s)[0]
+            f2 = -(s.median_x * s.density_x / s.density_y) * s.concordances[0]
             assert var_class_F(sizes, s, f2, 0.0, 0.0) == pytest.approx(
                 min_var_H(sizes, variance_components(s)), rel=1e-12
             )
@@ -267,14 +274,20 @@ class TestOptimumFDerivatives:
 class TestOneOwner:
     def test_optima_are_the_true_coefficients(self, rng):
         # theory and the *-true estimators evaluate one function: the fields
-        # agree bit for bit on in-range summaries
-        for _ in range(200):
-            s = random_summary(rng)
+        # agree bit for bit on in-range summaries and on a census past the
+        # clamp, where only the generalized optimum is undefined
+        for s in [OVER_RANGE, *(random_summary(rng) for _ in range(200))]:
             c = true_coefficients(s)
-            og, of = optimum_g_derivatives(s), optimum_F_derivatives(s)
+            og = optimum_g_derivatives(s)
             assert (og.alpha1, og.alpha2, og.alpha1_star, og.alpha2_star) == (
                 c.alpha1_hat, c.alpha2_hat, c.alpha1_star_hat, c.alpha2_star_hat)
             assert (og.g1, og.g2) == (-c.alpha1_hat, -c.alpha2_hat)
+            if s is OVER_RANGE:
+                assert c.a1_hat is None
+                with pytest.raises(ValueError, match="collinearity"):
+                    optimum_F_derivatives(s)
+                continue
+            of = optimum_F_derivatives(s)
             assert (of.a1, of.a2, of.a3) == (c.a1_hat, c.a2_hat, c.a3_hat)
             assert (of.F2, of.F3, of.F4) == (-c.a1_hat, -c.a2_hat, -c.a3_hat)
 
@@ -300,7 +313,7 @@ def moment_matrix(sizes, summary):
     e0 = my_hat/M_y - 1 (second phase), e1/e2 the second/first-phase
     x-median errors, e3/e4 the second/first-phase z-median errors.
     """
-    rho_xy, rho_yz, rho_xz = clamped_concordances(summary)
+    rho_xy, rho_yz, rho_xz = summary.concordances
     lam_m = sizes.theta_mN / 4.0
     lam_n = sizes.theta_nN / 4.0
     sx = summary.median_x * summary.density_x
