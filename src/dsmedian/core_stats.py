@@ -36,7 +36,7 @@ def _as_finite_1d(values, name: str = "values") -> np.ndarray:
     arr = np.asarray(values, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError(f"empty sample: {name} has no elements")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"invalid datum: {name} contains non-finite values")
     return arr
 
@@ -152,18 +152,22 @@ def proportion_matrix(pairs, threshold_a: float, threshold_b: float) -> Proporti
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
         raise ValueError("empty sample: pairs must be a nonempty (k, 2) array")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("invalid datum: pairs contain non-finite values")
     if not (math.isfinite(threshold_a) and math.isfinite(threshold_b)):
         raise ValueError("thresholds must be finite")
-    a_low = arr[:, 0] <= threshold_a
-    b_low = arr[:, 1] <= threshold_b
     k = arr.shape[0]
-    c11 = int(np.count_nonzero(a_low & b_low))
-    c12 = int(np.count_nonzero(~a_low & b_low))
-    c21 = int(np.count_nonzero(a_low & ~b_low))
-    c22 = k - c11 - c12 - c21
+    c11, c12, c21, c22 = _quadrant_counts(arr[:, 0] <= threshold_a, arr[:, 1] <= threshold_b)
     return ProportionMatrix(p11=c11 / k, p12=c12 / k, p21=c21 / k, p22=c22 / k)
+
+
+def _quadrant_counts(a_low: np.ndarray, b_low: np.ndarray) -> tuple[int, int, int, int]:
+    """(c11, c12, c21, c22) of two equal-length boolean low masks, in the
+    orientation of :class:`ProportionMatrix`."""
+    c11 = int(np.count_nonzero(a_low & b_low))
+    c12 = int(np.count_nonzero(b_low)) - c11
+    c21 = int(np.count_nonzero(a_low)) - c11
+    return c11, c12, c21, a_low.size - c11 - c12 - c21
 
 
 def silverman_bandwidth(values) -> float:
@@ -172,7 +176,10 @@ def silverman_bandwidth(values) -> float:
     h = 0.9 * min(sd, IQR/1.34) * k**(-1/5), with the (k-1)-denominator
     standard deviation and quartiles under the package quantile convention.
     When the IQR is zero on a non-degenerate sample (heavy ties), the sd
-    alone is used so the bandwidth stays positive.
+    alone is used.  A sample whose h is not finite and positive (all values
+    identical, a subnormal IQR that underflows h to 0, an sd that
+    overflows) is degenerate and raises ValueError, so every bandwidth
+    this returns can be passed to :func:`kde_at`.
     """
     arr = _as_finite_1d(values)
     return _silverman_bandwidth(arr, np.sort(arr))
@@ -187,12 +194,23 @@ def _silverman_bandwidth(arr: np.ndarray, sorted_vals: np.ndarray) -> float:
     k = arr.size
     if k < 2:
         raise ValueError("bandwidth needs at least 2 values")
-    sd = float(np.std(arr, ddof=1))
+    sd = _sd(arr)
     if sd == 0.0:
         raise ValueError("degenerate sample for bandwidth: all values identical")
     iqr = _quantile_sorted(sorted_vals, 0.75) - _quantile_sorted(sorted_vals, 0.25)
     scale = min(sd, iqr / 1.34) if iqr > 0.0 else sd
-    return 0.9 * scale * k ** (-0.2)
+    h = 0.9 * scale * k ** (-0.2)
+    if not (0.0 < h < math.inf):
+        raise ValueError(f"degenerate sample for bandwidth: h = {h!r}")
+    return h
+
+
+def _sd(arr: np.ndarray) -> float:
+    """The bits of ``np.std(arr, ddof=1)`` for a validated 1-D float sample
+    of at least 2 values, without numpy's wrapper: the same pairwise sums
+    of the values and of the squared deviations from their mean."""
+    d = arr - np.add.reduce(arr) / arr.size
+    return math.sqrt(np.add.reduce(np.square(d, out=d)) / (arr.size - 1))
 
 
 @dataclass(frozen=True)
@@ -213,13 +231,21 @@ def kde_at(values, point: float, bandwidth: float) -> DensityEstimate:
     """Gaussian-kernel density estimate at a single point.
 
     (1/(k*h)) * sum_i phi((point - v_i)/h) with phi the standard normal
-    density.
+    density; h must be finite and positive, as every bandwidth
+    :func:`silverman_bandwidth` returns is.
     """
     arr = _as_finite_1d(values)
     if not (math.isfinite(bandwidth) and bandwidth > 0.0):
         raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
     if not math.isfinite(point):
         raise ValueError("evaluation point must be finite")
+    return DensityEstimate(value=_kde(arr, point, bandwidth), bandwidth=bandwidth)
+
+
+def _kde(arr: np.ndarray, point: float, bandwidth: float) -> float:
+    """The Gaussian KDE of :func:`kde_at` over a validated sample, at a
+    finite point with a finite, positive bandwidth.  A subnormal bandwidth
+    can overflow the value to inf, which the float division returns
+    without a warning."""
     u = (point - arr) / bandwidth
-    value = float(np.exp(-0.5 * u * u).sum() / (arr.size * bandwidth * _SQRT_2PI))
-    return DensityEstimate(value=value, bandwidth=bandwidth)
+    return float(np.exp(-0.5 * u * u).sum()) / (arr.size * bandwidth * _SQRT_2PI)

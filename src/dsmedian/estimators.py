@@ -17,16 +17,16 @@ the known population median of z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .core_stats import (
+    _kde,
+    _quadrant_counts,
     _quantile_selected,
     _quantile_sorted,
     _silverman_bandwidth,
-    kde_at,
-    proportion_matrix,
 )
 from .population import Population, PopulationSummary
 from .sampling import TwoPhaseSample
@@ -66,7 +66,7 @@ def _frozen(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float).ravel().copy()
     if arr.size == 0:
         raise EstimatorError(f"empty sample: {name}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise EstimatorError(f"invalid datum in {name}")
     arr.flags.writeable = False
     return arr
@@ -101,6 +101,10 @@ class SampleView:
     first-phase medians, selected.  Standard deviations and kernel sums
     run over the arrays in their original order, because the summation
     order decides the last bits of a floating-point sum.
+
+    The view keeps read-only copies of the arrays passed in;
+    ``_adopt``, for :meth:`from_population`, makes the fresh, finite
+    arrays it passes read-only in place of copying and checking them.
     """
 
     y_m: np.ndarray
@@ -114,10 +118,14 @@ class SampleView:
     sorted_x_m: np.ndarray = field(init=False, repr=False)
     sorted_z_m: np.ndarray = field(init=False, repr=False)
     medians: SampleMedians = field(init=False, repr=False)
+    _adopt: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _adopt: bool) -> None:
         for name in ("y_m", "x_m", "z_m", "x_n", "z_n"):
-            object.__setattr__(self, name, _frozen(getattr(self, name), name))
+            if _adopt:
+                getattr(self, name).flags.writeable = False
+            else:
+                object.__setattr__(self, name, _frozen(getattr(self, name), name))
         for name in ("y_m", "x_m", "z_m"):
             ordered = np.sort(getattr(self, name))
             ordered.flags.writeable = False
@@ -150,7 +158,8 @@ class SampleView:
     @classmethod
     def from_population(cls, pop: Population, sample: TwoPhaseSample) -> "SampleView":
         """Materialise the view for a drawn sample; the known medians are
-        the census medians of the population (knowable from the frame)."""
+        the census medians of the population (knowable from the frame).
+        The view adopts the indexed copies of the population's finite arrays."""
         sm, sn = sample.second_phase, sample.first_phase
         return cls(
             y_m=pop.y[sm],
@@ -160,6 +169,7 @@ class SampleView:
             z_n=pop.z[sn],
             known_mz=pop.median_z,
             known_mx=pop,
+            _adopt=True,
         )
 
 
@@ -208,9 +218,9 @@ def position_probability(view: SampleView) -> tuple[float, float, bool]:
     if m < 2:
         raise EstimatorError("position estimator needs m >= 2")
     meds = view.medians
-    pm = proportion_matrix(np.column_stack((view.x_m, view.y_m)), meds.mx, meds.my)
+    c11, c12, _, _ = _quadrant_counts(view.x_m <= meds.mx, view.y_m <= meds.my)
     m_x = int(np.count_nonzero(view.x_m <= mx_known))
-    raw = 2.0 * (m_x * pm.p11 + (m - m_x) * pm.p12) / m
+    raw = 2.0 * (m_x * (c11 / m) + (m - m_x) * (c12 / m)) / m
     clamped = min(max(raw, 1.0 / m), 1.0)
     return raw, clamped, clamped != raw
 
@@ -361,15 +371,22 @@ def plugin_coefficients(view: SampleView) -> PluginCoefficients:
 
     Quadrant proportions are taken about the second-phase sample medians;
     densities are Gaussian KDEs with Silverman bandwidths at those medians.
+    The view's arrays are already validated, so this runs the kernels of
+    :func:`~dsmedian.core_stats.silverman_bandwidth`, :func:`kde_at` and
+    :func:`proportion_matrix` directly, with each variable's ``<= median``
+    mask computed once; the bits are those of the public forms.  A sample
+    whose bandwidth is not finite and positive, or whose density overflows,
+    is degenerate and raises EstimatorError.
     The concordances 4*p11 - 1 are not clamped, unlike the census ones of
     :attr:`PopulationSummary.concordances`: about a lower median they reach
     1 + 2/m at odd m (ties push them further), and |rho_xz| >= 1 leaves
     a1..a3 None.
     """
-    if view.m < 4:
+    m = view.m
+    if m < 4:
         raise EstimatorError("plug-in coefficients need m >= 4")
     meds = view.medians
-    dens = {}
+    dens, lows = [], []
     for name, values, ordered, at in (
         ("x", view.x_m, view.sorted_x_m, meds.mx),
         ("y", view.y_m, view.sorted_y_m, meds.my),
@@ -379,14 +396,20 @@ def plugin_coefficients(view: SampleView) -> PluginCoefficients:
             h = _silverman_bandwidth(values, ordered)
         except ValueError as exc:
             raise EstimatorError(f"degenerate second-phase {name} sample") from exc
-        dens[name] = kde_at(values, at, h).value
-    pm_xy = proportion_matrix(np.column_stack((view.x_m, view.y_m)), meds.mx, meds.my)
-    pm_xz = proportion_matrix(np.column_stack((view.x_m, view.z_m)), meds.mx, meds.mz)
-    pm_yz = proportion_matrix(np.column_stack((view.y_m, view.z_m)), meds.my, meds.mz)
+        density = _kde(values, at, h)
+        if density == math.inf:
+            raise EstimatorError(f"degenerate second-phase {name} sample: density overflows")
+        dens.append(density)
+        lows.append(values <= at)
+    x_low, y_low, z_low = lows
+
+    def concordance(a_low: np.ndarray, b_low: np.ndarray) -> float:
+        return 4.0 * (_quadrant_counts(a_low, b_low)[0] / m) - 1.0
+
     return optimum_coefficients(
         (meds.mx, meds.my, meds.mz),
-        (dens["x"], dens["y"], dens["z"]),
-        (pm_xy.concordance, pm_yz.concordance, pm_xz.concordance),
+        tuple(dens),
+        (concordance(x_low, y_low), concordance(y_low, z_low), concordance(x_low, z_low)),
     )
 
 

@@ -227,8 +227,7 @@ class SimConfig:
         for est in self.estimators:
             if est not in _ALL_IDS:
                 raise ValueError(f"unknown estimator id {est!r}")
-        if not 0 <= self.master_seed < 2**63:
-            raise ValueError("master_seed must fit in 63 bits")
+        SeedSpec(self.master_seed)  # the seed range of every draw: [0, 2**64)
 
     def canonical_dict(self) -> dict:
         gen = None

@@ -33,7 +33,7 @@ CSV_COLUMNS = ("x", "y", "z")
 
 def _frozen_array(values, name: str, adopt: bool) -> np.ndarray:
     arr = np.array(values, dtype=float, copy=not adopt).ravel()
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"population variable {name} contains non-finite values")
     arr.flags.writeable = False
     return arr

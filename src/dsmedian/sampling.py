@@ -48,7 +48,7 @@ class TwoPhaseSample:
     def __post_init__(self) -> None:
         first = np.sort(np.asarray(self.first_phase, dtype=np.int64))
         second = np.sort(np.asarray(self.second_phase, dtype=np.int64))
-        if np.any(first[1:] == first[:-1]) or np.any(second[1:] == second[:-1]):
+        if (first[1:] == first[:-1]).any() or (second[1:] == second[:-1]).any():
             raise ValueError("phase index sets must not contain duplicates")
         if not (0 < second.size < first.size):
             raise ValueError("require m < n with both phases nonempty")
@@ -56,7 +56,7 @@ class TwoPhaseSample:
             raise ValueError("indices must be nonnegative")
         # second is sorted, so only its last insertion point can run past the end
         pos = np.searchsorted(first, second)
-        if pos[-1] == first.size or np.any(first[pos] != second):
+        if pos[-1] == first.size or (first[pos] != second).any():
             raise ValueError("second phase must be a subset of the first phase")
         first.flags.writeable = False
         second.flags.writeable = False

@@ -694,3 +694,54 @@ class TestCollinearAuxiliaries:
         verdicts = {k: v["verdict"] for k, v in json.loads(out)["verdicts"].items()}
         assert verdicts["F_vs_H"] == verdicts["F_vs_g"] == "not-comparable"
         assert verdicts["g_vs_H"] != "not-comparable"
+
+
+class TestZeroBandwidth:
+    """x in equal blocks of -1, 0, 5e-324 and 1: a second-phase sample whose
+    quartiles fall on 0 and 5e-324 has a subnormal IQR, which underflows
+    Silverman's h to 0.0.  The plug-ins fail as degenerate; nothing crashes."""
+
+    @pytest.fixture
+    def subnormal_iqr_csv(self, tmp_path):
+        rng = np.random.default_rng(5)
+        x = np.repeat([-1.0, 0.0, 5e-324, 1.0], 100)
+        rng.shuffle(x)
+        return _write_columns(tmp_path / "tiny.csv", x, rng.normal(10, 2, 400),
+                              rng.normal(5, 1, 400))
+
+    def test_estimate(self, subnormal_iqr_csv, capsys):
+        code, out = run_cli(capsys, "estimate", subnormal_iqr_csv, "--m", "40", "--n", "80",
+                            "--seed", "0")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["coefficients"] is None
+        assert doc["coefficients_error"] == "degenerate second-phase x sample"
+        assert doc["estimates"]["reg-xz"] == {"error": "degenerate second-phase x sample"}
+        assert "value" in doc["estimates"]["median"]
+
+    def test_simulate(self, subnormal_iqr_csv, tmp_path, capsys):
+        oj = tmp_path / "r.json"
+        ini = TestSimulate._csv_config(tmp_path, subnormal_iqr_csv, 400, m=40, n=80,
+                                       replicates=20, estimators="median, reg-xz, reg-x-true")
+        code = cli.main(["simulate", ini, "--out-json", str(oj),
+                         "--out-csv", str(tmp_path / "r.csv")])
+        capsys.readouterr()
+        assert code == 0
+        rows = {r["estimator"]: r for r in json.loads(oj.read_text())["report"]["estimators"]}
+        assert 0 < rows["reg-xz"]["failures"] < 20
+        assert rows["median"]["failures"] == rows["reg-x-true"]["failures"] == 0
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed, code", [(2**64 - 1, 0), (2**64, 2)])
+    def test_simulate_config_seed(self, tmp_path, capsys, seed, code):
+        ini = tmp_path / "sim.ini"
+        ini.write_text(SIM_INI.replace("master_seed = 77", f"master_seed = {seed}"))
+        oj = tmp_path / "o.json"
+        assert cli.main(["simulate", str(ini), "--replicates", "2", "--out-json", str(oj),
+                         "--out-csv", str(tmp_path / "o.csv")]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == f"error: master_seed must be an unsigned 64-bit integer, got {seed}\n"
+        else:
+            assert json.loads(oj.read_text())["report"]["master_seed"] == seed

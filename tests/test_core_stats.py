@@ -10,9 +10,13 @@ from hypothesis import strategies as st
 from dsmedian.core_stats import (
     DensityEstimate,
     ProportionMatrix,
+    _kde,
+    _quadrant_counts,
     _quantile_index,
     _quantile_selected,
     _quantile_sorted,
+    _sd,
+    _silverman_bandwidth,
     empirical_quantile,
     kde_at,
     median,
@@ -197,6 +201,14 @@ class TestSilvermanBandwidth:
         h = silverman_bandwidth([0.0, 0.0, 0.0, 1.0])
         assert h > 0.0
 
+    def test_bandwidth_outside_positive_floats_is_degenerate(self):
+        # a subnormal IQR underflows h to 0.0; an overflowing sd and IQR make it inf
+        subnormal_iqr = [0.0] * 15 + [5e-324] * 15 + [-1.0] * 5 + [1.0] * 5
+        with pytest.raises(ValueError, match=r"degenerate sample for bandwidth: h = 0\.0"):
+            silverman_bandwidth(subnormal_iqr)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="h = inf"):
+            silverman_bandwidth([-1e308, -1e308, 1e308, 1e308])
+
 
 class TestKdeAt:
     def test_single_kernel_at_center(self):
@@ -228,3 +240,44 @@ class TestKdeAt:
             kde_at([1.0], 0.0, 0.0)
         with pytest.raises(ValueError):
             DensityEstimate(value=-0.1, bandwidth=1.0)
+
+
+class TestKernels:
+    """The private kernels over validated 1-D float arrays give the bits of
+    the validated public forms, and the sd those of ``np.std(ddof=1)``."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(k=st.integers(2, 1300), seed=st.integers(0, 2**32 - 1),
+           levels=st.one_of(st.none(), st.integers(1, 6)),
+           scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e6, 1e150, 1e300]),
+           offset=st.sampled_from([0.0, -0.0, 1.0, -1e9]))
+    @example(k=2, seed=0, levels=1, scale=1.0, offset=0.0)
+    @example(k=1300, seed=1, levels=None, scale=1e300, offset=0.0)
+    def test_kernels_equal_public_forms(self, k, seed, levels, scale, offset):
+        rng = np.random.default_rng(seed)
+        if levels is None:
+            a = rng.normal(size=k) * scale + offset
+        else:  # ties, with zeros of both signs
+            a = rng.integers(-levels, levels + 1, size=k) * scale + offset
+            zeros = a == 0.0
+            a[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+        b = rng.permutation(a)
+        with np.errstate(all="ignore"):  # squares of 1e300 overflow in both forms
+            assert _sd(a).hex() == float(np.std(a, ddof=1)).hex()
+            try:
+                h = silverman_bandwidth(a)
+            except ValueError:
+                with pytest.raises(ValueError, match="degenerate sample"):
+                    _silverman_bandwidth(a, np.sort(a))
+                h = 1.0
+            else:
+                assert _silverman_bandwidth(a, np.sort(a)).hex() == h.hex()
+            point = median(a)
+            density = _kde(a, point, h)
+            if math.isfinite(density):
+                assert kde_at(a, point, h).value.hex() == density.hex()
+        ta, tb = median(a), float(b[0])
+        counts = _quadrant_counts(a <= ta, b <= tb)
+        pm = proportion_matrix(np.column_stack((a, b)), ta, tb)
+        assert tuple(c / k for c in counts) == (pm.p11, pm.p12, pm.p21, pm.p22)
+        assert counts == tuple(round(p * k) for p in brute_proportions(list(zip(a, b)), ta, tb))

@@ -1,13 +1,20 @@
 """Estimator catalog: hand examples, an independent coefficient oracle,
 degeneracies, and equivariance properties."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from dsmedian import estimators
-from dsmedian.core_stats import _quantile_sorted, median, proportion_matrix, silverman_bandwidth
+from dsmedian.core_stats import (
+    _quantile_sorted,
+    kde_at,
+    median,
+    proportion_matrix,
+    silverman_bandwidth,
+)
 from dsmedian.estimators import (
     ESTIMATOR_IDS,
     EstimatorError,
@@ -19,6 +26,7 @@ from dsmedian.estimators import (
     evaluate_estimator,
     evaluate_with_diagnostics,
     gform_estimated_optimum,
+    optimum_coefficients,
     plugin_coefficients,
     position_estimator,
     position_probability,
@@ -166,6 +174,30 @@ class TestSampleMedians:
         sample = draw_two_phase(pop.N, pop.N, 8, SeedSpec(4, 0))
         view = SampleView.from_population(pop, sample)
         assert view.medians.mx1 == pop_median(pop.x)
+
+    def test_from_population_adopts_read_only_copies(self, rng):
+        from dsmedian.population import Population
+        from dsmedian.sampling import SeedSpec, draw_two_phase
+
+        pop = Population(x=rng.normal(10, 2, 200), y=rng.normal(10, 2, 200),
+                         z=rng.normal(10, 2, 200))
+        sample = draw_two_phase(pop.N, 60, 20, SeedSpec(4, 0))
+        view = SampleView.from_population(pop, sample)
+        for name, var, idx in (("y_m", "y", sample.second_phase), ("x_m", "x", sample.second_phase),
+                               ("z_m", "z", sample.second_phase), ("x_n", "x", sample.first_phase),
+                               ("z_n", "z", sample.first_phase)):
+            arr = getattr(view, name)
+            assert not arr.flags.writeable
+            assert not np.shares_memory(arr, getattr(pop, var))
+            assert np.array_equal(arr, getattr(pop, var)[idx])
+        # the public constructor still copies and checks what it is given
+        y = np.arange(1.0, 4.0)
+        v = make_view(y_m=y, x_m=[4, 5, 6], z_m=[7, 8, 9], x_n=[4, 5, 6, 1], z_n=[7, 8, 9, 1],
+                      known_mz=8.0)
+        assert y.flags.writeable and not np.shares_memory(v.y_m, y)
+        with pytest.raises(EstimatorError, match="invalid datum in x_m"):
+            make_view(y_m=[1, 2, 3], x_m=[4, np.nan, 6], z_m=[7, 8, 9], x_n=[4, 5, 6, 1],
+                      z_n=[7, 8, 9, 1], known_mz=8.0)
 
     def test_census_median_of_x_computed_on_first_read(self, rng):
         from dsmedian.population import Population
@@ -349,13 +381,13 @@ class TestPluginCoefficients:
 
     def test_bandwidths_equal_public_silverman(self, rng, monkeypatch):
         seen = []
-        kde_at = estimators.kde_at
+        kde = estimators._kde
 
         def recording_kde(values, point, bandwidth):
             seen.append((values, bandwidth))
-            return kde_at(values, point, bandwidth)
+            return kde(values, point, bandwidth)
 
-        monkeypatch.setattr(estimators, "kde_at", recording_kde)
+        monkeypatch.setattr(estimators, "_kde", recording_kde)
         for v in oracle_views(rng):
             try:
                 plugin_coefficients(v)
@@ -400,6 +432,68 @@ class TestPluginCoefficients:
             evaluate_estimator("f-linear", v, c)
         assert math.isfinite(evaluate_estimator("reg-x", v, c))
         assert math.isfinite(evaluate_estimator("g1", v, c))
+
+    def test_bits_equal_public_forms(self, rng):
+        # the densities through np.std, kde_at and silverman's formula, the
+        # concordances through proportion_matrix: every coefficient bit for bit
+        from dsmedian.population import Population
+        from dsmedian.sampling import SeedSpec, draw_two_phase
+
+        pop = Population(x=rng.lognormal(1, 0.5, 2000), y=rng.normal(10, 2, 2000),
+                         z=rng.integers(0, 9, 2000))
+        views = [SampleView.from_population(pop, draw_two_phase(pop.N, 600, m, SeedSpec(5, r)))
+                 for m in (150, 151) for r in range(10)]
+        checked = 0
+        for v in [*oracle_views(rng), *views]:
+            meds = v.medians
+            dens = []
+            for values, at in ((v.x_m, meds.mx), (v.y_m, meds.my), (v.z_m, meds.mz)):
+                sd = float(np.std(values, ddof=1))
+                iqr = oracle_quantile(list(values), 0.75) - oracle_quantile(list(values), 0.25)
+                scale = min(sd, iqr / 1.34) if iqr > 0 else sd
+                dens.append(kde_at(values, at, 0.9 * scale * values.size ** (-0.2)).value)
+
+            def rho(a, b, ta, tb):
+                return proportion_matrix(np.column_stack((a, b)), ta, tb).concordance
+
+            try:
+                expected = optimum_coefficients(
+                    (meds.mx, meds.my, meds.mz), tuple(dens),
+                    (rho(v.x_m, v.y_m, meds.mx, meds.my), rho(v.y_m, v.z_m, meds.my, meds.mz),
+                     rho(v.x_m, v.z_m, meds.mx, meds.mz)))
+            except EstimatorError:
+                with pytest.raises(EstimatorError):
+                    plugin_coefficients(v)
+                continue
+            got = plugin_coefficients(v)
+            for a, b in zip(dataclasses.astuple(got), dataclasses.astuple(expected)):
+                assert (a is None and b is None) or a.hex() == b.hex()
+            checked += 1
+        assert checked >= 25
+
+    def test_zero_bandwidth_is_degenerate(self, rng):
+        # a subnormal IQR underflows Silverman's h to 0.0: the sample is
+        # degenerate for the plug-ins, as an all-equal one is
+        x = np.array([0.0] * 15 + [5e-324] * 15 + [-1.0] * 5 + [1.0] * 5)
+        y, z = rng.normal(10, 2, 40), rng.normal(5, 1, 40)
+        v = make_view(y_m=y, x_m=x, z_m=z, x_n=np.append(x, 2.0), z_n=np.append(z, 5.0),
+                      known_mz=5.0)
+        with pytest.raises(EstimatorError, match="degenerate second-phase x sample"):
+            plugin_coefficients(v)
+        with pytest.raises(EstimatorError, match="degenerate second-phase x sample"):
+            evaluate_estimator("reg-xz", v)
+
+    def test_overflowing_density_is_degenerate(self, rng):
+        # a positive but subnormal h puts an infinite KDE at the median of y;
+        # coefficients divided by f_y = inf would all read 0
+        y = np.array([0.0] * 15 + [1e-309] * 15 + [-1.0] * 5 + [1.0] * 5)
+        x, z = rng.normal(10, 2, 40), rng.normal(5, 1, 40)
+        v = make_view(y_m=y, x_m=x, z_m=z, x_n=np.append(x, 2.0), z_n=np.append(z, 5.0),
+                      known_mz=5.0)
+        with np.errstate(over="ignore"), pytest.raises(
+            EstimatorError, match="degenerate second-phase y sample: density overflows"
+        ):
+            plugin_coefficients(v)
 
     def test_needs_four_points(self):
         v = make_view(y_m=[1, 2, 3], x_m=[1, 2, 3], z_m=[3, 1, 2],

@@ -183,6 +183,18 @@ class TestSimConfig:
         b = quick_config(master_seed=12).digest()
         assert a != b and len(a) == 64
 
+    def test_digests_pinned(self):
+        assert quick_config().digest() == (
+            "742a9202eb377014157950fa53f59d1979eb9d8e13d40e1af0b155fe9495dc23")
+        assert quick_config(generator=None, csv_path="pop.csv").digest() == (
+            "5b6ba8408e0709158264ebae9d8fba28560caff588ec22f5d0dc0d8d0a130cf7")
+
+    def test_master_seed_range_is_seedspecs(self):
+        assert quick_config(master_seed=2**64 - 1).master_seed == 2**64 - 1
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="unsigned 64-bit integer"):
+                quick_config(master_seed=seed)
+
 
 class TestRunSimulation:
     def test_bit_identical_reruns(self):
@@ -190,6 +202,29 @@ class TestRunSimulation:
         r1 = run_simulation(cfg)
         r2 = run_simulation(cfg)
         assert r1.to_json_dict() == r2.to_json_dict()
+
+    # sha256 of the report JSON and of the estimates' bytes for the
+    # acceptance config (N=5000, m=150, n=600, the 14 ids of the benchmark)
+    # at R=50, pinned so that no rewrite of the replicate path moves a bit
+    ACCEPTANCE_IDS = ("median", "g1", "g2", "g3", "g4", "g5", "g6", "g7", "reg-x", "reg-xz",
+                      "f-linear", "reg-x-true", "reg-xz-true", "f-linear-true")
+
+    @pytest.mark.parametrize("marginal, report_digest, estimates_digest", [
+        (NORMAL, "a375c35a2142702d387c379e82253c196f0656f21d9f39b9aeafa4e6a4b6b1ab",
+         "fe0f7f9891e01c41f7c174e47551c557d93d9b3dc7be37a7d851df5afc3154ed"),
+        (MarginalSpec("lognormal", 0.0, 0.5),
+         "45fa4b58aeb85022b96866b8a15271fd99f0d48313b9fd2bbcdef9a397f78d9f",
+         "c588591f954cba71d3ea4bb8d3595a84a96db3b724506708403b52dca15b6076"),
+    ])
+    def test_acceptance_bits_pinned(self, marginal, report_digest, estimates_digest):
+        gen = GeneratorSpec(r_xy=0.8, r_yz=0.6, r_xz=0.7, marginal_x=marginal,
+                            marginal_y=marginal, marginal_z=marginal)
+        cfg = SimConfig(m=150, n=600, N=5000, replicates=50, master_seed=20250801,
+                        estimators=self.ACCEPTANCE_IDS, generator=gen)
+        rep = run_simulation(cfg, keep_estimates=True)
+        blob = json.dumps(rep.to_json_dict(), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == report_digest
+        assert hashlib.sha256(rep.estimates.tobytes()).hexdigest() == estimates_digest
 
     def test_threads_do_not_change_results(self):
         cfg = quick_config(replicates=40)
@@ -376,13 +411,13 @@ class TestReplicateDiagnostics:
         # each position_probability call, whoever makes it, tabulates the
         # (x, y) quadrants once; no other id here tabulates any
         calls = []
-        real = estimators.proportion_matrix
+        real = estimators._quadrant_counts
 
-        def counting(pairs, t_a, t_b):
-            calls.append(pairs)
-            return real(pairs, t_a, t_b)
+        def counting(a_low, b_low):
+            calls.append((a_low, b_low))
+            return real(a_low, b_low)
 
-        monkeypatch.setattr(estimators, "proportion_matrix", counting)
+        monkeypatch.setattr(estimators, "_quadrant_counts", counting)
         run_simulation(quick_config(replicates=25, estimators=("median", "position")))
         assert len(calls) == 25
 
