@@ -245,7 +245,37 @@ def kde_at(values, point: float, bandwidth: float) -> DensityEstimate:
 def _kde(arr: np.ndarray, point: float, bandwidth: float) -> float:
     """The Gaussian KDE of :func:`kde_at` over a validated sample, at a
     finite point with a finite, positive bandwidth.  A subnormal bandwidth
-    can overflow the value to inf, which the float division returns
-    without a warning."""
+    can overflow the value to inf."""
     u = (point - arr) / bandwidth
     return float(np.exp(-0.5 * u * u).sum()) / (arr.size * bandwidth * _SQRT_2PI)
+
+
+def _median_split(
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray],
+    sorted_columns: tuple[np.ndarray, np.ndarray, np.ndarray],
+    medians: tuple[float, float, float],
+) -> tuple[tuple[float, float, float], tuple[tuple[int, int, int, int], ...]]:
+    """Densities at the medians and quadrant counts about them for
+    validated x, y, z columns (``sorted_columns`` their sorted copies): the
+    one owner of what the census summary and the plug-in coefficients take
+    from the data besides the medians.  Returns ``(f_x, f_y, f_z)`` and the
+    :func:`_quadrant_counts` of (x, y), (y, z), (x, z), with the bits of
+    :func:`silverman_bandwidth`, :func:`kde_at` and :func:`proportion_matrix`.
+    A column whose bandwidth is not finite and positive raises
+    ``ValueError(name)``, one whose density overflows ``ValueError(name,
+    "density overflows")``; the float overflow on the way stays silent."""
+    dens, lows = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, values, ordered, at in zip("xyz", columns, sorted_columns, medians):
+            try:
+                h = _silverman_bandwidth(values, ordered)
+            except ValueError as exc:
+                raise ValueError(name) from exc
+            density = _kde(values, at, h)
+            if density == math.inf:
+                raise ValueError(name, "density overflows")
+            dens.append(density)
+            lows.append(values <= at)
+    x_low, y_low, z_low = lows
+    pairs = ((x_low, y_low), (y_low, z_low), (x_low, z_low))
+    return tuple(dens), tuple(_quadrant_counts(a_low, b_low) for a_low, b_low in pairs)

@@ -21,13 +21,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .core_stats import (
-    _kde,
-    _quadrant_counts,
-    _quantile_selected,
-    _quantile_sorted,
-    _silverman_bandwidth,
-)
+from .core_stats import _median_split, _quadrant_counts, _quantile_selected, _quantile_sorted
 from .population import Population, PopulationSummary
 from .sampling import TwoPhaseSample
 
@@ -369,15 +363,13 @@ def optimum_coefficients(
 def plugin_coefficients(view: SampleView) -> PluginCoefficients:
     """Sample analogues of every optimum coefficient, from S_m only.
 
-    Quadrant proportions are taken about the second-phase sample medians;
-    densities are Gaussian KDEs with Silverman bandwidths at those medians.
-    The view's arrays are already validated, so this runs the kernels of
-    :func:`~dsmedian.core_stats.silverman_bandwidth`, :func:`kde_at` and
-    :func:`proportion_matrix` directly, with each variable's ``<= median``
-    mask computed once; the bits are those of the public forms.  A sample
-    whose bandwidth is not finite and positive, or whose density overflows,
-    is degenerate and raises EstimatorError.
-    The concordances 4*p11 - 1 are not clamped, unlike the census ones of
+    Densities are Gaussian KDEs with Silverman bandwidths at the
+    second-phase sample medians, concordances 4*p11 - 1 come from the
+    quadrant counts about them, both from the owner the census summary
+    shares, :func:`~dsmedian.core_stats._median_split`.  A sample whose
+    bandwidth is not finite and positive, or whose density overflows, is
+    degenerate and raises EstimatorError.
+    The concordances are not clamped, unlike the census ones of
     :attr:`PopulationSummary.concordances`: about a lower median they reach
     1 + 2/m at odd m (ties push them further), and |rho_xz| >= 1 leaves
     a1..a3 None.
@@ -386,31 +378,17 @@ def plugin_coefficients(view: SampleView) -> PluginCoefficients:
     if m < 4:
         raise EstimatorError("plug-in coefficients need m >= 4")
     meds = view.medians
-    dens, lows = [], []
-    for name, values, ordered, at in (
-        ("x", view.x_m, view.sorted_x_m, meds.mx),
-        ("y", view.y_m, view.sorted_y_m, meds.my),
-        ("z", view.z_m, view.sorted_z_m, meds.mz),
-    ):
-        try:
-            h = _silverman_bandwidth(values, ordered)
-        except ValueError as exc:
-            raise EstimatorError(f"degenerate second-phase {name} sample") from exc
-        density = _kde(values, at, h)
-        if density == math.inf:
-            raise EstimatorError(f"degenerate second-phase {name} sample: density overflows")
-        dens.append(density)
-        lows.append(values <= at)
-    x_low, y_low, z_low = lows
-
-    def concordance(a_low: np.ndarray, b_low: np.ndarray) -> float:
-        return 4.0 * (_quadrant_counts(a_low, b_low)[0] / m) - 1.0
-
-    return optimum_coefficients(
-        (meds.mx, meds.my, meds.mz),
-        tuple(dens),
-        (concordance(x_low, y_low), concordance(y_low, z_low), concordance(x_low, z_low)),
-    )
+    medians = (meds.mx, meds.my, meds.mz)
+    try:
+        dens, counts = _median_split(
+            (view.x_m, view.y_m, view.z_m),
+            (view.sorted_x_m, view.sorted_y_m, view.sorted_z_m),
+            medians,
+        )
+    except ValueError as exc:
+        name, *why = exc.args
+        raise EstimatorError(": ".join((f"degenerate second-phase {name} sample", *why))) from exc
+    return optimum_coefficients(medians, dens, tuple(4.0 * (c[0] / m) - 1.0 for c in counts))
 
 
 def true_coefficients(summary: PopulationSummary) -> PluginCoefficients:

@@ -88,9 +88,10 @@ _MARGINAL_KINDS = ("normal", "lognormal")
 
 
 class PopulationInputError(ValueError):
-    """The population CSV a config names is unusable: it does not load, or
-    its row count differs from the config's ``units``.  A fault of the
-    input, unlike the model errors ``run_simulation`` raises as ValueError."""
+    """The population a config names is unusable: its CSV does not load or
+    has a row count other than ``units``, or ``units`` rows do not fit in
+    memory.  A fault of the input, unlike the model errors
+    ``run_simulation`` raises as ValueError."""
 
 
 @dataclass(frozen=True)
@@ -189,10 +190,14 @@ def generate_population(spec: GeneratorSpec, N: int, seed: SeedSpec) -> Populati
     """N i.i.d. trivariate draws: correlated standard normals through the
     Cholesky factor, applied in place over near-equal column blocks (never
     one column wide, which numpy multiplies on another path), then
-    transformed in place; the population adopts the rows."""
+    transformed in place; the population adopts the rows.  An N whose
+    (3, N) array cannot be allocated raises :class:`PopulationInputError`."""
     if N < 4:
         raise ValueError("population size must be at least 4")
-    values = seed.generator().standard_normal((3, N))
+    try:
+        values = seed.generator().standard_normal((3, N))
+    except (MemoryError, ValueError):  # numpy: too large to allocate, or to index
+        raise PopulationInputError(f"units = {N}: the population does not fit in memory") from None
     for block in np.array_split(values, -(-N // _CHOLESKY_BLOCK), axis=1):
         block[...] = np.matmul(spec.cholesky(), block)
     for marginal, row in zip((spec.marginal_x, spec.marginal_y, spec.marginal_z), values):

@@ -18,13 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core_stats import (
-    ProportionMatrix,
-    kde_at,
-    median,
-    proportion_matrix,
-    silverman_bandwidth,
-)
+from .core_stats import ProportionMatrix, _median_split, median
 
 __all__ = ["Population", "PopulationSummary", "population_summary", "load_population_csv"]
 
@@ -148,29 +142,19 @@ def population_summary(pop: Population) -> PopulationSummary:
 
     Medians use the package quantile convention; densities are Gaussian
     KDEs with Silverman bandwidths evaluated at the medians; the proportion
-    matrices split each pair at the medians.  Deterministic: identical
-    input bits give identical output bits.
+    matrices split each pair at the medians.  Both come from the owner the
+    plug-ins share, :func:`~dsmedian.core_stats._median_split`, and a
+    variable it finds degenerate raises ValueError naming it.
+    Deterministic: identical input bits give identical output bits.
     """
-    meds = {"x": pop.median_x, "y": pop.median_y, "z": pop.median_z}
-    dens = {}
-    for name, values in (("x", pop.x), ("y", pop.y), ("z", pop.z)):
-        try:
-            h = silverman_bandwidth(values)
-        except ValueError as exc:
-            raise ValueError(f"zero density at median: variable {name} is degenerate") from exc
-        dens[name] = kde_at(values, meds[name], h).value
-    return PopulationSummary(
-        median_x=meds["x"],
-        median_y=meds["y"],
-        median_z=meds["z"],
-        density_x=dens["x"],
-        density_y=dens["y"],
-        density_z=dens["z"],
-        pm_xy=proportion_matrix(np.column_stack((pop.x, pop.y)), meds["x"], meds["y"]),
-        pm_xz=proportion_matrix(np.column_stack((pop.x, pop.z)), meds["x"], meds["z"]),
-        pm_yz=proportion_matrix(np.column_stack((pop.y, pop.z)), meds["y"], meds["z"]),
-        N=pop.N,
-    )
+    meds = (pop.median_x, pop.median_y, pop.median_z)
+    cols = (pop.x, pop.y, pop.z)
+    try:
+        dens, counts = _median_split(cols, tuple(np.sort(c) for c in cols), meds)
+    except ValueError as exc:
+        raise ValueError(f"zero density at median: variable {exc.args[0]} is degenerate") from exc
+    pm_xy, pm_yz, pm_xz = (ProportionMatrix(*(c / pop.N for c in cs)) for cs in counts)
+    return PopulationSummary(*meds, *dens, pm_xy=pm_xy, pm_xz=pm_xz, pm_yz=pm_yz, N=pop.N)
 
 
 def load_population_csv(path) -> Population:

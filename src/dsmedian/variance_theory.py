@@ -117,8 +117,15 @@ class VarianceComponents:
 
     @staticmethod
     def scaled_v0(theta: float, density_y: float) -> float:
-        """theta * V0, as theta / (4 f_y^2); theta = 1 gives V0 itself."""
-        return theta / (4.0 * density_y**2)
+        """theta * V0, as theta / (4 f_y^2); theta = 1 gives V0 itself.  An
+        f_y whose 4 f_y^2 overflows or underflows to 0 raises ValueError."""
+        try:
+            scale = 4.0 * density_y**2
+        except OverflowError:
+            scale = math.inf
+        if not 0.0 < scale < math.inf:
+            raise ValueError(f"V0 = 1/(4 f_y^2) is out of float range at f_y = {density_y!r}")
+        return theta / scale
 
     @classmethod
     def from_concordances(

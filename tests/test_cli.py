@@ -1,12 +1,16 @@
 """Command-line interface: artifacts, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import write_population_csv
+import dsmedian
 from dsmedian import cli
 from dsmedian.estimators import ESTIMATOR_IDS
 from dsmedian.montecarlo import (
@@ -343,6 +347,28 @@ class TestSimulate:
                          "--out-csv", str(tmp_path / "x.csv")])
         assert code == 3
         assert "zero density at median" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("units, patched", [(10**15, True), (10**20, False)])
+    def test_units_beyond_memory_exit_2(self, tmp_path, capsys, monkeypatch, units, patched):
+        # 10**15 units ask for 21 PiB; the allocation is patched to fail as
+        # numpy's does, so nothing large is allocated.  numpy rejects 10**20
+        # as a dimension before it allocates anything.
+        class NoMemory:
+            def standard_normal(self, shape):
+                raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+        if patched:
+            monkeypatch.setattr(SeedSpec, "generator", lambda seed: NoMemory())
+        ini = tmp_path / "sim.ini"
+        ini.write_text(SIM_INI)
+        code = cli.main(["simulate", str(ini), "--units", str(units),
+                         "--out-json", str(tmp_path / "x.json"),
+                         "--out-csv", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: units = {units}: the population does not fit in memory\n"
+        )
+        assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-1", str(cli.MAX_THREADS + 1)])
     def test_threads_out_of_range_exit_2(self, tmp_path, capsys, monkeypatch, threads):
@@ -730,6 +756,77 @@ class TestZeroBandwidth:
         rows = {r["estimator"]: r for r in json.loads(oj.read_text())["report"]["estimators"]}
         assert 0 < rows["reg-xz"]["failures"] < 20
         assert rows["median"]["failures"] == rows["reg-x-true"]["failures"] == 0
+
+
+def _scaled_y_csv(tmp_path, scale):
+    """400 rows of x ~ N(10, 2), z ~ N(5, 1) and y ~ N(0, 1) * scale."""
+    rng = np.random.default_rng(5)
+    x, z, y = rng.normal(10, 2, 400), rng.normal(5, 1, 400), rng.normal(0, 1, 400)
+    return _write_columns(tmp_path / f"y_{scale:g}.csv", x, scale * y, z)
+
+
+class TestUnrepresentableV0:
+    """f_y near 4e-301 (y scaled by 1e300) squares to 0, and f_y near 4e155
+    (y scaled by 1e-156) or 4e159 (sigma_y = 1e-160) squares past the
+    largest float: V0 = 1/(4 f_y^2) has no float value, a model error."""
+
+    COST = ("--c0", "1000", "--c1", "4", "--c2", "0.7", "--c3", "0.3", "--units", "400")
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-156])
+    def test_csv_commands_exit_3(self, tmp_path, capsys, scale):
+        path = _scaled_y_csv(tmp_path, scale)
+        ini = TestSimulate._csv_config(tmp_path, path, 400, m=40, n=160,
+                                       estimators="median, reg-xz")
+        outputs = ("--out-json", str(tmp_path / "r.json"), "--out-csv", str(tmp_path / "r.csv"))
+        for argv in (["analyze", path], ["compare", *self.COST, "--csv", path],
+                     ["allocate", *self.COST, "--csv", path], ["simulate", ini, *outputs]):
+            assert cli.main(argv) == 3, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: V0 = 1/(4 f_y^2) is out of float range at f_y = ")
+            assert err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
+    def test_synthetic_sigma_y_exit_3(self, tmp_path, capsys):
+        ini = tmp_path / "sim.ini"
+        ini.write_text(SIM_INI.replace("sigma_y = 2.0", "sigma_y = 1e-160"))
+        code = cli.main(["simulate", str(ini), "--out-json", str(tmp_path / "r.json"),
+                         "--out-csv", str(tmp_path / "r.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: V0 = 1/(4 f_y^2) is out of float range at f_y = 3.989422804014327e+159\n"
+        )
+
+
+class TestKernelWarnings:
+    """The float overflow of the kernels on extreme samples stays off
+    stderr: an sd whose squares overflow (y near 1e300), and a KDE whose
+    subnormal bandwidth overflows its scaled distances (y in blocks of 0,
+    1e-309, -1 and 1).  Run as a separate process, so stderr is the one a
+    user sees under Python's default warning filters."""
+
+    def run(self, *argv):
+        src = str(Path(dsmedian.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("PYTHONWARNINGS", None)
+        return subprocess.run([sys.executable, "-m", "dsmedian.cli", *argv], env=env,
+                              capture_output=True, text=True)
+
+    def test_no_runtime_warning(self, tmp_path):
+        rng = np.random.default_rng(5)
+        x, z = rng.normal(10, 2, 400), rng.normal(5, 1, 400)
+        y = np.repeat([0.0, 1e-309, -1.0, 1.0], [150, 150, 50, 50])
+        rng.shuffle(y)
+        subnormal = _write_columns(tmp_path / "subnormal_y.csv", x, y, z)
+        big = _scaled_y_csv(tmp_path, 1e300)
+        draw = ("--m", "40", "--n", "160", "--seed", "3")
+        for path, error in ((big, None),
+                            (subnormal, "degenerate second-phase y sample: density overflows")):
+            proc = self.run("estimate", path, *draw, "--estimators", "median,reg-xz")
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert json.loads(proc.stdout)["coefficients_error"] == error
+        proc = self.run("analyze", subnormal)
+        assert (proc.returncode, proc.stderr) == (
+            3, "error: zero density at median: variable y is degenerate\n")
 
 
 class TestSeedRange:

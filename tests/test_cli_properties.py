@@ -1,7 +1,8 @@
 """Property suite over the command line: small tie-heavy integer CSVs through
-``analyze``, ``allocate --csv --oracle`` and ``compare --csv``, and small
-``simulate`` configs.  Every run ends in a documented exit code (0, 2, 3 or
-4) with a message, never in an uncaught exception.
+``analyze``, ``allocate --csv --oracle`` and ``compare --csv``, small
+``simulate`` configs, and columns at the edges of the float range.  Every
+run ends in a documented exit code (0, 2, 3 or 4) with a message, never in
+an uncaught exception.
 
 The commands run in-process, so an uncaught exception fails the test with
 its traceback.  Sizes stay small (N <= 200, replicates <= 3) to keep the
@@ -11,8 +12,10 @@ suite fast.
 import contextlib
 import io
 import tempfile
+import warnings
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from dsmedian import cli
@@ -141,3 +144,38 @@ def test_simulate_exit_documented(config):
         (tmp / "sim.ini").write_text(text.replace("{csv}", str(tmp / "pop.csv")))
         assert_documented(["simulate", str(tmp / "sim.ini"),
                            "--out-json", str(tmp / "r.json"), "--out-csv", str(tmp / "r.csv")])
+
+
+# f_y**2 underflows to 0 at scale 1e300 and overflows at 1e-160; the other
+# columns' sds overflow at 1e300 and their squared deviations underflow at 1e-160
+SCALES = (1e-160, 1.0, 1e300)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(units=st.integers(20, 200), seed=st.integers(0, 2**32 - 1),
+       scales=st.tuples(*[st.sampled_from(SCALES)] * 3), sigma_y=st.sampled_from(SCALES))
+def test_extreme_scales_exit_documented(units, seed, scales, sigma_y):
+    """Correlated normal columns times 10**k, k in {-160, 0, 300}, through
+    analyze, compare --csv and a csv simulate, and a synthetic simulate with
+    sigma_y = 10**k: documented exits, and no numpy warning on the way."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=units)
+    cells = [scale * (w + rng.normal(size=units)) for scale in scales]
+    rows = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in zip(*cells))
+    design = f"[design]\nm = {units // 4}\nn = {units // 2}\n"
+    run_keys = "[run]\nreplicates = 2\nmaster_seed = 1\nestimators = median, reg-xz, f-linear\n"
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+        tmp = Path(tmp)
+        (tmp / "pop.csv").write_text("x,y,z\n" + rows)
+        (tmp / "csv.ini").write_text(f"[population]\nsource = csv\ncsv_path = {tmp / 'pop.csv'}"
+                                     f"\nunits = {units}\n{design}{run_keys}")
+        (tmp / "synthetic.ini").write_text(
+            f"[population]\nunits = {units}\nr_xy = 0.8\nr_yz = 0.6\nr_xz = 0.7\n"
+            f"sigma_y = {sigma_y!r}\n{design}{run_keys}")
+        outputs = ["--out-json", str(tmp / "r.json"), "--out-csv", str(tmp / "r.csv")]
+        plan = ["--c0", "500", *COSTS, "--units", str(units), "--csv", str(tmp / "pop.csv")]
+        for argv in (["analyze", str(tmp / "pop.csv")], ["compare", *plan],
+                     ["simulate", str(tmp / "csv.ini"), *outputs],
+                     ["simulate", str(tmp / "synthetic.ini"), *outputs]):
+            assert_documented(argv)

@@ -1,11 +1,15 @@
 """Population model, census summaries, and CSV ingestion."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import write_population_csv
 from dsmedian import population
-from dsmedian.core_stats import median
+from dsmedian.core_stats import kde_at, median, proportion_matrix, silverman_bandwidth
 from dsmedian.population import (
     Population,
     PopulationSummary,
@@ -95,6 +99,15 @@ class TestPopulationSummary:
         with pytest.raises(ValueError, match="zero density at median"):
             population_summary(Population(x=[1, 1, 1, 1], y=[1, 2, 3, 4], z=[1, 2, 3, 4]))
 
+    def test_overflowing_sum_is_degenerate_without_warnings(self):
+        # the sd of +-1e308 sums inf and -inf to nan: a degenerate y, silently
+        y = np.array([1e308] * 200 + [-1e308] * 200)
+        x = np.linspace(0.0, 1.0, 400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^zero density at median: variable y is"):
+                population_summary(Population(x=x, y=y, z=x[::-1]))
+
     def test_from_parameters_matrices(self):
         s = PopulationSummary.from_parameters(
             medians=(1, 2, 3), densities=(0.1, 0.2, 0.3), rhos=(0.5, -0.2, 0.0), N=100
@@ -103,6 +116,64 @@ class TestPopulationSummary:
         assert s.pm_yz.concordance == pytest.approx(-0.2, abs=1e-12)
         assert s.pm_xz.concordance == pytest.approx(0.0, abs=1e-12)
         assert s.pm_xy.rowA_low == pytest.approx(0.5, abs=1e-12)
+
+
+def oracle_summary(pop):
+    """The census summary through the validated public forms, or the name of
+    the variable they find degenerate (no finite positive bandwidth, or an
+    infinite density, which :class:`DensityEstimate` rejects)."""
+    meds = {"x": median(pop.x), "y": median(pop.y), "z": median(pop.z)}
+    cols = {"x": pop.x, "y": pop.y, "z": pop.z}
+    dens = {}
+    for name, values in cols.items():
+        try:
+            dens[name] = kde_at(values, meds[name], silverman_bandwidth(values)).value
+        except ValueError:
+            return name
+
+    def pm(a, b):
+        return proportion_matrix(np.column_stack((cols[a], cols[b])), meds[a], meds[b])
+
+    return PopulationSummary(*meds.values(), *dens.values(), pm_xy=pm("x", "y"),
+                             pm_xz=pm("x", "z"), pm_yz=pm("y", "z"), N=pop.N)
+
+
+def as_hex(value):
+    if isinstance(value, float):
+        return value.hex()
+    if dataclasses.is_dataclass(value):
+        return tuple(as_hex(v) for v in dataclasses.astuple(value))
+    return value
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(N=st.integers(4, 1500), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["normal", "lognormal", "ties", "signed-zero"]))
+@example(N=600, seed=1, kind="normal")
+@example(N=601, seed=1, kind="ties")
+@example(N=4, seed=0, kind="signed-zero")
+def test_summary_equals_public_forms(N, seed, kind):
+    """population_summary, bit for bit, is the public-form oracle: the
+    Silverman bandwidth, kde_at and proportion_matrix over column_stack."""
+    rng = np.random.default_rng(seed)
+    cols = rng.normal(size=(3, N))
+    cols[1] += cols[0]
+    if kind == "lognormal":
+        cols = np.exp(cols)
+    elif kind == "ties":
+        cols = np.round(2.0 * cols)
+    elif kind == "signed-zero":  # medians of -0.0 among zeros of both signs
+        cols = np.round(cols)
+        zeros = cols == 0.0
+        cols[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    pop = Population(*cols)
+    expected = oracle_summary(pop)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=f"variable {expected} is degenerate"):
+            population_summary(pop)
+        return
+    got = population_summary(pop)
+    assert as_hex(got) == as_hex(expected)  # hex tells -0.0 from 0.0
 
 
 def data_rows(n, end="\n", seed=5):

@@ -95,6 +95,24 @@ class TestVarianceComponents:
         with pytest.raises(ValueError):
             VarianceComponents(V0=1.0, V1=1.5, V2=0.0, V3=0.0)
 
+    @pytest.mark.parametrize("f_y", [4.16e-301, 1e-170, 1e154, 4.17e155, 4e159])
+    def test_v0_out_of_float_range(self, f_y):
+        # 4 f_y^2 underflows to 0 (f_y**2 == 0.0), overflows in the product
+        # (f_y = 1e154), or f_y**2 itself raises OverflowError
+        with pytest.raises(ValueError, match=r"^V0 = 1/\(4 f_y\^2\) is out of float range"):
+            VarianceComponents.scaled_v0(1.0, f_y)
+        summary = PopulationSummary.from_parameters((1.0, 1.0, 1.0), (1.0, f_y, 1.0),
+                                                    (0.5, 0.5, 0.5), N=100)
+        with pytest.raises(ValueError, match="out of float range"):
+            variance_components(summary)
+
+    def test_v0_finite_bits_unchanged(self):
+        # a subnormal 4 f_y^2 still divides to inf, which VarianceComponents rejects
+        for f_y in (1e-150, 3e-155, 0.37, 2.5, 1e150):
+            for theta in (1.0, SIZES.theta_mN, 1e-3):
+                expected = theta / (4.0 * f_y**2)
+                assert VarianceComponents.scaled_v0(theta, f_y).hex() == expected.hex()
+
 
 class TestSampleMedianVariance:
     def test_worked_value(self):
