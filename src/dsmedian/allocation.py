@@ -104,6 +104,7 @@ def _infeasible(strategy: str, note: str) -> AllocationResult:
 
 
 _NO_V3 = "V3 undefined: collinear auxiliaries (|rho_xz| = 1)"
+_OUT_OF_RANGE = "continuous optimum is out of float range"
 
 
 def _strategy_terms(strategy: str, comps: VarianceComponents, cost: CostModel):
@@ -128,6 +129,8 @@ def allocate_single(cost: CostModel, comps: VarianceComponents, N: int) -> Alloc
     m_real = cost.c0 / cost.c1
     if m_real < 1.0:
         return _infeasible("single", "budget below the cost of one observation")
+    if m_real == math.inf:
+        return _infeasible("single", _OUT_OF_RANGE)
     m_int = min(N, int(math.floor(m_real)))
     large_n = comps.V0 * cost.c1 / cost.c0
     return AllocationResult(
@@ -164,6 +167,8 @@ def _allocate_two_phase(
     m_real = cost.c0 * math.sqrt(a_coef / cost.c1) / denom
     n_real = cost.c0 * math.sqrt(b_coef / cn) / denom
     large_n = denom * denom / cost.c0
+    if not all(map(math.isfinite, (m_real, n_real, large_n))):
+        return _infeasible(strategy, _OUT_OF_RANGE)
     opt_var = large_n - k_coef / N
 
     notes = []
@@ -178,7 +183,8 @@ def _allocate_two_phase(
         notes.append(f"continuous optimum n={n_real:.3f} exceeds N={N}")
 
     m_int = max(2, int(round(m_real)))
-    n_int = min(N, int(math.floor((cost.c0 - cost.c1 * m_int) / cn)))
+    # the largest affordable n: the budget left after m_int, +-inf past the float range
+    n_int = math.floor(min(N, max((cost.c0 - cost.c1 * m_int) / cn, 0.0)))
     if n_int <= m_int:
         feasible = False
         notes.append("no integer n > m fits the budget at the rounded m")
@@ -237,10 +243,12 @@ def grid_search_allocation(
 
     For each affordable m, the strategy's variance is monotone in 1/n, so
     only the extreme feasible n (largest affordable or m+1) can win; both
-    are evaluated, which makes the scan exhaustive over the full grid.
+    are evaluated, which makes the scan exhaustive over the full grid.  An
+    m >= N leaves no n with m < n <= N, so m stops at N - 1; a grid that
+    still cannot be allocated raises ValueError.
     """
     if strategy == "single":
-        m_int = min(N, int(math.floor(cost.c0 / cost.c1)))
+        m_int = math.floor(min(N, cost.c0 / cost.c1))
         if m_int < 1:
             return _infeasible("single", "budget below the cost of one observation")
         var = comps.V0 * (1.0 / m_int - 1.0 / N)
@@ -259,11 +267,15 @@ def grid_search_allocation(
     if strategy == "F" and comps.V3 is None:
         return _infeasible("F", _NO_V3)
     a_coef, b_coef, k_coef, cn = _strategy_terms(strategy, comps, cost)
-    m_upper = int(math.floor((cost.c0 - cn) / (cost.c1 + cn)))
+    m_upper = math.floor(min(N - 1, (cost.c0 - cn) / (cost.c1 + cn)))
     if m_upper < 2:
         return _infeasible(strategy, "no feasible integer (m, n) with 2 <= m < n under the budget")
-    ms = np.arange(2, m_upper + 1, dtype=np.int64)
-    n_hi = np.minimum(N, np.floor((cost.c0 - cost.c1 * ms) / cn)).astype(np.int64)
+    try:
+        ms = np.arange(2, m_upper + 1, dtype=np.int64)
+    except (MemoryError, ValueError):  # numpy: too large to allocate, or to index
+        raise ValueError(f"the grid of m = 2..{m_upper} does not fit in memory") from None
+    with np.errstate(over="ignore"):  # a tiny cn: every n up to N is affordable
+        n_hi = np.minimum(N, np.floor((cost.c0 - cost.c1 * ms) / cn))  # floats: N may pass int64
     valid = n_hi > ms
     if not np.any(valid):
         return _infeasible(strategy, "no feasible integer (m, n) with 2 <= m < n under the budget")

@@ -283,7 +283,10 @@ def _cmd_allocate(args) -> int:
     oracle_ok = True
     if args.oracle:
         for s, res in results.items():
-            grid = grid_search_allocation(cost, comps, args.units, s)
+            try:
+                grid = grid_search_allocation(cost, comps, args.units, s)
+            except ValueError as exc:  # a grid too large to allocate
+                raise _InputError(str(exc)) from None
             oracle_results[s] = dataclasses.asdict(grid)
             if res.feasible != grid.feasible:
                 oracle_ok = False

@@ -124,16 +124,6 @@ class ProportionMatrix:
             raise ValueError(f"proportions sum to {sum(entries)!r}, expected 1")
 
     @property
-    def rowA_low(self) -> float:
-        """Marginal proportion with A at or below its threshold."""
-        return self.p11 + self.p21
-
-    @property
-    def colB_low(self) -> float:
-        """Marginal proportion with B at or below its threshold."""
-        return self.p11 + self.p12
-
-    @property
     def concordance(self) -> float:
         """4*p11 - 1, in [-1, 1] for continuous data split at the medians."""
         return 4.0 * self.p11 - 1.0

@@ -145,10 +145,6 @@ class SampleView:
     def m(self) -> int:
         return self.y_m.size
 
-    @property
-    def n(self) -> int:
-        return self.x_n.size
-
     @classmethod
     def from_population(cls, pop: Population, sample: TwoPhaseSample) -> "SampleView":
         """Materialise the view for a drawn sample; the known medians are

@@ -40,6 +40,7 @@ from .estimators import (
     true_coefficients,
 )
 from .population import Population, PopulationSummary, load_population_csv, population_summary
+from .population import _TOO_FEW_UNITS
 from .sampling import SeedSpec, draw_two_phase
 from .variance_theory import (
     DesignSizes,
@@ -97,7 +98,8 @@ class PopulationInputError(ValueError):
 @dataclass(frozen=True)
 class MarginalSpec:
     """One marginal of the generator: normal(mu, sigma) or lognormal with
-    log-scale parameters (mu, sigma)."""
+    log-scale parameters (mu, sigma), whose median exp(mu) must be a
+    positive finite float."""
 
     kind: str
     mu: float
@@ -108,6 +110,12 @@ class MarginalSpec:
             raise ValueError(f"marginal kind must be one of {_MARGINAL_KINDS}, got {self.kind!r}")
         if not (math.isfinite(self.mu) and math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError("marginal needs finite mu and sigma > 0")
+        try:
+            in_range = self.kind == "normal" or math.exp(self.mu) > 0.0
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            raise ValueError(f"lognormal median exp(mu) is out of float range at mu = {self.mu!r}")
 
     @property
     def true_median(self) -> float:
@@ -190,18 +198,20 @@ def generate_population(spec: GeneratorSpec, N: int, seed: SeedSpec) -> Populati
     """N i.i.d. trivariate draws: correlated standard normals through the
     Cholesky factor, applied in place over near-equal column blocks (never
     one column wide, which numpy multiplies on another path), then
-    transformed in place; the population adopts the rows.  An N whose
-    (3, N) array cannot be allocated raises :class:`PopulationInputError`."""
+    transformed in place; the population adopts the rows.  An N below
+    :class:`Population`'s minimum, checked before the draw, or whose (3, N)
+    array cannot be allocated raises :class:`PopulationInputError`."""
     if N < 4:
-        raise ValueError("population size must be at least 4")
+        raise PopulationInputError(_TOO_FEW_UNITS)
     try:
         values = seed.generator().standard_normal((3, N))
     except (MemoryError, ValueError):  # numpy: too large to allocate, or to index
         raise PopulationInputError(f"units = {N}: the population does not fit in memory") from None
     for block in np.array_split(values, -(-N // _CHOLESKY_BLOCK), axis=1):
         block[...] = np.matmul(spec.cholesky(), block)
-    for marginal, row in zip((spec.marginal_x, spec.marginal_y, spec.marginal_z), values):
-        marginal.transform(row)
+    with np.errstate(over="ignore"):  # an inf the population's finite check reports
+        for marginal, row in zip((spec.marginal_x, spec.marginal_y, spec.marginal_z), values):
+            marginal.transform(row)
     return Population(*values, _adopt=True)
 
 
@@ -222,8 +232,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         if (self.generator is None) == (self.csv_path is None):
             raise ValueError("exactly one population source required: generator or csv_path")
-        if not 2 <= self.m < self.n <= self.N:
-            raise ValueError(f"require 2 <= m < n <= N, got m={self.m}, n={self.n}, N={self.N}")
+        DesignSizes(self.m, self.n, self.N)
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if not self.estimators:
@@ -235,10 +244,12 @@ class SimConfig:
         SeedSpec(self.master_seed)  # the seed range of every draw: [0, 2**64)
 
     def canonical_dict(self) -> dict:
-        gen = None
-        if self.generator is not None:
-            g = self.generator
-            gen = {
+        """The fields in order, with the estimators as a list and the
+        generator as its correlations and [kind, mu, sigma] marginals."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["estimators"] = list(self.estimators)
+        if (g := self.generator) is not None:
+            out["generator"] = {
                 "r_xy": g.r_xy,
                 "r_yz": g.r_yz,
                 "r_xz": g.r_xz,
@@ -247,16 +258,7 @@ class SimConfig:
                     for mg in (g.marginal_x, g.marginal_y, g.marginal_z)
                 ],
             }
-        return {
-            "m": self.m,
-            "n": self.n,
-            "N": self.N,
-            "replicates": self.replicates,
-            "master_seed": self.master_seed,
-            "estimators": list(self.estimators),
-            "generator": gen,
-            "csv_path": self.csv_path,
-        }
+        return out
 
     def digest(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True).encode()

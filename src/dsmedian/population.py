@@ -24,6 +24,8 @@ __all__ = ["Population", "PopulationSummary", "population_summary", "load_popula
 
 CSV_COLUMNS = ("x", "y", "z")
 
+_TOO_FEW_UNITS = "population needs at least 4 units for two-phase sampling"
+
 
 def _frozen_array(values, name: str, adopt: bool) -> np.ndarray:
     arr = np.array(values, dtype=float, copy=not adopt).ravel()
@@ -49,7 +51,7 @@ class Population:
         if not (self.x.size == self.y.size == self.z.size):
             raise ValueError("x, y, z must have equal length")
         if self.x.size < 4:
-            raise ValueError("population needs at least 4 units for two-phase sampling")
+            raise ValueError(_TOO_FEW_UNITS)
 
     @property
     def N(self) -> int:
@@ -89,8 +91,6 @@ class PopulationSummary:
             d = getattr(self, name)
             if not (math.isfinite(d) and d > 0.0):
                 raise ValueError(f"zero density at median: {name}={d!r}")
-        if self.N < 4:
-            raise ValueError("summary requires N >= 4")
 
     @property
     def concordances(self) -> tuple[float, float, float]:
@@ -175,7 +175,7 @@ def load_population_csv(path) -> Population:
         table = _loadtxt_table(fh, _data_records(path))
     if table is None:
         return _load_reference(path)
-    return _population(table.T)
+    return Population(*table.T)
 
 
 def _read_header(reader) -> None:
@@ -260,10 +260,4 @@ def _load_reference(path) -> Population:
                         f"line {lineno}: column {CSV_COLUMNS[j]} is not a finite number: {cell!r}"
                     )
                 cols[j].append(value)
-    return _population(cols)
-
-
-def _population(cols) -> Population:
-    if len(cols[0]) < 4:
-        raise ValueError("population needs at least 4 data rows")
-    return Population(x=cols[0], y=cols[1], z=cols[2])
+    return Population(*cols)

@@ -118,14 +118,16 @@ class VarianceComponents:
     @staticmethod
     def scaled_v0(theta: float, density_y: float) -> float:
         """theta * V0, as theta / (4 f_y^2); theta = 1 gives V0 itself.  An
-        f_y whose 4 f_y^2 overflows or underflows to 0 raises ValueError."""
+        f_y whose 4 f_y^2 overflows or underflows to 0, or whose quotient
+        overflows (a subnormal 4 f_y^2), raises ValueError."""
         try:
             scale = 4.0 * density_y**2
-        except OverflowError:
-            scale = math.inf
-        if not 0.0 < scale < math.inf:
+            scaled = theta / scale
+        except (OverflowError, ZeroDivisionError):
+            scale = scaled = math.inf
+        if not (scale < math.inf and math.isfinite(scaled)):
             raise ValueError(f"V0 = 1/(4 f_y^2) is out of float range at f_y = {density_y!r}")
-        return theta / scale
+        return scaled
 
     @classmethod
     def from_concordances(

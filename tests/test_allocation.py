@@ -1,5 +1,7 @@
 """Cost-optimal allocation: worked examples, oracle agreement, verdicts."""
 
+import warnings
+
 import pytest
 
 from conftest import realizable_concordances
@@ -20,6 +22,7 @@ COMPS = VarianceComponents(V0=1.0, V1=0.64, V2=0.36, V3=0.0)
 COMPS_F = VarianceComponents(V0=1.0, V1=0.5, V2=0.25, V3=0.05)
 COST_H = CostModel(c0=100.0, c1=4.0, c2=1.0, c3=0.5)
 COST_G = CostModel(c0=100.0, c1=4.0, c2=0.7, c3=0.3)  # c2 + c3 = 1
+TINY_CN = CostModel(c0=1e10, c1=9e8, c2=9e-309, c3=1e-309)  # c0 / (c2 + c3) overflows
 
 
 def random_components(rng):
@@ -180,6 +183,60 @@ class TestGridSearch:
     def test_infeasible_budget(self):
         g = grid_search_allocation(CostModel(5.0, 4.0, 0.7, 0.3), COMPS, BIG_N, "g")
         assert not g.feasible
+
+    def test_m_stops_below_N(self):
+        # every m >= N leaves no n in (m, N]: a budget of 1e308 scans m = 2..N-1
+        cost = CostModel(1e308, 1e6, 300.0, 3.0)
+        for strategy in ("H", "g", "F"):
+            g = grid_search_allocation(cost, COMPS_F, 150, strategy)
+            assert g.feasible and g.m_int < g.n_int == 150
+        assert grid_search_allocation(cost, COMPS_F, 2, "H").note.startswith("no feasible")
+
+    def test_grid_beyond_memory(self):
+        with pytest.raises(ValueError, match="does not fit in memory"):
+            grid_search_allocation(CostModel(1e308, 4.0, 0.7, 0.3), COMPS, 2**64, "H")
+
+    def test_tiny_first_phase_cost_without_warnings(self):
+        # (c0 - c1 m) / cn overflows: every n up to N is affordable
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = grid_search_allocation(TINY_CN, COMPS, 50, "g")
+        assert (g.m_int, g.n_int) == (11, 50)
+
+    def test_units_past_int64(self):
+        # N = 2**64 and an n of 1e19 are no int64: the grid keeps n as floats
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = grid_search_allocation(CostModel(1e20, 1e19, 1.0, 0.5), COMPS, 2**64, "H")
+        assert (g.m_int, g.n_int) == (9, 10**19)
+
+    def test_single_past_float_range(self):
+        g = grid_search_allocation(CostModel(1e308, 1e-300, 1e-301, 1e-302), COMPS, 9, "single")
+        assert g.m_int == 9
+
+
+class TestFloatRange:
+    """Budgets whose continuous optimum or leftover budget leaves the floats."""
+
+    COST = CostModel(c0=1e308, c1=1e-300, c2=1e-301, c3=1e-302)
+
+    def test_infinite_optimum_infeasible(self):
+        for strategy in ("single", "H", "g", "F"):
+            r = allocate(strategy, self.COST, COMPS_F, 100)
+            assert not r.feasible
+            assert r.note == "continuous optimum is out of float range"
+
+    def test_overflowing_second_phase_cost(self):
+        # c1 * m_int overflows, so no n fits the budget at the rounded m
+        comps = VarianceComponents(V0=1e-3, V1=5e-4, V2=1e-4, V3=0.0)
+        r = allocate_H(CostModel(1e308, 1e308, 300.0, 2.5), comps, 5)
+        assert not r.feasible and r.m_int is None and r.n_int is None
+        assert r.note.endswith("no integer n > m fits the budget at the rounded m")
+
+    def test_overflowing_first_phase_budget(self):
+        # (c0 - c1 m_int) / cn overflows while n_real stays finite: n is capped at N
+        r = allocate_g(TINY_CN, COMPS, 50)
+        assert r.feasible and (r.m_int, r.n_int) == (11, 50)
 
 
 class TestMonotonicity:

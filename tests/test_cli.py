@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -94,7 +95,9 @@ class TestAnalyze:
         for argv in (["analyze", path], ["simulate", ini, "--out-json", str(tmp_path / "r.json"),
                                          "--out-csv", str(tmp_path / "r.csv")]):
             assert cli.main(argv) == 3
-            assert capsys.readouterr().err == "error: V0 must be positive, got inf\n"
+            assert capsys.readouterr().err == (
+                "error: V0 = 1/(4 f_y^2) is out of float range at f_y = 3.102080841558174e-155\n"
+            )
 
     def test_out_file(self, pop_csv, tmp_path, capsys):
         out_path = tmp_path / "summary.json"
@@ -404,6 +407,41 @@ class TestSimulate:
             cli.main(["simulate", str(ini), "--threads", threads])
         assert seen == [int(threads)]
 
+    def test_too_few_units_exit_2_from_either_source(self, tmp_path, capsys):
+        three = tmp_path / "three.csv"
+        three.write_text("x,y,z\n1,2,3\n2,3,1\n3,1,2\n")
+        synthetic = tmp_path / "sim.ini"
+        synthetic.write_text(SIM_INI)
+        outputs = ["--out-json", str(tmp_path / "x.json"), "--out-csv", str(tmp_path / "x.csv")]
+        for argv in (["simulate", str(synthetic), "--units", "3", "--m", "2", "--n", "3", *outputs],
+                     ["simulate", self._csv_config(tmp_path, three, 3, m=2, n=3), *outputs],
+                     ["analyze", str(three)]):
+            assert cli.main(argv) == 2, argv
+            assert capsys.readouterr().err == (
+                "error: population needs at least 4 units for two-phase sampling\n"
+            )
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("keys, code, message", [
+        ("marginal_x = lognormal\nmu_x = -800", 2,
+         "lognormal median exp(mu) is out of float range at mu = -800.0"),
+        ("marginal_x = lognormal\nmu_x = 800", 2,
+         "lognormal median exp(mu) is out of float range at mu = 800.0"),
+        ("sigma_y = 1e308", 3, "population variable y contains non-finite values"),
+    ])
+    def test_extreme_marginals_exit_documented(self, tmp_path, capsys, keys, code, message):
+        ini = tmp_path / "sim.ini"
+        ini.write_text(
+            f"[population]\nunits = 200\nr_xy = 0.8\nr_yz = 0.6\nr_xz = 0.7\n{keys}\n"
+            "[design]\nm = 20\nn = 60\n"
+            "[run]\nreplicates = 2\nmaster_seed = 1\nestimators = median, reg-xz\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+            assert cli.main(["simulate", str(ini), "--out-json", str(tmp_path / "x.json"),
+                             "--out-csv", str(tmp_path / "x.csv")]) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_help_states_threads_range(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["simulate", "--help"])
@@ -460,6 +498,48 @@ class TestAllocate:
         code = cli.main(["allocate", *self.ARGS, "--strategy", "H", "--oracle"])
         capsys.readouterr()
         assert code == 4
+
+    # budgets and costs at the edges of the float range: the continuous
+    # optimum, the budget left after m_int or the oracle's grid leaves it
+    @pytest.mark.parametrize("argv, code, notes", [
+        (["--c0", "1e308", "--c1", "1e-300", "--c2", "1e-301", "--c3", "1e-302",
+          "--units", "100", "--v0", "1", "--v1", "0.5", "--v2", "0.2"], 3,
+         {"single": "continuous optimum is out of float range"}),
+        (["--c0", "1e308", "--c1", "1e308", "--c2", "300", "--c3", "2.5", "--units", "5",
+          "--v0", "1e-3", "--v1", "5e-4", "--v2", "1e-4"], 0,
+         {"H": "no integer n > m fits the budget at the rounded m"}),
+        (["--c0", "1e308", "--c1", "1e6", "--c2", "300", "--c3", "3", "--units", "150",
+          "--v0", "1", "--v1", "0.5", "--v2", "0.2", "--oracle"], 4, {}),
+        (["--c0", "18446744073709551615", "--c1", "1e6", "--c2", "3", "--c3", "2",
+          "--units", "3", "--v0", "1e3", "--v1", "150", "--v2", "100", "--v3", "299",
+          "--oracle"], 4, {}),
+    ])
+    def test_extreme_costs_exit_documented(self, capsys, argv, code, notes):
+        assert cli.main(["allocate", *argv]) == code
+        captured = capsys.readouterr()
+        allocations = json.loads(captured.out)["allocations"]
+        for strategy, note in notes.items():
+            assert not allocations[strategy]["feasible"]
+            assert note in allocations[strategy]["note"]
+        assert captured.err == (
+            "error: grid-search oracle disagrees with the closed form\n" if code == 4 else "")
+
+    def test_compare_extreme_costs(self, pop_csv, capsys):
+        code, out = run_cli(capsys, "compare", "--c0", "1e308", "--c1", "1e308", "--c2", "300",
+                            "--c3", "2.5", "--units", "5", "--csv", pop_csv)
+        assert code == 0
+        for strategy in ("H", "g", "F"):
+            assert not json.loads(out)["allocations"][strategy]["feasible"]
+
+    def test_oracle_grid_beyond_memory_exit_2(self, capsys):
+        # m <= N - 1 = 2**64 - 1: numpy rejects the size before it allocates
+        code = cli.main(["allocate", "--c0", "1e308", "--c1", "4", "--c2", "0.7", "--c3", "0.3",
+                         "--units", str(2**64), "--v0", "1", "--v1", "0.5", "--v2", "0.2",
+                         "--strategy", "H", "--oracle"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: the grid of m = 2..{2**64 - 1} does not fit in memory\n"
+        )
 
     def test_infeasible_budget_exit_3(self, capsys):
         code = cli.main(["allocate", "--c0", "2", "--c1", "4", "--c2", "1", "--c3", "0.5",

@@ -11,6 +11,7 @@ suite fast.
 
 import contextlib
 import io
+import json
 import tempfile
 import warnings
 from pathlib import Path
@@ -179,3 +180,96 @@ def test_extreme_scales_exit_documented(units, seed, scales, sigma_y):
                      ["simulate", str(tmp / "csv.ini"), *outputs],
                      ["simulate", str(tmp / "synthetic.ini"), *outputs]):
             assert_documented(argv)
+
+
+# edge pools of the argv property: integers, floats, and the synthetic
+# marginals whose draws overflow or whose median leaves the floats; each
+# flag draws from its pool, and every other flag keeps its valid value
+INTS = ("0", "1", "3", "-1", str(2**64))
+FLOATS = ("nan", "inf", "-inf", "5e-324", "1e308")
+MARGINALS = ("", "marginal_x = lognormal\nmu_x = -800\n",
+             "marginal_x = lognormal\nmu_x = 800\n", "sigma_y = 1e308\n")
+POOLS = {flag: INTS for flag in ("--m", "--n", "--seed", "--units", "--replicates", "--threads")}
+POOLS.update({flag: FLOATS + INTS for flag in ("--c0", "--c1", "--c2", "--c3", "--v0", "--v1",
+                                                "--v2", "--v3")})
+
+
+@st.composite
+def edge_command_lines(draw) -> tuple[list[str], dict[str, str], bool]:
+    """A valid command line with up to two flags set from their edge pools,
+    with ``{tmp}`` for the example's directory; the files it reads (name ->
+    text); and whether the population it names has fewer than 4 units."""
+    cmd = draw(st.sampled_from(["analyze", "estimate", "simulate", "allocate", "compare"]))
+    csv = draw(st.sampled_from(["valid", "valid", "three", "missing"]))
+    path = f"{{tmp}}/{csv}.csv"
+    files, args, flags = {}, [path], {}
+    small = csv == "three"  # the population CSV has 3 rows
+    if cmd == "estimate":
+        flags = {"--m": "10", "--n": "30", "--seed": None}
+    elif cmd == "simulate":
+        flags = dict.fromkeys(("--m", "--n", "--units", "--replicates", "--seed", "--threads"))
+        if draw(st.booleans()):
+            units = draw(st.integers(1, 8))
+            population = (f"units = {units}\nr_xy = 0.8\nr_yz = 0.6\nr_xz = 0.5\n"
+                          + draw(st.sampled_from(MARGINALS)))
+            design = f"m = 2\nn = {draw(st.integers(3, max(3, units)))}\n"
+            small = False
+        else:
+            units = 3 if csv == "three" else 40
+            population = f"source = csv\ncsv_path = {path}\nunits = {units}\n"
+            design = "m = 2\nn = 3\n" if units == 3 else "m = 10\nn = 30\n"
+        files["sim.ini"] = (f"[population]\n{population}[design]\n{design}[run]\nreplicates = 2\n"
+                            "master_seed = 1\nestimators = median, reg-xz, f-linear, g7\n")
+        args = ["{tmp}/sim.ini", "--out-json", "{tmp}/r.json", "--out-csv", "{tmp}/r.csv"]
+    elif cmd in ("allocate", "compare"):
+        flags = {"--c0": "1000", "--c1": "4", "--c2": "0.7", "--c3": "0.3", "--units": "40"}
+        if draw(st.booleans()):
+            args = ["--csv", path]
+        else:
+            args, small = [], False
+            flags.update({"--v0": "1", "--v1": "0.5", "--v2": "0.2", "--v3": None})
+        if cmd == "allocate" and draw(st.booleans()):
+            args.append("--oracle")
+    if flags:
+        edges = st.sampled_from(sorted(flags)).flatmap(
+            lambda flag: st.tuples(st.just(flag), st.sampled_from(POOLS[flag])))
+        flags.update(draw(st.lists(edges, max_size=2)))
+    if cmd == "simulate":
+        small = small or int(flags["--units"] or units) < 4
+    argv = [cmd, *args, *(tok for flag, v in flags.items() if v is not None for tok in (flag, v))]
+    return argv, files, small
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(command=edge_command_lines())
+def test_edge_argv_exit_documented(command):
+    """Every subcommand over edge values of its flags and inputs: a documented
+    exit, no numpy or other warning, an ``error:`` line on exits 2 and 3 (an
+    all-infeasible allocate reports in stdout instead), and exit 2 for a
+    population below 4 units from either source."""
+    argv, files, small = command
+    rng = np.random.default_rng(3)
+    w = rng.normal(size=40)
+    with tempfile.TemporaryDirectory() as tmp:
+        valid = zip(w + rng.normal(size=40), 2 * w, w - rng.normal(size=40))
+        (Path(tmp) / "valid.csv").write_text(csv_text(list(valid)))
+        (Path(tmp) / "three.csv").write_text(csv_text([(1, 2, 3), (2, 3, 1), (3, 1, 2)]))
+        for name, text in files.items():
+            (Path(tmp) / name).write_text(text.replace("{tmp}", tmp))
+        argv = [arg.replace("{tmp}", tmp) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+        err = err.getvalue()
+    assert code in EXIT_CODES, (argv, code, err)
+    if code in (2, 3) and "error: " not in err:
+        assert argv[0] == "allocate" and code == 3, (argv, code, err)
+        allocations = json.loads(out.getvalue())["allocations"].values()
+        assert all(not a["feasible"] and a["note"] for a in allocations), argv
+    if small:
+        assert code == 2, (argv, code, err)

@@ -156,8 +156,8 @@ class TestProportionMatrix:
             k = int(rng.integers(4, 60))
             pairs = rng.normal(size=(k, 2))
             pm = proportion_matrix(pairs, median(pairs[:, 0]), median(pairs[:, 1]))
-            assert abs(pm.rowA_low - 0.5) <= 1.0 / k + 1e-12
-            assert abs(pm.colB_low - 0.5) <= 1.0 / k + 1e-12
+            assert abs(pm.p11 + pm.p21 - 0.5) <= 1.0 / k + 1e-12
+            assert abs(pm.p11 + pm.p12 - 0.5) <= 1.0 / k + 1e-12
 
     def test_errors(self):
         with pytest.raises(ValueError, match="empty sample"):

@@ -27,6 +27,7 @@ from dsmedian.montecarlo import (
     TRUE_VARIANT_IDS,
     GeneratorSpec,
     MarginalSpec,
+    PopulationInputError,
     SimConfig,
     generate_population,
     load_sim_config,
@@ -64,6 +65,15 @@ class TestMarginalSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="marginal kind"):
             MarginalSpec("cauchy", 0.0, 1.0)
+
+    def test_lognormal_median_float_range(self):
+        # exp(mu) underflows to 0 or overflows: no median, no density at it
+        for mu in (-800.0, -746.0, 710.0, 800.0):
+            with pytest.raises(ValueError, match=r"^lognormal median exp\(mu\) is out of float"):
+                MarginalSpec("lognormal", mu, 1.0)
+            assert MarginalSpec("normal", mu, 1.0).true_median == mu
+        for mu in (-745.0, 709.0):
+            assert 0.0 < MarginalSpec("lognormal", mu, 1.0).true_median < math.inf
 
 
 class TestGeneratorSpec:
@@ -117,6 +127,25 @@ class TestGeneratePopulation:
         band = 3 * math.sqrt(p_true * (1 - p_true) / 20_000)
         assert abs(s.pm_xy.p11 - p_true) <= band
         assert s.pm_xy.p11 > 0.47
+
+    @pytest.mark.parametrize("N", [-1, 0, 3])
+    def test_too_few_units_is_input_error(self, N):
+        # Population's minimum and message, checked before the (3, N) draw
+        with pytest.raises(ValueError) as owner:
+            Population(x=[1.0, 2.0, 3.0], y=[1.0, 2.0, 3.0], z=[1.0, 2.0, 3.0])
+        with pytest.raises(PopulationInputError) as exc:
+            generate_population(GEN, N, SeedSpec(3, POPULATION_STREAM))
+        assert str(exc.value) == str(owner.value)
+
+    @pytest.mark.parametrize("marginal", [MarginalSpec("normal", 0.0, 1e308),
+                                          MarginalSpec("lognormal", 709.0, 3.0)])
+    def test_overflow_reaches_finite_check_silently(self, marginal):
+        gen = GeneratorSpec(r_xy=0.5, r_yz=0.3, r_xz=0.4,
+                            marginal_x=NORMAL, marginal_y=marginal, marginal_z=NORMAL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^population variable y contains non-finite"):
+                generate_population(gen, 200, SeedSpec(7, POPULATION_STREAM))
 
     def test_lognormal_stays_positive(self):
         ln = MarginalSpec("lognormal", 0.0, 0.8)

@@ -93,7 +93,7 @@ class TestPopulationSummary:
     def test_marginals_near_half(self, rng):
         pop = small_population(rng, N=501)
         s = population_summary(pop)
-        assert abs(s.pm_xy.rowA_low - 0.5) <= 1.0 / pop.N
+        assert abs(s.pm_xy.p11 + s.pm_xy.p21 - 0.5) <= 1.0 / pop.N
 
     def test_degenerate_variable(self):
         with pytest.raises(ValueError, match="zero density at median"):
@@ -115,7 +115,7 @@ class TestPopulationSummary:
         assert s.pm_xy.concordance == pytest.approx(0.5, abs=1e-12)
         assert s.pm_yz.concordance == pytest.approx(-0.2, abs=1e-12)
         assert s.pm_xz.concordance == pytest.approx(0.0, abs=1e-12)
-        assert s.pm_xy.rowA_low == pytest.approx(0.5, abs=1e-12)
+        assert s.pm_xy.p11 + s.pm_xy.p21 == pytest.approx(0.5, abs=1e-12)
 
 
 def oracle_summary(pop):
