@@ -259,6 +259,10 @@ def _cost_from_args(args) -> CostModel:
         raise _InputError(str(exc)) from None
     if args.units < 1:
         raise _InputError(f"--units must be at least 1, got {args.units}")
+    try:
+        float(args.units)
+    except OverflowError:
+        raise _InputError("--units is out of float range") from None
     return cost
 
 

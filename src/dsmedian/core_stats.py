@@ -57,8 +57,27 @@ def _quantile_index(k: int, p: float) -> int:
     return idx
 
 
-def _quantile_sorted(sorted_vals: np.ndarray, p: float) -> float:
-    return float(sorted_vals[_quantile_index(sorted_vals.size, p)])
+def _rows(value, kind=float):
+    """A last-axis kernel's result: an array of row values, or one ``kind``
+    for a 1-D sample."""
+    return value if getattr(value, "ndim", 0) else kind(value)
+
+
+def _col(value):
+    """One value per sample (an array, or a float for a 1-D sample) set
+    against the last axis of the samples."""
+    return value[..., None] if getattr(value, "ndim", 0) else value
+
+
+def _where(cond, a, b):
+    """``np.where`` on row values, a plain choice on the scalars of a 1-D
+    sample."""
+    return np.where(cond, a, b) if getattr(cond, "ndim", 0) else (a if cond else b)
+
+
+def _quantile_sorted(sorted_vals: np.ndarray, p: float):
+    """Quantile along the last axis of sorted samples."""
+    return _rows(sorted_vals[..., _quantile_index(sorted_vals.shape[-1], p)])
 
 
 def empirical_quantile(values, p: float) -> float:
@@ -84,15 +103,17 @@ def empirical_quantile(values, p: float) -> float:
     return _quantile_selected(arr, p)
 
 
-def _quantile_selected(arr: np.ndarray, p: float) -> float:
-    """Quantile of a validated sample by selection, with the bits of the sort."""
-    idx = _quantile_index(arr.size, p)
-    value = np.partition(arr, idx)[idx]
-    if value == 0.0:
+def _quantile_selected(arr: np.ndarray, p: float):
+    """Quantile along the last axis of validated samples by selection, with
+    the bits of the sort."""
+    idx = _quantile_index(arr.shape[-1], p)
+    value = _rows(np.partition(arr, idx)[..., idx])
+    zero = value == 0.0
+    if np.count_nonzero(zero):
         # -0.0 == 0.0, so among tied zeros selection and sorting may pick
-        # different signs; the sort decides which zero is the quantile
-        value = np.sort(arr)[idx]
-    return float(value)
+        # different signs; the sort of each sample in its own order decides
+        value = _where(zero, _rows(np.sort(arr)[..., idx]), value)
+    return value
 
 
 def median(values) -> float:
@@ -151,13 +172,14 @@ def proportion_matrix(pairs, threshold_a: float, threshold_b: float) -> Proporti
     return ProportionMatrix(p11=c11 / k, p12=c12 / k, p21=c21 / k, p22=c22 / k)
 
 
-def _quadrant_counts(a_low: np.ndarray, b_low: np.ndarray) -> tuple[int, int, int, int]:
-    """(c11, c12, c21, c22) of two equal-length boolean low masks, in the
-    orientation of :class:`ProportionMatrix`."""
-    c11 = int(np.count_nonzero(a_low & b_low))
-    c12 = int(np.count_nonzero(b_low)) - c11
-    c21 = int(np.count_nonzero(a_low)) - c11
-    return c11, c12, c21, a_low.size - c11 - c12 - c21
+def _quadrant_counts(a_low: np.ndarray, b_low: np.ndarray) -> tuple:
+    """(c11, c12, c21, c22) along the last axis of two equal-shape boolean
+    low masks, in the orientation of :class:`ProportionMatrix`: ints for
+    1-D masks, else arrays of counts."""
+    axis = -1 if a_low.ndim > 1 else None
+    c11, b, a = (_rows(np.count_nonzero(v, axis=axis), int) for v in (a_low & b_low, b_low, a_low))
+    c12, c21 = b - c11, a - c11
+    return c11, c12, c21, a_low.shape[-1] - c11 - c12 - c21
 
 
 def silverman_bandwidth(values) -> float:
@@ -172,35 +194,37 @@ def silverman_bandwidth(values) -> float:
     this returns can be passed to :func:`kde_at`.
     """
     arr = _as_finite_1d(values)
-    return _silverman_bandwidth(arr, np.sort(arr))
+    if arr.size < 2:
+        raise ValueError("bandwidth needs at least 2 values")
+    h = _silverman_bandwidth(arr, np.sort(arr))
+    if not (0.0 < h < math.inf):
+        why = "all values identical" if _sd(arr) == 0.0 else f"h = {h!r}"
+        raise ValueError(f"degenerate sample for bandwidth: {why}")
+    return h
 
 
-def _silverman_bandwidth(arr: np.ndarray, sorted_vals: np.ndarray) -> float:
-    """Silverman bandwidth of a validated sample given its sorted copy.
+def _silverman_bandwidth(arr: np.ndarray, sorted_vals: np.ndarray):
+    """Silverman bandwidth along the last axis of validated samples of at
+    least 2 values, given their sorted copies; not finite and positive
+    where the sample is degenerate.
 
     The sd is taken over ``arr`` in its own order, because the summation
     order decides the last bits of the result.
     """
-    k = arr.size
-    if k < 2:
-        raise ValueError("bandwidth needs at least 2 values")
     sd = _sd(arr)
-    if sd == 0.0:
-        raise ValueError("degenerate sample for bandwidth: all values identical")
     iqr = _quantile_sorted(sorted_vals, 0.75) - _quantile_sorted(sorted_vals, 0.25)
-    scale = min(sd, iqr / 1.34) if iqr > 0.0 else sd
-    h = 0.9 * scale * k ** (-0.2)
-    if not (0.0 < h < math.inf):
-        raise ValueError(f"degenerate sample for bandwidth: h = {h!r}")
-    return h
+    q = iqr / 1.34
+    scale = _where(iqr > 0.0, _where(q < sd, q, sd), sd)  # min(sd, q), ties and NaN included
+    return 0.9 * scale * arr.shape[-1] ** (-0.2)
 
 
-def _sd(arr: np.ndarray) -> float:
-    """The bits of ``np.std(arr, ddof=1)`` for a validated 1-D float sample
-    of at least 2 values, without numpy's wrapper: the same pairwise sums
-    of the values and of the squared deviations from their mean."""
-    d = arr - np.add.reduce(arr) / arr.size
-    return math.sqrt(np.add.reduce(np.square(d, out=d)) / (arr.size - 1))
+def _sd(arr: np.ndarray):
+    """The bits of ``np.std(arr, ddof=1, axis=-1)`` for validated samples of
+    at least 2 values, without numpy's wrapper: the same pairwise sums of
+    the values and of the squared deviations from their mean."""
+    k = arr.shape[-1]
+    d = arr - _col(np.add.reduce(arr, axis=-1) / k)
+    return _rows(np.sqrt(np.add.reduce(np.square(d, out=d), axis=-1) / (k - 1)))
 
 
 @dataclass(frozen=True)
@@ -229,43 +253,48 @@ def kde_at(values, point: float, bandwidth: float) -> DensityEstimate:
         raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
     if not math.isfinite(point):
         raise ValueError("evaluation point must be finite")
-    return DensityEstimate(value=_kde(arr, point, bandwidth), bandwidth=bandwidth)
+    with np.errstate(over="ignore"):  # a subnormal bandwidth can overflow it: refused below
+        value = _kde(arr, point, bandwidth)
+    return DensityEstimate(value=value, bandwidth=bandwidth)
 
 
-def _kde(arr: np.ndarray, point: float, bandwidth: float) -> float:
-    """The Gaussian KDE of :func:`kde_at` over a validated sample, at a
-    finite point with a finite, positive bandwidth.  A subnormal bandwidth
-    can overflow the value to inf."""
-    u = (point - arr) / bandwidth
-    return float(np.exp(-0.5 * u * u).sum()) / (arr.size * bandwidth * _SQRT_2PI)
+def _kde(arr: np.ndarray, point, bandwidth):
+    """The Gaussian KDE of :func:`kde_at` along the last axis of validated
+    samples, at one finite point with one finite, positive bandwidth per
+    sample.  A subnormal bandwidth can overflow the value to inf."""
+    u = (_col(point) - arr) / _col(bandwidth)
+    return _rows(np.exp(-0.5 * u * u).sum(axis=-1) / (arr.shape[-1] * bandwidth * _SQRT_2PI))
 
 
-def _median_split(
-    columns: tuple[np.ndarray, np.ndarray, np.ndarray],
-    sorted_columns: tuple[np.ndarray, np.ndarray, np.ndarray],
-    medians: tuple[float, float, float],
-) -> tuple[tuple[float, float, float], tuple[tuple[int, int, int, int], ...]]:
-    """Densities at the medians and quadrant counts about them for
-    validated x, y, z columns (``sorted_columns`` their sorted copies): the
-    one owner of what the census summary and the plug-in coefficients take
-    from the data besides the medians.  Returns ``(f_x, f_y, f_z)`` and the
-    :func:`_quadrant_counts` of (x, y), (y, z), (x, z), with the bits of
+def _median_split(columns, sorted_columns, medians) -> tuple[tuple, tuple, np.ndarray | int]:
+    """Densities at the medians and quadrant counts about them along the
+    last axis of validated x, y, z samples (``sorted_columns`` their sorted
+    copies): the one owner of what the census summary and the plug-ins
+    take from the data besides the medians, with the bits of
     :func:`silverman_bandwidth`, :func:`kde_at` and :func:`proportion_matrix`.
-    A column whose bandwidth is not finite and positive raises
-    ``ValueError(name)``, one whose density overflows ``ValueError(name,
-    "density overflows")``; the float overflow on the way stays silent."""
-    dens, lows = [], []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for name, values, ordered, at in zip("xyz", columns, sorted_columns, medians):
-            try:
-                h = _silverman_bandwidth(values, ordered)
-            except ValueError as exc:
-                raise ValueError(name) from exc
-            density = _kde(values, at, h)
-            if density == math.inf:
-                raise ValueError(name, "density overflows")
-            dens.append(density)
-            lows.append(values <= at)
+
+    Returns ``(f_x, f_y, f_z)``, the :func:`_quadrant_counts` of (x, y),
+    (y, z), (x, z), and a code per sample: 0 if usable, else 2j + 1 if the
+    bandwidth of the first failing column j (0, 1, 2 for x, y, z) is not
+    finite and positive, 2j + 2 if its density overflows.  The float faults
+    on the way stay silent."""
+    hs, dens, lows = [], [], []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for values, ordered, at in zip(columns, sorted_columns, medians):
+            hs.append(_silverman_bandwidth(values, ordered))
+            dens.append(_kde(values, at, hs[-1]))
+            lows.append(values <= _col(at))
+    code = 0
+    for j in (2, 1, 0):  # the first failing column decides
+        h, f = hs[j], dens[j]
+        code = _where((h > 0.0) & (h < math.inf), _where(f == math.inf, 2 * j + 2, code), 2 * j + 1)
     x_low, y_low, z_low = lows
     pairs = ((x_low, y_low), (y_low, z_low), (x_low, z_low))
-    return tuple(dens), tuple(_quadrant_counts(a_low, b_low) for a_low, b_low in pairs)
+    counts = tuple(_quadrant_counts(a_low, b_low) for a_low, b_low in pairs)
+    return tuple(dens), counts, code
+
+
+def _split_failure(code: int) -> tuple[str, bool]:
+    """The column ("x", "y" or "z") a nonzero :func:`_median_split` code
+    names, and whether its density overflowed, not its bandwidth."""
+    return "xyz"[(code - 1) // 2], code % 2 == 0

@@ -18,10 +18,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .core_stats import _median_split, _quadrant_counts, _quantile_selected, _quantile_sorted
+from .core_stats import (
+    _median_split,
+    _quadrant_counts,
+    _quantile_selected,
+    _quantile_sorted,
+    _split_failure,
+)
 from .population import Population, PopulationSummary
 from .sampling import TwoPhaseSample
 
@@ -172,6 +179,20 @@ class SampleMedians:
     mx1: float
     mz: float
     mz1: float
+
+
+#: The ids that read a :class:`SampleView`'s arrays; every other id reads
+#: only what a :class:`_MedianInputs` holds.
+_VIEW_IDS = frozenset({"position", "stratified"})
+
+
+class _MedianInputs(NamedTuple):
+    """All that the ids outside :data:`_VIEW_IDS` read of a
+    :class:`SampleView` when given its coefficients, in its place."""
+
+    medians: SampleMedians
+    known_mz: float
+    known_mx: float | None
 
 
 # ---------------------------------------------------------------------------
@@ -370,21 +391,38 @@ def plugin_coefficients(view: SampleView) -> PluginCoefficients:
     1 + 2/m at odd m (ties push them further), and |rho_xz| >= 1 leaves
     a1..a3 None.
     """
-    m = view.m
-    if m < 4:
-        raise EstimatorError("plug-in coefficients need m >= 4")
     meds = view.medians
-    medians = (meds.mx, meds.my, meds.mz)
-    try:
-        dens, counts = _median_split(
-            (view.x_m, view.y_m, view.z_m),
-            (view.sorted_x_m, view.sorted_y_m, view.sorted_z_m),
-            medians,
-        )
-    except ValueError as exc:
-        name, *why = exc.args
-        raise EstimatorError(": ".join((f"degenerate second-phase {name} sample", *why))) from exc
-    return optimum_coefficients(medians, dens, tuple(4.0 * (c[0] / m) - 1.0 for c in counts))
+    [coeffs] = _plugin_rows(
+        (view.x_m, view.y_m, view.z_m),
+        (view.sorted_x_m, view.sorted_y_m, view.sorted_z_m),
+        (meds.mx, meds.my, meds.mz),
+    )
+    if isinstance(coeffs, EstimatorError):
+        raise coeffs
+    return coeffs
+
+
+def _plugin_rows(columns, sorted_columns, medians) -> list[PluginCoefficients | EstimatorError]:
+    """:func:`plugin_coefficients` along the last axis of second-phase x, y,
+    z samples, given their sorted copies and medians: per sample, its
+    coefficients or the EstimatorError that says why it has none."""
+    m = columns[0].shape[-1]
+    if m < 4:
+        return [EstimatorError("plug-in coefficients need m >= 4")] * np.size(medians[0])
+    dens, counts, codes = _median_split(columns, sorted_columns, medians)
+    values = (codes, *medians, *dens, *(c[0] for c in counts))
+    out: list[PluginCoefficients | EstimatorError] = []
+    for code, *row in zip(*(v.tolist() if isinstance(v, np.ndarray) else [v] for v in values)):
+        try:  # row: the medians, the densities and the counts c11 of the three pairs
+            if code:
+                name, overflowed = _split_failure(code)
+                why = ": density overflows" if overflowed else ""
+                raise EstimatorError(f"degenerate second-phase {name} sample{why}")
+            rhos = tuple(4.0 * (c11 / m) - 1.0 for c11 in row[6:])
+            out.append(optimum_coefficients(row[:3], row[3:6], rhos))
+        except EstimatorError as exc:
+            out.append(exc)
+    return out
 
 
 def true_coefficients(summary: PopulationSummary) -> PluginCoefficients:

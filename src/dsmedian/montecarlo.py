@@ -19,6 +19,7 @@ be evaluated at superpopulation-true values instead of census plug-ins.
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import json
 import math
@@ -28,15 +29,19 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
+from .core_stats import _quantile_selected, _quantile_sorted
 from .estimators import (
     COEFFICIENT_IDS,
     ESTIMATOR_IDS,
     EstimatorError,
     G_FORM_IDS,
     PluginCoefficients,
+    SampleMedians,
     SampleView,
+    _MedianInputs,
+    _VIEW_IDS,
+    _plugin_rows,
     evaluate_with_diagnostics,
-    plugin_coefficients,
     true_coefficients,
 )
 from .population import Population, PopulationSummary, load_population_csv, population_summary
@@ -73,6 +78,7 @@ __all__ = [
 POPULATION_STREAM = 2**63
 
 _CHOLESKY_BLOCK = 2048  # most columns per step of generate_population's Cholesky product
+_CHUNK = 16  # replicates whose medians and plug-ins run as one array each
 
 #: Fixed-coefficient twins of the plug-in estimators: same formulas run
 #: with the population-true optimum coefficients (for estimated-optimum
@@ -99,7 +105,7 @@ class PopulationInputError(ValueError):
 class MarginalSpec:
     """One marginal of the generator: normal(mu, sigma) or lognormal with
     log-scale parameters (mu, sigma), whose median exp(mu) must be a
-    positive finite float."""
+    positive finite float, as must its density at the median."""
 
     kind: str
     mu: float
@@ -116,6 +122,11 @@ class MarginalSpec:
             in_range = False
         if not in_range:
             raise ValueError(f"lognormal median exp(mu) is out of float range at mu = {self.mu!r}")
+        if not math.isfinite(self.density_at_median):
+            raise ValueError(
+                f"{self.kind} density at the median is out of float range at "
+                f"mu = {self.mu!r}, sigma = {self.sigma!r}"
+            )
 
     @property
     def true_median(self) -> float:
@@ -421,15 +432,25 @@ def _send_block(sender, block: Callable[[int, int], np.ndarray], start: int, sto
         sender.send(reply)
 
 
-def run_simulation(config: SimConfig, threads: int = 1, keep_estimates: bool = False) -> SimReport:
-    """Run the experiment and aggregate.  Deterministic given the config;
-    ``threads``, the worker process count, never changes the results."""
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """What the replicates of a config share, with its columns: (column,
+    catalog id, whether it runs with the true coefficients)."""
+
+    config: SimConfig
+    pop: Population
+    true_summary: PopulationSummary
+    comps: VarianceComponents
+    true_coeffs: PluginCoefficients | None
+    columns: tuple[tuple[int, str, bool], ...]
+
+
+def _plan(config: SimConfig) -> _Plan:
     if config.generator is not None:
         pop = generate_population(
             config.generator, config.N, SeedSpec(config.master_seed, POPULATION_STREAM)
         )
         true_summary = config.generator.true_summary(config.N)
-        summary_source = "analytic"
     else:
         try:
             pop = load_population_csv(config.csv_path)
@@ -438,59 +459,89 @@ def run_simulation(config: SimConfig, threads: int = 1, keep_estimates: bool = F
         if pop.N != config.N:
             raise PopulationInputError(f"CSV population has N={pop.N}, config says N={config.N}")
         true_summary = population_summary(pop)
-        summary_source = "census"
+    try:
+        true_coeffs = true_coefficients(true_summary)
+    except EstimatorError:
+        true_coeffs = None  # every true-variant replicate counts as failed
+    columns = tuple((j, TRUE_VARIANT_IDS.get(e, e), e in TRUE_VARIANT_IDS)
+                    for j, e in enumerate(config.estimators))
+    return _Plan(config, pop, true_summary, variance_components(true_summary), true_coeffs, columns)
 
-    estimand = pop.median_y
-    sizes = DesignSizes(config.m, config.n, config.N)
-    comps = variance_components(true_summary)
-    ids = config.estimators
-    needs_plugin = any(e in COEFFICIENT_IDS for e in ids)
-    true_coeffs: PluginCoefficients | None = None
-    if any(e in TRUE_VARIANT_IDS for e in ids):
-        try:
-            true_coeffs = true_coefficients(true_summary)
-        except EstimatorError:
-            true_coeffs = None  # every true-variant replicate counts as failed
-    # (column, catalog id, whether it runs with the true coefficients)
-    plan = [(j, TRUE_VARIANT_IDS.get(e, e), e in TRUE_VARIANT_IDS) for j, e in enumerate(ids)]
 
-    R = config.replicates
-
-    def replicate_rows(start: int, stop: int) -> np.ndarray:
-        # per replicate: the estimates, then clamp and fallback flags, one column per id
+def _replicate_rows(plan: _Plan, start: int, stop: int) -> np.ndarray:
+    """Per replicate in [start, stop): the estimates, then the clamp and
+    fallback flags, one column per id.  The phase medians and plug-ins of
+    :data:`_CHUNK` replicates come from their (chunk x m) and (chunk x n)
+    arrays through the last-axis kernels, with the bits of a view's; the
+    catalog then runs per replicate, on a view only for the ids that read
+    its arrays (:data:`~dsmedian.estimators._VIEW_IDS`).  So the chunk size
+    never changes a bit."""
+    cfg, pop = plan.config, plan.pop
+    ids = cfg.estimators
+    try:
         rows = np.zeros((stop - start, 3, len(ids)))
-        rows[:, 0] = np.nan
-        for row, r in zip(rows, range(start, stop)):
-            sample = draw_two_phase(config.N, config.n, config.m, SeedSpec(config.master_seed, r))
-            view = SampleView.from_population(pop, sample)
-            coeffs: PluginCoefficients | None = None
-            if needs_plugin:
-                try:
-                    coeffs = plugin_coefficients(view)
-                except EstimatorError:
-                    pass  # the coefficient ids fail this replicate
-            for j, base, uses_true in plan:
-                c = true_coeffs if uses_true else coeffs
-                if c is None and base in COEFFICIENT_IDS:
+    except (MemoryError, ValueError, OverflowError):  # numpy: too large to allocate, or to index
+        raise PopulationInputError(
+            f"replicates = {cfg.replicates}: the results do not fit in memory"
+        ) from None
+    needs_plugin = any(e in COEFFICIENT_IDS for e in ids)
+    known = (pop.median_z, pop.median_x)
+    for lo in range(start, stop, _CHUNK):
+        reps = range(lo, min(lo + _CHUNK, stop))
+        samples = [draw_two_phase(cfg.N, cfg.n, cfg.m, SeedSpec(cfg.master_seed, r)) for r in reps]
+        second = np.empty((3, len(reps), cfg.m))  # x, y, z over S_m
+        first = np.empty((2, len(reps), cfg.n))  # x, z over S_n
+        for i, sample in enumerate(samples):  # the indices are valid: "clip" only skips a copy
+            for out, values in zip(second, (pop.x, pop.y, pop.z)):
+                values.take(sample.second_phase, out=out[i], mode="clip")
+            for out, values in zip(first, (pop.x, pop.z)):
+                values.take(sample.first_phase, out=out[i], mode="clip")
+        ordered = np.sort(second, axis=-1)
+        meds = _quantile_sorted(ordered, 0.5)
+        coeffs = _plugin_rows(second, ordered, meds) if needs_plugin else [None] * len(reps)
+        first_meds = [_quantile_selected(values, 0.5).tolist() for values in first]
+        for r, sample, c, (mx, my, mz), (mx1, mz1) in zip(
+            reps, samples, coeffs, zip(*meds.tolist()), zip(*first_meds)
+        ):
+            inputs = _MedianInputs(SampleMedians(my, mx, mx1, mz, mz1), *known)
+            view = None  # built for the first id that reads a view's arrays
+            row = rows[r - start]
+            estimates = [math.nan] * len(ids)
+            for j, base, uses_true in plan.columns:
+                cj = plan.true_coeffs if uses_true else c
+                if base in COEFFICIENT_IDS and not isinstance(cj, PluginCoefficients):
                     continue  # the coefficients it needs are unavailable: the estimate stays NaN
+                if base in _VIEW_IDS and view is None:
+                    view = SampleView.from_population(pop, sample)
+                source = view if base in _VIEW_IDS else inputs
                 try:
-                    row[0, j], row[1, j], row[2, j] = evaluate_with_diagnostics(base, view, c)
+                    estimates[j], clamped, fell_back = evaluate_with_diagnostics(base, source, cj)
                 except EstimatorError:
                     continue  # the estimate stays NaN
-        return rows
+                if clamped or fell_back:
+                    row[1:, j] = clamped, fell_back
+            row[0] = estimates
+    return rows
 
-    estimates, clamps, fallbacks = map_replicates(replicate_rows, R, threads).transpose(1, 0, 2)
 
-    rows = []
+def _aggregate(plan: _Plan, rows: np.ndarray, keep_estimates: bool) -> SimReport:
+    """The report of the replicate rows: per-id statistics, summed in
+    stream order."""
+    cfg = plan.config
+    R = cfg.replicates
+    estimand = plan.pop.median_y
+    sizes = DesignSizes(cfg.m, cfg.n, cfg.N)
+    estimates, clamps, fallbacks = rows.transpose(1, 0, 2)
+    stats = []
     valid = True
-    for j, est in enumerate(ids):
+    for j, est in enumerate(cfg.estimators):
         col = estimates[:, j]
         ok = np.isfinite(col)
         k = int(np.count_nonzero(ok))
         failures = R - k
         if failures > 0.05 * R:
             valid = False
-        theory = _theory_variance(est, sizes, true_summary, comps)
+        theory = _theory_variance(est, sizes, plan.true_summary, plan.comps)
         mean = bias = relative_bias = mse = mse_mc_se = math.nan
         ratio = None
         if k:
@@ -503,7 +554,7 @@ def run_simulation(config: SimConfig, threads: int = 1, keep_estimates: bool = F
             bias = mean - estimand
             relative_bias = bias / estimand if estimand != 0.0 else math.inf
             ratio = mse / theory if theory else None
-        rows.append(
+        stats.append(
             EstimatorStats(
                 est_id=est,
                 replicates_ok=k,
@@ -519,20 +570,28 @@ def run_simulation(config: SimConfig, threads: int = 1, keep_estimates: bool = F
                 fallbacks=int(fallbacks[:, j].sum()),
             )
         )
-
     return SimReport(
-        config_digest=config.digest(),
-        master_seed=config.master_seed,
-        m=config.m,
-        n=config.n,
-        N=config.N,
+        config_digest=cfg.digest(),
+        master_seed=cfg.master_seed,
+        m=cfg.m,
+        n=cfg.n,
+        N=cfg.N,
         replicates=R,
         estimand=estimand,
-        summary_source=summary_source,
-        rows=tuple(rows),
+        summary_source="analytic" if cfg.generator is not None else "census",
+        rows=tuple(stats),
         valid=valid,
         estimates=np.ascontiguousarray(estimates) if keep_estimates else None,
     )
+
+
+def run_simulation(config: SimConfig, threads: int = 1, keep_estimates: bool = False) -> SimReport:
+    """Run the experiment and aggregate.  Deterministic given the config;
+    ``threads``, the worker process count, never changes the results.  A
+    result matrix that cannot be allocated raises :class:`PopulationInputError`."""
+    plan = _plan(config)
+    rows = map_replicates(functools.partial(_replicate_rows, plan), config.replicates, threads)
+    return _aggregate(plan, rows, keep_estimates)
 
 
 # ---------------------------------------------------------------------------

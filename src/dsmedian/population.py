@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core_stats import ProportionMatrix, _median_split, median
+from .core_stats import ProportionMatrix, _median_split, _split_failure, median
 
 __all__ = ["Population", "PopulationSummary", "population_summary", "load_population_csv"]
 
@@ -149,10 +149,10 @@ def population_summary(pop: Population) -> PopulationSummary:
     """
     meds = (pop.median_x, pop.median_y, pop.median_z)
     cols = (pop.x, pop.y, pop.z)
-    try:
-        dens, counts = _median_split(cols, tuple(np.sort(c) for c in cols), meds)
-    except ValueError as exc:
-        raise ValueError(f"zero density at median: variable {exc.args[0]} is degenerate") from exc
+    dens, counts, code = _median_split(cols, tuple(np.sort(c) for c in cols), meds)
+    if code:
+        name, _ = _split_failure(code)
+        raise ValueError(f"zero density at median: variable {name} is degenerate")
     pm_xy, pm_yz, pm_xz = (ProportionMatrix(*(c / pop.N for c in cs)) for cs in counts)
     return PopulationSummary(*meds, *dens, pm_xy=pm_xy, pm_xz=pm_xz, pm_yz=pm_yz, N=pop.N)
 

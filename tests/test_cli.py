@@ -373,6 +373,32 @@ class TestSimulate:
         )
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("replicates, patched", [(10**15, True), (2**64, False)])
+    def test_replicates_beyond_memory_exit_2(self, tmp_path, capsys, monkeypatch, replicates,
+                                             patched):
+        # the results of 10**15 replicates ask for 336 PB; their allocation is
+        # patched to fail as numpy's does, so nothing large is allocated.
+        # numpy rejects 2**64 as a dimension before it allocates anything.
+        zeros = np.zeros
+
+        def no_memory(shape, *args, **kwargs):
+            if isinstance(shape, tuple) and shape[0] == replicates:
+                raise MemoryError(f"Unable to allocate an array with shape {shape}")
+            return zeros(shape, *args, **kwargs)
+
+        if patched:
+            monkeypatch.setattr(np, "zeros", no_memory)
+        ini = tmp_path / "sim.ini"
+        ini.write_text(SIM_INI)
+        code = cli.main(["simulate", str(ini), "--replicates", str(replicates),
+                         "--out-json", str(tmp_path / "x.json"),
+                         "--out-csv", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: replicates = {replicates}: the results do not fit in memory\n"
+        )
+        assert not (tmp_path / "x.json").exists()
+
     @pytest.mark.parametrize("threads", ["0", "-1", str(cli.MAX_THREADS + 1)])
     def test_threads_out_of_range_exit_2(self, tmp_path, capsys, monkeypatch, threads):
         def no_run(*args, **kwargs):
@@ -428,6 +454,10 @@ class TestSimulate:
         ("marginal_x = lognormal\nmu_x = 800", 2,
          "lognormal median exp(mu) is out of float range at mu = 800.0"),
         ("sigma_y = 1e308", 3, "population variable y contains non-finite values"),
+        ("marginal_x = lognormal\nmu_x = -745", 2,
+         "lognormal density at the median is out of float range at mu = -745.0, sigma = 1.0"),
+        ("sigma_z = 1e-310", 2,
+         "normal density at the median is out of float range at mu = 0.0, sigma = 1e-310"),
     ])
     def test_extreme_marginals_exit_documented(self, tmp_path, capsys, keys, code, message):
         ini = tmp_path / "sim.ini"
@@ -561,6 +591,14 @@ class TestAllocate:
         code = cli.main(argv)
         assert code == 2
         assert "--units must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", ["allocate", "compare"])
+    def test_units_past_float_range_exit_2(self, capsys, sub):
+        # int(--units) takes any size; the variances divide by it as a float
+        argv = [sub, *self.ARGS]
+        argv[argv.index("--units") + 1] = "1" + "0" * 400
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: --units is out of float range\n"
 
     @pytest.mark.parametrize("sub", ["allocate", "compare"])
     def test_degenerate_csv_exit_3(self, tmp_path, capsys, sub):

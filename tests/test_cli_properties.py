@@ -185,7 +185,7 @@ def test_extreme_scales_exit_documented(units, seed, scales, sigma_y):
 # edge pools of the argv property: integers, floats, and the synthetic
 # marginals whose draws overflow or whose median leaves the floats; each
 # flag draws from its pool, and every other flag keeps its valid value
-INTS = ("0", "1", "3", "-1", str(2**64))
+INTS = ("0", "1", "3", "-1", str(2**64), str(10**400))
 FLOATS = ("nan", "inf", "-inf", "5e-324", "1e308")
 MARGINALS = ("", "marginal_x = lognormal\nmu_x = -800\n",
              "marginal_x = lognormal\nmu_x = 800\n", "sigma_y = 1e308\n")

@@ -1,6 +1,7 @@
 """Unit and property tests for the quantile/KDE/proportion primitives."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dsmedian.core_stats import (
     DensityEstimate,
     ProportionMatrix,
     _kde,
+    _median_split,
     _quadrant_counts,
     _quantile_index,
     _quantile_selected,
@@ -241,6 +243,14 @@ class TestKdeAt:
         with pytest.raises(ValueError):
             DensityEstimate(value=-0.1, bandwidth=1.0)
 
+    def test_overflowing_value_refused_without_warning(self):
+        # a subnormal bandwidth with every value at the point overflows the
+        # density to inf: refused as a value, not warned about on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="density value must be finite"):
+                kde_at([1.0, 1.0, 1.0], 1.0, 5e-324)
+
 
 class TestKernels:
     """The private kernels over validated 1-D float arrays give the bits of
@@ -267,8 +277,8 @@ class TestKernels:
             try:
                 h = silverman_bandwidth(a)
             except ValueError:
-                with pytest.raises(ValueError, match="degenerate sample"):
-                    _silverman_bandwidth(a, np.sort(a))
+                # the kernel leaves the degenerate h for its callers to judge
+                assert not 0.0 < _silverman_bandwidth(a, np.sort(a)) < math.inf
                 h = 1.0
             else:
                 assert _silverman_bandwidth(a, np.sort(a)).hex() == h.hex()
@@ -281,3 +291,69 @@ class TestKernels:
         pm = proportion_matrix(np.column_stack((a, b)), ta, tb)
         assert tuple(c / k for c in counts) == (pm.p11, pm.p12, pm.p21, pm.p22)
         assert counts == tuple(round(p * k) for p in brute_proportions(list(zip(a, b)), ta, tb))
+
+
+def _edge_rows(rng, kinds, k):
+    """One row of k values per kind: normal draws at scales up to 1e300,
+    ties with zeros of both signs, subnormals, or one repeated value."""
+    rows = []
+    for kind, scale in kinds:
+        if kind == "normal":
+            row = rng.normal(size=k) * scale
+        elif kind == "ties":
+            row = rng.integers(-2, 3, size=k) * scale
+            zeros = row == 0.0
+            row[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+        elif kind == "subnormal":
+            row = rng.integers(-3, 4, size=k) * 5e-324
+        else:  # degenerate
+            row = np.full(k, scale)
+        rows.append(row)
+    return np.array(rows)
+
+
+ROW_KINDS = st.tuples(st.sampled_from(["normal", "ties", "subnormal", "degenerate"]),
+                      st.sampled_from([1e-300, 1e-3, 1.0, 1e150, 1e300, -0.0]))
+
+
+class TestLastAxisKernels:
+    """Every row of a last-axis kernel called on (rows x k) samples has the
+    bits of the kernel's 1-D call on that row, so chunking replicates never
+    changes a bit."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(k=st.sampled_from([*range(2, 10), *range(127, 131), *range(1023, 1026)]),
+           kinds=st.lists(ROW_KINDS, min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1))
+    @example(k=4, kinds=[("degenerate", 1.0), ("ties", 1.0), ("subnormal", 1.0)], seed=0)
+    def test_rows_equal_1d_calls(self, k, kinds, seed):
+        rng = np.random.default_rng(seed)
+        cols = tuple(_edge_rows(rng, [kinds[(i + j) % len(kinds)] for i in range(len(kinds))], k)
+                     for j in range(3))
+        x = cols[0]
+        ordered = tuple(np.sort(c, axis=-1) for c in cols)
+        meds = tuple(_quantile_sorted(o, 0.5) for o in ordered)
+
+        def same(rows, calls):
+            assert [float(v).hex() for v in np.ravel(rows)] == [float(v).hex() for v in calls]
+
+        with np.errstate(all="ignore"):  # overflow, underflow and 0/0 in both forms
+            for p in (0.25, 0.5, 0.75):
+                same(_quantile_sorted(ordered[0], p), [_quantile_sorted(o, p) for o in ordered[0]])
+                same(_quantile_selected(x, p), [_quantile_selected(row, p) for row in x])
+            same(_sd(x), [_sd(row) for row in x])
+            h = _silverman_bandwidth(x, ordered[0])
+            same(h, [_silverman_bandwidth(row, o) for row, o in zip(x, ordered[0])])
+            same(_kde(x, meds[0], h), [_kde(row, at, hr) for row, at, hr in zip(x, meds[0], h)])
+            dens, counts, code = _median_split(cols, ordered, meds)
+            for i in range(len(kinds)):
+                row_dens, row_counts, row_code = _median_split(
+                    tuple(c[i] for c in cols), tuple(o[i] for o in ordered),
+                    tuple(float(m[i]) for m in meds))
+                same([d[i] for d in dens], row_dens)
+                assert [[int(c[i]) for c in pair] for pair in counts] == [
+                    list(pair) for pair in row_counts]
+                assert code[i] == row_code
+        lows = x <= meds[0][:, None], cols[1] <= meds[1][:, None]
+        rows = _quadrant_counts(*lows)
+        for i in range(len(kinds)):
+            assert [int(c[i]) for c in rows] == list(_quadrant_counts(lows[0][i], lows[1][i]))

@@ -34,7 +34,7 @@ from dsmedian.montecarlo import (
     map_replicates,
     run_simulation,
 )
-from dsmedian.population import Population, population_summary
+from dsmedian.population import Population, load_population_csv, population_summary
 from dsmedian.sampling import SeedSpec, draw_two_phase
 
 NORMAL = MarginalSpec("normal", 10.0, 2.0)
@@ -72,8 +72,16 @@ class TestMarginalSpec:
             with pytest.raises(ValueError, match=r"^lognormal median exp\(mu\) is out of float"):
                 MarginalSpec("lognormal", mu, 1.0)
             assert MarginalSpec("normal", mu, 1.0).true_median == mu
-        for mu in (-745.0, 709.0):
-            assert 0.0 < MarginalSpec("lognormal", mu, 1.0).true_median < math.inf
+        assert 0.0 < MarginalSpec("lognormal", 709.0, 1.0).true_median < math.inf
+
+    @pytest.mark.parametrize("kind, mu, sigma", [
+        ("lognormal", -745.0, 1.0),  # exp(mu) is subnormal: the density overflows
+        ("normal", 0.0, 1e-310),  # a subnormal sigma
+        ("lognormal", 0.0, 5e-324),
+    ])
+    def test_density_at_median_float_range(self, kind, mu, sigma):
+        with pytest.raises(ValueError, match=f"^{kind} density at the median is out of float range"):
+            MarginalSpec(kind, mu, sigma)
 
 
 class TestGeneratorSpec:
@@ -384,47 +392,104 @@ def _position_clamped(view) -> bool:
     return not 1.0 / m <= raw <= 1.0
 
 
+def _csv_sources(tmp_path, N: int = 200) -> dict[str, str]:
+    """Population CSVs of N units whose samples meet the kernels' edges: a
+    tie-heavy one whose x has zeros of both signs at its median, one whose y
+    median is 0, and one whose z is mostly one value, so that many
+    second-phase z samples have a zero bandwidth."""
+    rng = np.random.default_rng(17)
+    c = np.linalg.cholesky(GEN.correlation_matrix()) @ rng.standard_normal((3, N))
+    y = c[1] - np.sort(c[1])[N // 2 - 1]
+    y[np.argsort(np.abs(y))[: N // 5]] = 0.0
+    z = np.where(rng.random(N) < 0.8, 3.0, 10 + c[2])
+    pops = {"tie-heavy": Population(np.round(2 * c[0]), *np.round(2 * c[1:] + 5)),
+            "zero-y-median": Population(10 + 2 * c[0], y, 10 + 2 * c[2]),
+            "zero-bandwidth": Population(10 + 2 * c[0], 10 + 2 * c[1], z)}
+    return {name: write_population_csv(tmp_path / f"{name}-{N}.csv", pop)
+            for name, pop in pops.items()}
+
+
+def _scalar_replay(cfg: SimConfig):
+    """run_simulation's estimates through the public scalar API, with the
+    clamp and fallback counts recomputed from the data."""
+    if cfg.generator is not None:
+        pop = generate_population(cfg.generator, cfg.N, SeedSpec(cfg.master_seed, POPULATION_STREAM))
+        summary = cfg.generator.true_summary(cfg.N)
+    else:
+        pop = load_population_csv(cfg.csv_path)
+        summary = population_summary(pop)
+    try:
+        true_coeffs = true_coefficients(summary)
+    except EstimatorError:
+        true_coeffs = None
+    expected = np.full((cfg.replicates, len(cfg.estimators)), np.nan)
+    clamps = fallbacks = 0
+    for r in range(cfg.replicates):
+        sample = draw_two_phase(cfg.N, cfg.n, cfg.m, SeedSpec(cfg.master_seed, r))
+        view = SampleView.from_population(pop, sample)
+        try:
+            coeffs = plugin_coefficients(view)
+        except EstimatorError:
+            coeffs = None
+        low = np.asarray(view.x_m) <= view.known_mx
+        empty_stratum = low.all() or not low.any()
+        clamps += _position_clamped(view)
+        fallbacks += empty_stratum
+        for j, est in enumerate(cfg.estimators):
+            base = TRUE_VARIANT_IDS.get(est, est)
+            c = true_coeffs if base != est else coeffs
+            if base in COEFFICIENT_IDS and c is None:
+                continue
+            if base == "stratified" and empty_stratum:
+                expected[r, j] = median(view.y_m)
+                continue
+            try:
+                expected[r, j] = evaluate_estimator(base, view, c)
+            except EstimatorError:
+                pass
+    return expected, clamps, fallbacks
+
+
 class TestReplicateDiagnostics:
     """run_simulation against a replay through the public scalar API, with
     the clamp and fallback counts recomputed from the data."""
 
     CONFIG = dict(m=4, n=20, N=200, replicates=300, master_seed=5, estimators=ALL_IDS)
 
-    def test_equals_scalar_replay(self):
-        cfg = quick_config(**self.CONFIG)
-        rep = run_simulation(cfg, keep_estimates=True)
-        pop = generate_population(GEN, cfg.N, SeedSpec(cfg.master_seed, POPULATION_STREAM))
-        true_coeffs = true_coefficients(GEN.true_summary(cfg.N))
-        expected = np.full((cfg.replicates, len(ALL_IDS)), np.nan)
-        clamps = fallbacks = 0
-        for r in range(cfg.replicates):
-            sample = draw_two_phase(cfg.N, cfg.n, cfg.m, SeedSpec(cfg.master_seed, r))
-            view = SampleView.from_population(pop, sample)
-            try:
-                coeffs = plugin_coefficients(view)
-            except EstimatorError:
-                coeffs = None
-            low = np.asarray(view.x_m) <= view.known_mx
-            empty_stratum = low.all() or not low.any()
-            clamps += _position_clamped(view)
-            fallbacks += empty_stratum
-            for j, est in enumerate(ALL_IDS):
-                base = TRUE_VARIANT_IDS.get(est, est)
-                c = true_coeffs if base != est else coeffs
-                if base in COEFFICIENT_IDS and c is None:
-                    continue
-                if base == "stratified" and empty_stratum:
-                    expected[r, j] = median(view.y_m)
-                    continue
-                try:
-                    expected[r, j] = evaluate_estimator(base, view, c)
-                except EstimatorError:
-                    pass
-        assert np.array_equal(rep.estimates, expected, equal_nan=True)
-        assert (clamps, fallbacks) == (8, 47)
-        assert rep.stats("position").clamps == clamps
-        assert rep.stats("stratified").fallbacks == fallbacks
-        assert sum(r.clamps + r.fallbacks for r in rep.rows) == clamps + fallbacks
+    def test_equals_scalar_replay(self, tmp_path, monkeypatch):
+        # every id on normal, lognormal and edge CSV sources, m below the
+        # plug-ins' minimum of 4, R = 300 (not a whole number of chunks), and
+        # one or two worker processes; position and stratified run on a view,
+        # every other id on the chunk's medians (test_views_only_for_view_ids)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        lognormal = MarginalSpec("lognormal", 0.0, 0.5)
+        configs = {
+            "normal": quick_config(**self.CONFIG),
+            "lognormal": quick_config(**self.CONFIG, generator=GeneratorSpec(
+                r_xy=0.8, r_yz=0.6, r_xz=0.7, marginal_x=lognormal, marginal_y=lognormal,
+                marginal_z=lognormal)),
+            "m = 3": quick_config(**{**self.CONFIG, "m": 3}),
+            **{name: quick_config(**self.CONFIG, generator=None, csv_path=path)
+               for name, path in _csv_sources(tmp_path).items()},
+            # first phases large enough that selection and sorting pick
+            # different signs among the tied zeros at the median of x
+            "tie-heavy, n = 500": quick_config(
+                **{**self.CONFIG, "N": 1000, "n": 500}, generator=None,
+                csv_path=_csv_sources(tmp_path, 1000)["tie-heavy"]),
+        }
+        for name, cfg in configs.items():
+            expected, clamps, fallbacks = _scalar_replay(cfg)
+            reports = [run_simulation(cfg, threads=t, keep_estimates=True) for t in (1, 2)]
+            for rep in reports:
+                assert rep.estimates.tobytes() == expected.tobytes(), name  # bits: -0.0 != 0.0
+                assert rep.stats("position").clamps == clamps, name
+                assert rep.stats("stratified").fallbacks == fallbacks, name
+                assert sum(r.clamps + r.fallbacks for r in rep.rows) == clamps + fallbacks, name
+            assert json.dumps(reports[0].to_json_dict()) == json.dumps(reports[1].to_json_dict())
+            if name == "normal":
+                assert (clamps, fallbacks) == (8, 47)
+            elif name == "m = 3":
+                assert np.isnan(expected[:, [ALL_IDS.index(e) for e in COEFFICIENT_IDS]]).all()
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_worker_processes_do_not_change_results(self, threads, monkeypatch):
@@ -435,6 +500,23 @@ class TestReplicateDiagnostics:
         assert (serial.stats("position").clamps, serial.stats("stratified").fallbacks) == (1, 2)
         assert json.dumps(forked.to_json_dict()) == json.dumps(serial.to_json_dict())
         assert np.array_equal(forked.estimates, serial.estimates, equal_nan=True)
+
+    def test_views_only_for_view_ids(self, monkeypatch):
+        # the ids that read only medians never build a view; position and
+        # stratified share one per replicate
+        built = []
+        real = SampleView.from_population
+
+        def counting(pop, sample):
+            built.append(sample)
+            return real(pop, sample)
+
+        monkeypatch.setattr(SampleView, "from_population", staticmethod(counting))
+        median_ids = tuple(e for e in ALL_IDS if e not in estimators._VIEW_IDS)
+        run_simulation(quick_config(replicates=25, estimators=median_ids))
+        assert built == []
+        run_simulation(quick_config(replicates=25, estimators=("g1", "position", "stratified")))
+        assert len(built) == 25
 
     def test_position_probability_once_per_replicate(self, monkeypatch):
         # each position_probability call, whoever makes it, tabulates the
