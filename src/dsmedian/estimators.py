@@ -483,8 +483,7 @@ class GForm:
     def __post_init__(self) -> None:
         if self.form not in G_FORM_IDS:
             raise EstimatorError(f"unknown g-form {self.form!r}")
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise EstimatorError("g-form parameters must be finite")
+        _require_finite_parameters(self.alpha, self.beta)
         if self.form == "g5":
             if self.w1 is None or self.w2 is None:
                 raise EstimatorError("g5 needs weights w1, w2")
@@ -494,34 +493,45 @@ class GForm:
             raise EstimatorError(f"weights only apply to g5, not {self.form}")
 
     def __call__(self, u: float, v: float) -> float:
-        a, b = self.alpha, self.beta
-        try:
-            if self.form == "g1":
-                _require_positive_ratios(u, v)
-                return u**a * v**b
-            if self.form == "g2":
-                denom = 1.0 - b * (v - 1.0)
-                if denom == 0.0:
-                    raise EstimatorError("g2 denominator vanished")
-                return (1.0 + a * (u - 1.0)) / denom
-            if self.form == "g3":
-                return 1.0 + a * (u - 1.0) + b * (v - 1.0)
-            if self.form == "g4":
-                denom = 1.0 - a * (u - 1.0) - b * (v - 1.0)
-                if denom <= 0.0:
-                    raise EstimatorError("g4 denominator not positive")
-                return 1.0 / denom
-            if self.form == "g5":
-                _require_positive_ratios(u, v)
-                return self.w1 * u**a + self.w2 * v**b
-            if self.form == "g6":
-                if v <= 0.0:
-                    raise EstimatorError("invalid ratio for power form: requires v > 0")
-                return a * u + (1.0 - a) * v**b
-            # g7
-            return math.exp(a * (u - 1.0) + b * (v - 1.0))
-        except OverflowError:
-            raise EstimatorError(f"{self.form} overflows at u={u!r}, v={v!r}") from None
+        return _g_value(self.form, self.alpha, self.beta, self.w1, self.w2, u, v)
+
+
+def _require_finite_parameters(alpha: float, beta: float) -> None:
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise EstimatorError("g-form parameters must be finite")
+
+
+def _g_value(form: str, a: float, b: float, w1: float | None, w2: float | None,
+             u: float, v: float) -> float:
+    """g(u, v) of ``form`` at parameters alpha = a, beta = b and the g5
+    weights: the one owner of the seven formulas of :class:`GForm`."""
+    try:
+        if form == "g1":
+            _require_positive_ratios(u, v)
+            return u**a * v**b
+        if form == "g2":
+            denom = 1.0 - b * (v - 1.0)
+            if denom == 0.0:
+                raise EstimatorError("g2 denominator vanished")
+            return (1.0 + a * (u - 1.0)) / denom
+        if form == "g3":
+            return 1.0 + a * (u - 1.0) + b * (v - 1.0)
+        if form == "g4":
+            denom = 1.0 - a * (u - 1.0) - b * (v - 1.0)
+            if denom <= 0.0:
+                raise EstimatorError("g4 denominator not positive")
+            return 1.0 / denom
+        if form == "g5":
+            _require_positive_ratios(u, v)
+            return w1 * u**a + w2 * v**b
+        if form == "g6":
+            if v <= 0.0:
+                raise EstimatorError("invalid ratio for power form: requires v > 0")
+            return a * u + (1.0 - a) * v**b
+        # g7
+        return math.exp(a * (u - 1.0) + b * (v - 1.0))
+    except OverflowError:
+        raise EstimatorError(f"{form} overflows at u={u!r}, v={v!r}") from None
 
 
 def _require_positive_ratios(u: float, v: float) -> None:
@@ -536,14 +546,22 @@ def gform_estimated_optimum(form: str, alpha1: float, alpha2: float) -> GForm:
     g5 uses equal weights; g6 solves (1 - alpha)*beta = -alpha2 and needs
     1 + alpha1 != 0.
     """
+    return GForm(form, *_optimum_parameters(form, alpha1, alpha2))
+
+
+def _optimum_parameters(
+    form: str, alpha1: float, alpha2: float
+) -> tuple[float, float, float | None, float | None]:
+    """(alpha, beta, w1, w2) of :func:`gform_estimated_optimum`, unchecked
+    for finiteness."""
     if form == "g5":
-        return GForm(form="g5", alpha=-2.0 * alpha1, beta=-2.0 * alpha2, w1=0.5, w2=0.5)
+        return -2.0 * alpha1, -2.0 * alpha2, 0.5, 0.5
     if form == "g6":
         if 1.0 + alpha1 == 0.0:
             raise EstimatorError("g6 optimum undefined: 1 + alpha1 = 0")
-        return GForm(form="g6", alpha=-alpha1, beta=-alpha2 / (1.0 + alpha1))
+        return -alpha1, -alpha2 / (1.0 + alpha1), None, None
     if form in G_FORM_IDS:
-        return GForm(form=form, alpha=-alpha1, beta=-alpha2)
+        return -alpha1, -alpha2, None, None
     raise EstimatorError(f"unknown g-form {form!r}")
 
 
@@ -622,7 +640,12 @@ def evaluate_estimator(
             return regression_two_aux(view, coeffs)
         if est_id == "f-linear":
             return class_F_estimate(view, coeffs)
-        return class_g_estimate(view, gform_estimated_optimum(est_id, *coeffs.alphas()))
+        # class_g_estimate at gform_estimated_optimum, without building the GForm
+        alpha, beta, w1, w2 = _optimum_parameters(est_id, *coeffs.alphas())
+        _require_finite_parameters(alpha, beta)
+        meds = view.medians
+        u, v, _ = _ratios(view, meds)
+        return meds.my * _g_value(est_id, alpha, beta, w1, w2, u, v)
     raise EstimatorError(f"unknown estimator id {est_id!r}")
 
 

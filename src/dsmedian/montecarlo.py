@@ -46,7 +46,7 @@ from .estimators import (
 )
 from .population import Population, PopulationSummary, load_population_csv, population_summary
 from .population import _TOO_FEW_UNITS
-from .sampling import SeedSpec, draw_two_phase
+from .sampling import SeedSpec, _draw, _rekey
 from .variance_theory import (
     DesignSizes,
     VarianceComponents,
@@ -475,7 +475,8 @@ def _replicate_rows(plan: _Plan, start: int, stop: int) -> np.ndarray:
     arrays through the last-axis kernels, with the bits of a view's; the
     catalog then runs per replicate, on a view only for the ids that read
     its arrays (:data:`~dsmedian.estimators._VIEW_IDS`).  So the chunk size
-    never changes a bit."""
+    never changes a bit.  One Philox generator, re-keyed to stream r,
+    draws replicate r."""
     cfg, pop = plan.config, plan.pop
     ids = cfg.estimators
     try:
@@ -486,9 +487,13 @@ def _replicate_rows(plan: _Plan, start: int, stop: int) -> np.ndarray:
         ) from None
     needs_plugin = any(e in COEFFICIENT_IDS for e in ids)
     known = (pop.median_z, pop.median_x)
+    rng = SeedSpec(cfg.master_seed).generator()
     for lo in range(start, stop, _CHUNK):
         reps = range(lo, min(lo + _CHUNK, stop))
-        samples = [draw_two_phase(cfg.N, cfg.n, cfg.m, SeedSpec(cfg.master_seed, r)) for r in reps]
+        samples = []
+        for r in reps:
+            _rekey(rng, cfg.master_seed, r)
+            samples.append(_draw(rng, cfg.N, cfg.n, cfg.m))
         second = np.empty((3, len(reps), cfg.m))  # x, y, z over S_m
         first = np.empty((2, len(reps), cfg.n))  # x, z over S_n
         for i, sample in enumerate(samples):  # the indices are valid: "clip" only skips a copy

@@ -6,11 +6,18 @@ same draw on any platform, and distinct stream ids can be consumed
 concurrently with no coordination.  Subsets are selected by a partial
 Fisher-Yates shuffle whose bounded integers come from the generator's
 rejection-based ``integers`` method, so every k-subset is equally likely.
+
+A replicate loop need not build a generator per stream: re-keying one
+Philox generator to ``[master_seed, stream_id]`` at counter 0 with an
+empty buffer puts it in the state a fresh :meth:`SeedSpec.generator`
+starts from, so its draws are the same.  The package's own draw checks its
+sizes, not its indices: it builds its :class:`TwoPhaseSample` from indices
+valid by construction, while the public constructor checks every one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -34,20 +41,47 @@ class SeedSpec:
 
     def generator(self) -> np.random.Generator:
         """Fresh counter-based generator for this (master_seed, stream_id)."""
-        key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=_key(self.master_seed, self.stream_id)))
+
+
+def _key(master_seed: int, stream_id: int) -> np.ndarray:
+    """The Philox key of a stream: [master_seed, stream_id]."""
+    return np.array([master_seed, stream_id], dtype=np.uint64)
+
+
+def _rekey(rng: np.random.Generator, master_seed: int, stream_id: int) -> None:
+    """Put ``rng``, a Philox generator, in the state that
+    ``SeedSpec(master_seed, stream_id).generator()`` starts from: the
+    stream's key, counter 0, no buffered word and no buffered half word."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": _key(master_seed, stream_id)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 @dataclass(frozen=True, eq=False)
 class TwoPhaseSample:
-    """Nested index sets: second_phase (size m) inside first_phase (size n)."""
+    """Nested index sets: second_phase (size m) inside first_phase (size n),
+    as sorted read-only int64 arrays.  ``_trusted``, for the package's own
+    draw, adopts the sorted read-only arrays it passes without checks."""
 
     first_phase: np.ndarray
     second_phase: np.ndarray
+    _trusted: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
-        first = np.sort(np.asarray(self.first_phase, dtype=np.int64))
-        second = np.sort(np.asarray(self.second_phase, dtype=np.int64))
+    def __post_init__(self, _trusted: bool) -> None:
+        if _trusted:
+            return
+        first, second = np.asarray(self.first_phase), np.asarray(self.second_phase)
+        for phase in (first, second):
+            if phase.size and not np.issubdtype(phase.dtype, np.integer):
+                raise ValueError(f"phase indices must be integers, got dtype {phase.dtype}")
+        first = np.sort(np.asarray(first, dtype=np.int64))
+        second = np.sort(np.asarray(second, dtype=np.int64))
         if (first[1:] == first[:-1]).any() or (second[1:] == second[:-1]).any():
             raise ValueError("phase index sets must not contain duplicates")
         if not (0 < second.size < first.size):
@@ -122,7 +156,14 @@ def draw_two_phase(N: int, n: int, m: int, seed: SeedSpec) -> TwoPhaseSample:
     """
     if not 1 <= m < n <= N:
         raise ValueError(f"require m < n <= N with m >= 1, got m={m}, n={n}, N={N}")
-    rng = seed.generator()
+    return _draw(seed.generator(), N, n, m)
+
+
+def _draw(rng: np.random.Generator, N: int, n: int, m: int) -> TwoPhaseSample:
+    """:func:`draw_two_phase` from ``rng``, for checked sizes: the second
+    phase is gathered from the first in draw order, then both are sorted."""
     first = _sample_indices(rng, N, n)
-    positions = _sample_indices(rng, n, m)
-    return TwoPhaseSample(first_phase=first, second_phase=first[positions])
+    second = np.sort(first[_sample_indices(rng, n, m)])
+    first = np.sort(first)
+    first.flags.writeable = second.flags.writeable = False
+    return TwoPhaseSample(first, second, _trusted=True)

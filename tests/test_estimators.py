@@ -18,6 +18,7 @@ from dsmedian.core_stats import (
 from dsmedian.estimators import (
     ESTIMATOR_IDS,
     EstimatorError,
+    G_FORM_IDS,
     GForm,
     PluginCoefficients,
     SampleView,
@@ -627,6 +628,54 @@ class TestClassG:
     def test_g6_optimum_requires_denominator(self):
         with pytest.raises(EstimatorError, match="g6 optimum"):
             gform_estimated_optimum("g6", -1.0, 0.5)
+
+    # (alpha1, alpha2, mx, mx1, mz1, known_mz) at each domain edge of the g-forms
+    G_EDGES = {
+        "g6 with 1 + alpha1 = 0": (-1.0, 0.5, 1.0, 1.0, 1.0, 1.0),
+        "g5 parameters overflow": (1e308, 0.0, 1.0, 1.0, 1.0, 1.0),
+        "g6 beta overflows": (-1.0 + 2.0**-52, 1e300, 1.0, 1.0, 1.0, 1.0),
+        "g2 denominator zero": (0.3, -1.0, 1.0, 1.0, 2.0, 1.0),
+        "g4 denominator negative": (-1.0, 0.0, 3.0, 1.0, 1.0, 1.0),
+        "u negative": (0.3, 0.2, -1.0, 1.0, 1.0, 1.0),
+        "v negative": (0.3, 0.2, 1.0, 1.0, -1.0, 1.0),
+        "exp and powers overflow": (-1000.0, 0.0, 2.0, 1.0, 1.0, 1.0),
+        "u undefined": (0.3, 0.2, 1.0, 0.0, 1.0, 1.0),
+        "v undefined": (0.3, 0.2, 1.0, 1.0, 1.0, 0.0),
+        "alphas undefined": (None, None, 1.0, 1.0, 1.0, 1.0),
+    }
+
+    def test_catalog_equals_gform_object_path(self, rng):
+        # evaluate_estimator builds no GForm; it must give the bits, or the
+        # EstimatorError message, of class_g_estimate at gform_estimated_optimum
+        def outcome(f):
+            try:
+                return float(f()).hex()
+            except EstimatorError as exc:
+                return str(exc)
+
+        cases = []
+        for alpha1, alpha2, mx, mx1, mz1, known_mz in self.G_EDGES.values():
+            view = make_view(y_m=[5.0, 5.0], x_m=[mx, mx], z_m=[1.0, 1.0], x_n=[mx1] * 3,
+                             z_n=[mz1] * 3, known_mz=known_mz)
+            cases.append((view, PluginCoefficients(0, 0, alpha1, alpha2, 0, 0, None, None, None)))
+        for m in (5, 24, 150) * 10:
+            view = random_view(rng, m=m, n=4 * m)
+            coeffs = plugin_coefficients(view)
+            scaled = dataclasses.replace(coeffs, alpha1_hat=coeffs.alpha1_hat * 40.0)
+            cases += [(view, coeffs), (view, scaled)]
+        messages = set()
+        for form in G_FORM_IDS:
+            for view, coeffs in cases:
+                got = outcome(lambda: evaluate_estimator(form, view, coeffs))
+                expected = outcome(lambda: class_g_estimate(
+                    view, gform_estimated_optimum(form, *coeffs.alphas())))
+                assert got == expected, (form, view.medians, coeffs)
+                messages.add(got)
+        for message in ("g6 optimum undefined", "g-form parameters must be finite",
+                        "g2 denominator vanished", "g4 denominator not positive",
+                        "requires u > 0 and v > 0", "requires v > 0", "g7 overflows",
+                        "g5 overflows", "u undefined", "v, w undefined", "median of y is zero"):
+            assert any(message in m for m in messages), message
 
 
 class TestClassF:

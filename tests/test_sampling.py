@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from dsmedian.sampling import SeedSpec, TwoPhaseSample, _sample_indices, draw_two_phase, srswor
+from dsmedian.sampling import (
+    SeedSpec,
+    TwoPhaseSample,
+    _rekey,
+    _sample_indices,
+    draw_two_phase,
+    srswor,
+)
 
 
 def reference_sample_indices(rng, N, k):
@@ -30,6 +37,25 @@ class TestSeedSpec:
     def test_rejects_too_wide(self):
         with pytest.raises(ValueError):
             SeedSpec(2**64, 0)
+
+    def test_rekeyed_generator_draws_as_a_fresh_one(self):
+        # one generator re-keyed per stream, as run_simulation draws its
+        # replicates, after draws that leave a buffered half word or a partly
+        # consumed Philox buffer behind
+        rng = SeedSpec(2002).generator()
+        half_word = partial_buffer = False
+        for N, k in ORACLE_SIZES:
+            m = max(1, k // 4)
+            for r in range(ORACLE_SEEDS):
+                state = rng.bit_generator.state
+                half_word |= state["has_uint32"] == 1
+                partial_buffer |= 0 < state["buffer_pos"] < 4
+                _rekey(rng, 2002, r)
+                fresh = SeedSpec(2002, r).generator()
+                for size, picks in ((N, k), (k, m)):  # first phase, then positions in it
+                    expected = _sample_indices(fresh, size, picks)
+                    assert np.array_equal(_sample_indices(rng, size, picks), expected), (N, k, r)
+        assert half_word and partial_buffer
 
 
 # k close to N, or k large against sqrt(N), makes many picks repeat or fall below k
@@ -131,6 +157,20 @@ class TestDrawTwoPhase:
             assert np.array_equal(s.first_phase, np.sort(first)), (N, n, r)
             assert np.array_equal(s.second_phase, np.sort(second)), (N, n, r)
 
+    @pytest.mark.parametrize("N,n", [(N, k) for N, k in ORACLE_SIZES if k >= 2])
+    def test_sample_equals_checked_constructor(self, N, n):
+        # the draw builds its sample unchecked: sorted read-only int64 arrays
+        # that the public constructor accepts unchanged
+        m = max(1, n // 4)
+        for r in range(ORACLE_SEEDS):
+            s = draw_two_phase(N, n, m, SeedSpec(2002, r))
+            checked = TwoPhaseSample(s.first_phase, s.second_phase)
+            for got, expected in ((s.first_phase, checked.first_phase),
+                                  (s.second_phase, checked.second_phase)):
+                assert got.dtype == np.int64 and not got.flags.writeable
+                assert np.all(got[1:] > got[:-1])
+                assert np.array_equal(got, expected), (N, n, r)
+
     def test_size_ordering_enforced(self):
         with pytest.raises(ValueError, match="m < n"):
             draw_two_phase(10, 5, 5, SeedSpec(0, 0))
@@ -196,3 +236,17 @@ class TestTwoPhaseSample:
     def test_rejects_equal_sizes(self):
         with pytest.raises(ValueError, match="m < n"):
             TwoPhaseSample(first_phase=[0, 1], second_phase=[0, 1])
+
+    def test_rejects_non_integer_indices(self):
+        # floats were truncated to valid-looking indices, and 1e30 overflowed
+        for first, second in (([0.7, 1.2, 2.9], [1.9]), ([1e30, 2, 3], [2]),
+                              ([0, 1, 2], [1.0]), ([True, False, True], [True]),
+                              ([2**70, 1, 2], [1])):
+            with pytest.raises(ValueError, match="must be integers"):
+                TwoPhaseSample(first_phase=first, second_phase=second)
+
+    def test_integer_dtypes_accepted_and_empty_phase_message_kept(self):
+        s = TwoPhaseSample(np.array([4, 0, 2], dtype=np.uint8), np.array([2], dtype=np.int32))
+        assert s.first_phase.dtype == np.int64 and np.array_equal(s.first_phase, [0, 2, 4])
+        with pytest.raises(ValueError, match="both phases nonempty"):
+            TwoPhaseSample(first_phase=[0, 1, 2], second_phase=[])
