@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -63,14 +62,22 @@ class EstimatorError(ValueError):
     """An estimator's domain requirements are not met by the sample at hand."""
 
 
-def _frozen(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float).ravel().copy()
+def _checked(values, name: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=float).ravel()
     if arr.size == 0:
         raise EstimatorError(f"empty sample: {name}")
     if not np.isfinite(arr).all():
         raise EstimatorError(f"invalid datum in {name}")
-    arr.flags.writeable = False
     return arr
+
+
+def _require_finite(value, message: str) -> None:
+    try:
+        finite = math.isfinite(value)
+    except (TypeError, OverflowError):  # not a real number, or an int past the float range
+        finite = False
+    if not finite:
+        raise EstimatorError(message)
 
 
 class _KnownMedianX:
@@ -81,8 +88,8 @@ class _KnownMedianX:
         return known.median_x if isinstance(known, Population) else known
 
     def __set__(self, view, known) -> None:
-        if not (known is None or isinstance(known, Population) or math.isfinite(known)):
-            raise EstimatorError("known_mx must be finite when given")
+        if not (known is None or isinstance(known, Population)):
+            _require_finite(known, "known_mx must be finite when given")
         view.__dict__["_known_mx"] = known
 
 
@@ -103,9 +110,12 @@ class SampleView:
     run over the arrays in their original order, because the summation
     order decides the last bits of a floating-point sum.
 
-    The view keeps read-only copies of the arrays passed in;
-    ``_adopt``, for :meth:`from_population`, makes the fresh, finite
-    arrays it passes read-only in place of copying and checking them.
+    Every view comes from one builder, :func:`_views`, which the
+    replicate engine calls once per chunk of samples, :meth:`from_population`
+    with one sample, and this constructor with read-only copies of the
+    arrays passed in, once they pass its checks.  ``_built``, for the
+    builder, carries the sorted copies and medians it computed for the
+    read-only arrays it passes, which the view adopts without checks.
     """
 
     y_m: np.ndarray
@@ -119,34 +129,25 @@ class SampleView:
     sorted_x_m: np.ndarray = field(init=False, repr=False)
     sorted_z_m: np.ndarray = field(init=False, repr=False)
     medians: SampleMedians = field(init=False, repr=False)
-    _adopt: InitVar[bool] = False
+    _built: InitVar[dict | None] = None
 
-    def __post_init__(self, _adopt: bool) -> None:
-        for name in ("y_m", "x_m", "z_m", "x_n", "z_n"):
-            if _adopt:
-                getattr(self, name).flags.writeable = False
-            else:
-                object.__setattr__(self, name, _frozen(getattr(self, name), name))
-        for name in ("y_m", "x_m", "z_m"):
-            ordered = np.sort(getattr(self, name))
-            ordered.flags.writeable = False
-            object.__setattr__(self, "sorted_" + name, ordered)
-        if not (self.y_m.size == self.x_m.size == self.z_m.size):
-            raise EstimatorError("second-phase variables must have equal length")
-        if self.x_n.size != self.z_n.size:
-            raise EstimatorError("first-phase variables must have equal length")
-        if self.x_n.size < self.y_m.size:
-            raise EstimatorError("first phase cannot be smaller than second phase")
-        if not math.isfinite(self.known_mz):
-            raise EstimatorError("known_mz must be finite")
-        medians = SampleMedians(
-            my=_quantile_sorted(self.sorted_y_m, 0.5),
-            mx=_quantile_sorted(self.sorted_x_m, 0.5),
-            mx1=_quantile_selected(self.x_n, 0.5),
-            mz=_quantile_sorted(self.sorted_z_m, 0.5),
-            mz1=_quantile_selected(self.z_n, 0.5),
+    def __post_init__(self, _built: dict | None) -> None:
+        if _built is not None:
+            self.__dict__.update(_built)
+            return
+        y_m, x_m, z_m, x_n, z_n = (
+            _checked(getattr(self, name), name) for name in ("y_m", "x_m", "z_m", "x_n", "z_n")
         )
-        object.__setattr__(self, "medians", medians)
+        if not (y_m.size == x_m.size == z_m.size):
+            raise EstimatorError("second-phase variables must have equal length")
+        if x_n.size != z_n.size:
+            raise EstimatorError("first-phase variables must have equal length")
+        if x_n.size < y_m.size:
+            raise EstimatorError("first phase cannot be smaller than second phase")
+        _require_finite(self.known_mz, "known_mz must be finite")
+        [view], _, _ = _views(np.array((x_m, y_m, z_m))[:, None], np.array((x_n, z_n))[:, None],
+                              self.known_mz, self.__dict__["_known_mx"])
+        self.__dict__.update(view.__dict__)
 
     @property
     def m(self) -> int:
@@ -155,19 +156,11 @@ class SampleView:
     @classmethod
     def from_population(cls, pop: Population, sample: TwoPhaseSample) -> "SampleView":
         """Materialise the view for a drawn sample; the known medians are
-        the census medians of the population (knowable from the frame).
-        The view adopts the indexed copies of the population's finite arrays."""
+        the census medians of the population (knowable from the frame)."""
         sm, sn = sample.second_phase, sample.first_phase
-        return cls(
-            y_m=pop.y[sm],
-            x_m=pop.x[sm],
-            z_m=pop.z[sm],
-            x_n=pop.x[sn],
-            z_n=pop.z[sn],
-            known_mz=pop.median_z,
-            known_mx=pop,
-            _adopt=True,
-        )
+        [view], _, _ = _views(np.array((pop.x[sm], pop.y[sm], pop.z[sm]))[:, None],
+                              np.array((pop.x[sn], pop.z[sn]))[:, None], pop.median_z, pop)
+        return view
 
 
 @dataclass(frozen=True)
@@ -181,18 +174,27 @@ class SampleMedians:
     mz1: float
 
 
-#: The ids that read a :class:`SampleView`'s arrays; every other id reads
-#: only what a :class:`_MedianInputs` holds.
-_VIEW_IDS = frozenset({"position", "stratified"})
-
-
-class _MedianInputs(NamedTuple):
-    """All that the ids outside :data:`_VIEW_IDS` read of a
-    :class:`SampleView` when given its coefficients, in its place."""
-
-    medians: SampleMedians
-    known_mz: float
-    known_mx: float | None
+def _views(
+    second: np.ndarray, first: np.ndarray, known_mz, known_mx
+) -> tuple[list[SampleView], np.ndarray, np.ndarray]:
+    """The views of k samples, from their (3, k, m) x, y, z values over S_m
+    and (2, k, n) x, z values over S_n, which it makes read-only: the one
+    owner of a view's sorted copies and five phase medians.  Returns the
+    views, whose arrays are rows of these, with the (3, k, m) sorted copies
+    and (3, k) medians of x, y, z over S_m that :func:`_plugin_rows` reads."""
+    ordered = np.sort(second, axis=-1)
+    meds = _quantile_sorted(ordered, 0.5)
+    first_meds = _quantile_selected(first, 0.5)
+    for arr in (second, first, ordered):
+        arr.flags.writeable = False
+    views = [
+        SampleView(y, x, z, x1, z1, known_mz, known_mx, _built=dict(
+            sorted_y_m=sy, sorted_x_m=sx, sorted_z_m=sz,
+            medians=SampleMedians(my, mx, mx1, mz, mz1)))
+        for x, y, z, x1, z1, sx, sy, sz, mx, my, mz, mx1, mz1
+        in zip(*second, *first, *ordered, *meds.tolist(), *first_meds.tolist())
+    ]
+    return views, ordered, meds
 
 
 # ---------------------------------------------------------------------------

@@ -29,18 +29,14 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
-from .core_stats import _quantile_selected, _quantile_sorted
 from .estimators import (
     COEFFICIENT_IDS,
     ESTIMATOR_IDS,
     EstimatorError,
     G_FORM_IDS,
     PluginCoefficients,
-    SampleMedians,
-    SampleView,
-    _MedianInputs,
-    _VIEW_IDS,
     _plugin_rows,
+    _views,
     evaluate_with_diagnostics,
     true_coefficients,
 )
@@ -470,13 +466,14 @@ def _plan(config: SimConfig) -> _Plan:
 
 def _replicate_rows(plan: _Plan, start: int, stop: int) -> np.ndarray:
     """Per replicate in [start, stop): the estimates, then the clamp and
-    fallback flags, one column per id.  The phase medians and plug-ins of
-    :data:`_CHUNK` replicates come from their (chunk x m) and (chunk x n)
-    arrays through the last-axis kernels, with the bits of a view's; the
-    catalog then runs per replicate, on a view only for the ids that read
-    its arrays (:data:`~dsmedian.estimators._VIEW_IDS`).  So the chunk size
-    never changes a bit.  One Philox generator, re-keyed to stream r,
-    draws replicate r."""
+    fallback flags, one column per id.  The samples of :data:`_CHUNK`
+    replicates are gathered into one (chunk x m) and one (chunk x n) array
+    per variable, whose views (:func:`~dsmedian.estimators._views`) and
+    plug-ins come from the last-axis kernels, with the bits of
+    ``SampleView.from_population`` and ``plugin_coefficients`` on each
+    replicate alone; every id then reads its replicate's view.  So the
+    chunk size never changes a bit.  One Philox generator, re-keyed to
+    stream r, draws replicate r."""
     cfg, pop = plan.config, plan.pop
     ids = cfg.estimators
     try:
@@ -486,41 +483,32 @@ def _replicate_rows(plan: _Plan, start: int, stop: int) -> np.ndarray:
             f"replicates = {cfg.replicates}: the results do not fit in memory"
         ) from None
     needs_plugin = any(e in COEFFICIENT_IDS for e in ids)
-    known = (pop.median_z, pop.median_x)
     rng = SeedSpec(cfg.master_seed).generator()
     for lo in range(start, stop, _CHUNK):
         reps = range(lo, min(lo + _CHUNK, stop))
-        samples = []
-        for r in reps:
+        second_idx = np.empty((len(reps), cfg.m), dtype=np.int64)
+        first_idx = np.empty((len(reps), cfg.n), dtype=np.int64)
+        for i, r in enumerate(reps):
             _rekey(rng, cfg.master_seed, r)
-            samples.append(_draw(rng, cfg.N, cfg.n, cfg.m))
+            sample = _draw(rng, cfg.N, cfg.n, cfg.m)
+            second_idx[i], first_idx[i] = sample.second_phase, sample.first_phase
         second = np.empty((3, len(reps), cfg.m))  # x, y, z over S_m
         first = np.empty((2, len(reps), cfg.n))  # x, z over S_n
-        for i, sample in enumerate(samples):  # the indices are valid: "clip" only skips a copy
-            for out, values in zip(second, (pop.x, pop.y, pop.z)):
-                values.take(sample.second_phase, out=out[i], mode="clip")
-            for out, values in zip(first, (pop.x, pop.z)):
-                values.take(sample.first_phase, out=out[i], mode="clip")
-        ordered = np.sort(second, axis=-1)
-        meds = _quantile_sorted(ordered, 0.5)
+        # the indices are valid: "clip" only skips a copy
+        for out, values in zip(second, (pop.x, pop.y, pop.z)):
+            values.take(second_idx, out=out, mode="clip")
+        for out, values in zip(first, (pop.x, pop.z)):
+            values.take(first_idx, out=out, mode="clip")
+        views, ordered, meds = _views(second, first, pop.median_z, pop)
         coeffs = _plugin_rows(second, ordered, meds) if needs_plugin else [None] * len(reps)
-        first_meds = [_quantile_selected(values, 0.5).tolist() for values in first]
-        for r, sample, c, (mx, my, mz), (mx1, mz1) in zip(
-            reps, samples, coeffs, zip(*meds.tolist()), zip(*first_meds)
-        ):
-            inputs = _MedianInputs(SampleMedians(my, mx, mx1, mz, mz1), *known)
-            view = None  # built for the first id that reads a view's arrays
-            row = rows[r - start]
+        for view, c, row in zip(views, coeffs, rows[lo - start:]):
             estimates = [math.nan] * len(ids)
             for j, base, uses_true in plan.columns:
                 cj = plan.true_coeffs if uses_true else c
                 if base in COEFFICIENT_IDS and not isinstance(cj, PluginCoefficients):
                     continue  # the coefficients it needs are unavailable: the estimate stays NaN
-                if base in _VIEW_IDS and view is None:
-                    view = SampleView.from_population(pop, sample)
-                source = view if base in _VIEW_IDS else inputs
                 try:
-                    estimates[j], clamped, fell_back = evaluate_with_diagnostics(base, source, cj)
+                    estimates[j], clamped, fell_back = evaluate_with_diagnostics(base, view, cj)
                 except EstimatorError:
                     continue  # the estimate stays NaN
                 if clamped or fell_back:

@@ -216,6 +216,55 @@ class TestSampleMedians:
         assert ratio_known(view) == view.medians.my * (median(pop.x) / view.medians.mx)
 
 
+class TestSampleViewChecks:
+    GOOD = dict(y_m=[1, 2, 3], x_m=[4, 5, 6], z_m=[7, 8, 9], x_n=[4, 5, 6, 1],
+                z_n=[7, 8, 9, 1], known_mz=8.0)
+
+    @pytest.mark.parametrize("changes, message", [
+        # lengths are checked before the arrays are stacked
+        (dict(x_m=[4, 5]), "second-phase variables must have equal length"),
+        (dict(y_m=[1, 2, 3, 4]), "second-phase variables must have equal length"),
+        (dict(z_n=[7, 8, 9]), "first-phase variables must have equal length"),
+        (dict(x_n=[4, 5], z_n=[7, 8]), "first phase cannot be smaller than second phase"),
+        (dict(y_m=[]), "empty sample: y_m"),
+        (dict(x_n=[], z_n=[]), "empty sample: x_n"),
+        (dict(z_m=[7, np.inf, 9]), "invalid datum in z_m"),
+        (dict(x_n=[4, 5, np.nan, 1]), "invalid datum in x_n"),
+        (dict(known_mz=math.nan), "known_mz must be finite"),
+        (dict(known_mx=-math.inf), "known_mx must be finite when given"),
+    ])
+    def test_messages(self, changes, message):
+        with pytest.raises(EstimatorError) as info:
+            SampleView(**{**self.GOOD, **changes})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("changes, message", [
+        (dict(known_mz="a"), "known_mz must be finite"),
+        (dict(known_mz=None), "known_mz must be finite"),
+        (dict(known_mz=10**400), "known_mz must be finite"),
+        (dict(known_mx="a"), "known_mx must be finite when given"),
+        (dict(known_mx=10**400), "known_mx must be finite when given"),
+    ])
+    def test_known_median_not_a_float(self, changes, message):
+        # a TypeError or an OverflowError of math.isfinite is an EstimatorError
+        with pytest.raises(EstimatorError) as info:
+            SampleView(**{**self.GOOD, **changes})
+        assert str(info.value) == message
+
+    def test_read_only_copies(self):
+        given = {name: np.asarray(v, dtype=float) for name, v in self.GOOD.items()
+                 if name != "known_mz"}
+        view = SampleView(**given, known_mz=8.0, known_mx=10**20)
+        copies = [(getattr(view, name), arr) for name, arr in given.items()]
+        copies += [(getattr(view, "sorted_" + name), given[name]) for name in ("y_m", "x_m", "z_m")]
+        for got, arr in copies:
+            assert not np.shares_memory(got, arr)
+            assert not got.flags.writeable and arr.flags.writeable
+        for name, arr in given.items():
+            assert getattr(view, name).tobytes() == arr.tobytes()
+        assert view.known_mx == 10**20
+
+
 class TestKnownMedianBaselines:
     def test_ratio_known_arithmetic(self):
         v = make_view(y_m=[10, 10, 10], x_m=[5, 5, 5], z_m=[1, 2, 3],

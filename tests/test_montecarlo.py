@@ -1,5 +1,6 @@
 """Monte Carlo harness: generator analytics, determinism, aggregation."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -459,8 +460,8 @@ class TestReplicateDiagnostics:
     def test_equals_scalar_replay(self, tmp_path, monkeypatch):
         # every id on normal, lognormal and edge CSV sources, m below the
         # plug-ins' minimum of 4, R = 300 (not a whole number of chunks), and
-        # one or two worker processes; position and stratified run on a view,
-        # every other id on the chunk's medians (test_views_only_for_view_ids)
+        # one or two worker processes; every id reads a view built from the
+        # chunk's arrays (test_engine_views_equal_public_views)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         lognormal = MarginalSpec("lognormal", 0.0, 0.5)
         configs = {
@@ -501,22 +502,69 @@ class TestReplicateDiagnostics:
         assert json.dumps(forked.to_json_dict()) == json.dumps(serial.to_json_dict())
         assert np.array_equal(forked.estimates, serial.estimates, equal_nan=True)
 
-    def test_views_only_for_view_ids(self, monkeypatch):
-        # the ids that read only medians never build a view; position and
-        # stratified share one per replicate
+    def test_views_built_once_per_chunk(self, monkeypatch):
+        # one view build per chunk of 16 replicates, whatever the ids; the
+        # ids that read a view's arrays gather nothing more
+        calls = []
+        real = montecarlo._views
+
+        def counting(second, first, known_mz, known_mx):
+            calls.append(second.shape[1])
+            return real(second, first, known_mz, known_mx)
+
+        def refused(pop, sample):
+            raise AssertionError("the engine built a view of its own")
+
+        monkeypatch.setattr(montecarlo, "_views", counting)
+        monkeypatch.setattr(SampleView, "from_population", staticmethod(refused))
+        for ids in (("median", "reg-xz"), ("g1", "position", "stratified"), ALL_IDS):
+            calls.clear()
+            run_simulation(quick_config(replicates=25, estimators=ids))
+            assert calls == [16, 9], ids
+
+    def test_engine_views_equal_public_views(self, tmp_path, monkeypatch):
+        # every replicate's view equals from_population and the public
+        # constructor on the same draw: arrays, sorted copies and medians,
+        # bit for bit (-0.0 != 0.0)
         built = []
-        real = SampleView.from_population
+        real = montecarlo._views
 
-        def counting(pop, sample):
-            built.append(sample)
-            return real(pop, sample)
+        def recording(*args):
+            out = real(*args)
+            built.extend(out[0])
+            return out
 
-        monkeypatch.setattr(SampleView, "from_population", staticmethod(counting))
-        median_ids = tuple(e for e in ALL_IDS if e not in estimators._VIEW_IDS)
-        run_simulation(quick_config(replicates=25, estimators=median_ids))
-        assert built == []
-        run_simulation(quick_config(replicates=25, estimators=("g1", "position", "stratified")))
-        assert len(built) == 25
+        monkeypatch.setattr(montecarlo, "_views", recording)
+        configs = {
+            "normal": quick_config(**self.CONFIG),
+            "m = 3": quick_config(**{**self.CONFIG, "m": 3}),
+            # tied zeros of both signs at the median of x
+            "tie-heavy, n = 500": quick_config(
+                **{**self.CONFIG, "N": 1000, "n": 500}, generator=None,
+                csv_path=_csv_sources(tmp_path, 1000)["tie-heavy"]),
+        }
+        names = ("y_m", "x_m", "z_m", "x_n", "z_n", "sorted_y_m", "sorted_x_m", "sorted_z_m")
+        for name, cfg in configs.items():
+            built.clear()
+            run_simulation(cfg)
+            if cfg.generator is not None:
+                pop = generate_population(cfg.generator, cfg.N,
+                                          SeedSpec(cfg.master_seed, POPULATION_STREAM))
+            else:
+                pop = load_population_csv(cfg.csv_path)
+            assert len(built) == cfg.replicates, name
+            for r, view in enumerate(built):
+                sample = draw_two_phase(cfg.N, cfg.n, cfg.m, SeedSpec(cfg.master_seed, r))
+                sm, sn = sample.second_phase, sample.first_phase
+                public = SampleView(y_m=pop.y[sm], x_m=pop.x[sm], z_m=pop.z[sm], x_n=pop.x[sn],
+                                    z_n=pop.z[sn], known_mz=pop.median_z, known_mx=pop)
+                for other in (SampleView.from_population(pop, sample), public):
+                    for field in names:
+                        assert getattr(view, field).tobytes() == getattr(other, field).tobytes()
+                    assert [v.hex() for v in dataclasses.astuple(view.medians)] == [
+                        v.hex() for v in dataclasses.astuple(other.medians)], (name, r)
+                    assert (view.known_mz, view.known_mx) == (other.known_mz, other.known_mx)
+                assert not any(getattr(view, field).flags.writeable for field in names)
 
     def test_position_probability_once_per_replicate(self, monkeypatch):
         # each position_probability call, whoever makes it, tabulates the
