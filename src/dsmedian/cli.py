@@ -41,7 +41,7 @@ from .estimators import (
 from .montecarlo import PopulationInputError, load_sim_config, run_simulation
 from .population import PopulationSummary, load_population_csv, population_summary
 from .sampling import SeedSpec, draw_two_phase
-from .variance_theory import VarianceComponents, variance_components
+from .variance_theory import DesignSizes, VarianceComponents, variance_components
 
 SEED_ENV_VAR = "DSMEDIAN_SEED"
 
@@ -165,8 +165,10 @@ def _cmd_estimate(args) -> int:
         pop = load_population_csv(args.csv)
     except (OSError, ValueError) as exc:
         raise _InputError(str(exc)) from None
-    if not 2 <= args.m < args.n <= pop.N:
-        raise _InputError(f"require 2 <= m < n <= N={pop.N}, got m={args.m}, n={args.n}")
+    try:
+        DesignSizes(args.m, args.n, pop.N)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from None
     sample = draw_two_phase(pop.N, args.n, args.m, SeedSpec(seed, 0))
     view = SampleView.from_population(pop, sample)
     coeffs = None

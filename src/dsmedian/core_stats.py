@@ -10,6 +10,10 @@ sample sizes are handled: no interpolation, ever.  Densities are Gaussian
 kernel estimates with Silverman's rule-of-thumb bandwidth, and bivariate
 association is summarised by the 2x2 quadrant proportions about a pair of
 thresholds (normally the two medians).
+
+The private kernels are plain numpy along the last axis: the census summary
+and the plug-ins run them over x, y and z stacked as (3, k, m) arrays, with
+the bits of the public 1-D forms, which return Python floats and ints.
 """
 
 from __future__ import annotations
@@ -32,13 +36,32 @@ __all__ = [
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite real: False for a non-number and for an
+    int past the float range too."""
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _finite_floats(values) -> np.ndarray | None:
+    """``values`` as a float array, or None if one is not a finite real: a
+    NaN, an infinity, a non-number or an int past the float range."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return arr if np.isfinite(arr).all() else None
+
+
 def _as_finite_1d(values, name: str = "values") -> np.ndarray:
-    arr = np.asarray(values, dtype=float).ravel()
+    arr = _finite_floats(values)
+    if arr is None:
+        raise ValueError(f"invalid datum: {name} contains non-finite values")
     if arr.size == 0:
         raise ValueError(f"empty sample: {name} has no elements")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"invalid datum: {name} contains non-finite values")
-    return arr
+    return arr.ravel()
 
 
 def _quantile_index(k: int, p: float) -> int:
@@ -57,27 +80,9 @@ def _quantile_index(k: int, p: float) -> int:
     return idx
 
 
-def _rows(value, kind=float):
-    """A last-axis kernel's result: an array of row values, or one ``kind``
-    for a 1-D sample."""
-    return value if getattr(value, "ndim", 0) else kind(value)
-
-
-def _col(value):
-    """One value per sample (an array, or a float for a 1-D sample) set
-    against the last axis of the samples."""
-    return value[..., None] if getattr(value, "ndim", 0) else value
-
-
-def _where(cond, a, b):
-    """``np.where`` on row values, a plain choice on the scalars of a 1-D
-    sample."""
-    return np.where(cond, a, b) if getattr(cond, "ndim", 0) else (a if cond else b)
-
-
 def _quantile_sorted(sorted_vals: np.ndarray, p: float):
     """Quantile along the last axis of sorted samples."""
-    return _rows(sorted_vals[..., _quantile_index(sorted_vals.shape[-1], p)])
+    return sorted_vals[..., _quantile_index(sorted_vals.shape[-1], p)]
 
 
 def empirical_quantile(values, p: float) -> float:
@@ -98,21 +103,21 @@ def empirical_quantile(values, p: float) -> float:
         An element of ``values``.
     """
     arr = _as_finite_1d(values)
-    if not (0.0 < p <= 1.0) or not math.isfinite(p):
+    if not (_finite(p) and 0.0 < p <= 1.0):
         raise ValueError(f"quantile level must be in (0, 1], got {p!r}")
-    return _quantile_selected(arr, p)
+    return float(_quantile_selected(arr, p))
 
 
 def _quantile_selected(arr: np.ndarray, p: float):
     """Quantile along the last axis of validated samples by selection, with
     the bits of the sort."""
     idx = _quantile_index(arr.shape[-1], p)
-    value = _rows(np.partition(arr, idx)[..., idx])
+    value = np.partition(arr, idx)[..., idx]
     zero = value == 0.0
     if np.count_nonzero(zero):
         # -0.0 == 0.0, so among tied zeros selection and sorting may pick
         # different signs; the sort of each sample in its own order decides
-        value = _where(zero, _rows(np.sort(arr)[..., idx]), value)
+        value = np.where(zero, np.sort(arr)[..., idx], value)
     return value
 
 
@@ -160,24 +165,22 @@ def proportion_matrix(pairs, threshold_a: float, threshold_b: float) -> Proporti
     threshold_a, threshold_b : float
         Finite split points; "low" means ``<=``.
     """
-    arr = np.asarray(pairs, dtype=float)
+    arr = _finite_floats(pairs)
+    if arr is None:
+        raise ValueError("invalid datum: pairs contain non-finite values")
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
         raise ValueError("empty sample: pairs must be a nonempty (k, 2) array")
-    if not np.isfinite(arr).all():
-        raise ValueError("invalid datum: pairs contain non-finite values")
-    if not (math.isfinite(threshold_a) and math.isfinite(threshold_b)):
+    if not (_finite(threshold_a) and _finite(threshold_b)):
         raise ValueError("thresholds must be finite")
-    k = arr.shape[0]
-    c11, c12, c21, c22 = _quadrant_counts(arr[:, 0] <= threshold_a, arr[:, 1] <= threshold_b)
-    return ProportionMatrix(p11=c11 / k, p12=c12 / k, p21=c21 / k, p22=c22 / k)
+    counts = _quadrant_counts(arr[:, 0] <= threshold_a, arr[:, 1] <= threshold_b)
+    return ProportionMatrix(*(int(c) / arr.shape[0] for c in counts))
 
 
 def _quadrant_counts(a_low: np.ndarray, b_low: np.ndarray) -> tuple:
-    """(c11, c12, c21, c22) along the last axis of two equal-shape boolean
-    low masks, in the orientation of :class:`ProportionMatrix`: ints for
-    1-D masks, else arrays of counts."""
-    axis = -1 if a_low.ndim > 1 else None
-    c11, b, a = (_rows(np.count_nonzero(v, axis=axis), int) for v in (a_low & b_low, b_low, a_low))
+    """The counts (c11, c12, c21, c22) along the last axis of two
+    equal-shape boolean low masks, in the orientation of
+    :class:`ProportionMatrix`."""
+    c11, b, a = (np.add.reduce(v, axis=-1, dtype=np.intp) for v in (a_low & b_low, b_low, a_low))
     c12, c21 = b - c11, a - c11
     return c11, c12, c21, a_low.shape[-1] - c11 - c12 - c21
 
@@ -196,7 +199,7 @@ def silverman_bandwidth(values) -> float:
     arr = _as_finite_1d(values)
     if arr.size < 2:
         raise ValueError("bandwidth needs at least 2 values")
-    h = _silverman_bandwidth(arr, np.sort(arr))
+    h = float(_silverman_bandwidth(arr, np.sort(arr)))
     if not (0.0 < h < math.inf):
         why = "all values identical" if _sd(arr) == 0.0 else f"h = {h!r}"
         raise ValueError(f"degenerate sample for bandwidth: {why}")
@@ -214,7 +217,7 @@ def _silverman_bandwidth(arr: np.ndarray, sorted_vals: np.ndarray):
     sd = _sd(arr)
     iqr = _quantile_sorted(sorted_vals, 0.75) - _quantile_sorted(sorted_vals, 0.25)
     q = iqr / 1.34
-    scale = _where(iqr > 0.0, _where(q < sd, q, sd), sd)  # min(sd, q), ties and NaN included
+    scale = np.where(iqr > 0.0, np.where(q < sd, q, sd), sd)  # min(sd, q), ties and NaN included
     return 0.9 * scale * arr.shape[-1] ** (-0.2)
 
 
@@ -223,8 +226,8 @@ def _sd(arr: np.ndarray):
     at least 2 values, without numpy's wrapper: the same pairwise sums of
     the values and of the squared deviations from their mean."""
     k = arr.shape[-1]
-    d = arr - _col(np.add.reduce(arr, axis=-1) / k)
-    return _rows(np.sqrt(np.add.reduce(np.square(d, out=d), axis=-1) / (k - 1)))
+    d = arr - np.add.reduce(arr, axis=-1, keepdims=True) / k
+    return np.sqrt(np.add.reduce(np.square(d, out=d), axis=-1) / (k - 1))
 
 
 @dataclass(frozen=True)
@@ -249,49 +252,49 @@ def kde_at(values, point: float, bandwidth: float) -> DensityEstimate:
     :func:`silverman_bandwidth` returns is.
     """
     arr = _as_finite_1d(values)
-    if not (math.isfinite(bandwidth) and bandwidth > 0.0):
+    if not (_finite(bandwidth) and bandwidth > 0.0):
         raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
-    if not math.isfinite(point):
+    if not _finite(point):
         raise ValueError("evaluation point must be finite")
     with np.errstate(over="ignore"):  # a subnormal bandwidth can overflow it: refused below
-        value = _kde(arr, point, bandwidth)
+        value = float(_kde(arr, np.float64(point), np.float64(bandwidth)))
     return DensityEstimate(value=value, bandwidth=bandwidth)
 
 
-def _kde(arr: np.ndarray, point, bandwidth):
+def _kde(arr: np.ndarray, point: np.ndarray, bandwidth: np.ndarray):
     """The Gaussian KDE of :func:`kde_at` along the last axis of validated
     samples, at one finite point with one finite, positive bandwidth per
-    sample.  A subnormal bandwidth can overflow the value to inf."""
-    u = (_col(point) - arr) / _col(bandwidth)
-    return _rows(np.exp(-0.5 * u * u).sum(axis=-1) / (arr.shape[-1] * bandwidth * _SQRT_2PI))
+    sample (numpy values, shaped as the samples less their last axis).  A
+    subnormal bandwidth can overflow the value to inf."""
+    u = (point[..., None] - arr) / bandwidth[..., None]
+    return np.exp(-0.5 * u * u).sum(axis=-1) / (arr.shape[-1] * bandwidth * _SQRT_2PI)
 
 
-def _median_split(columns, sorted_columns, medians) -> tuple[tuple, tuple, np.ndarray | int]:
+_CODES = np.array([[1], [3], [5]])  # of a failing x, y, z bandwidth; a density overflow adds 1
+
+
+def _median_split(values: np.ndarray, ordered: np.ndarray, medians: np.ndarray) -> tuple:
     """Densities at the medians and quadrant counts about them along the
-    last axis of validated x, y, z samples (``sorted_columns`` their sorted
-    copies): the one owner of what the census summary and the plug-ins
-    take from the data besides the medians, with the bits of
-    :func:`silverman_bandwidth`, :func:`kde_at` and :func:`proportion_matrix`.
+    last axis of validated (3, k, m) x, y, z samples, given their sorted
+    copies ``ordered`` and their (3, k) ``medians``: the one owner of what
+    the census summary and the plug-ins take from the data besides the
+    medians, with the bits of :func:`silverman_bandwidth`, :func:`kde_at`
+    and :func:`proportion_matrix`.
 
-    Returns ``(f_x, f_y, f_z)``, the :func:`_quadrant_counts` of (x, y),
-    (y, z), (x, z), and a code per sample: 0 if usable, else 2j + 1 if the
-    bandwidth of the first failing column j (0, 1, 2 for x, y, z) is not
-    finite and positive, 2j + 2 if its density overflows.  The float faults
-    on the way stay silent."""
-    hs, dens, lows = [], [], []
+    Returns the (3, k) densities of x, y, z, the :func:`_quadrant_counts`
+    of the pairs (x, y), (y, z), (x, z), each a (3, k) array, and a (k,)
+    code per sample: 0 if usable, else 2j + 1 if the bandwidth of the first
+    failing variable j (0, 1, 2 for x, y, z) is not finite and positive,
+    2j + 2 if its density overflows.  The float faults on the way stay
+    silent."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for values, ordered, at in zip(columns, sorted_columns, medians):
-            hs.append(_silverman_bandwidth(values, ordered))
-            dens.append(_kde(values, at, hs[-1]))
-            lows.append(values <= _col(at))
-    code = 0
-    for j in (2, 1, 0):  # the first failing column decides
-        h, f = hs[j], dens[j]
-        code = _where((h > 0.0) & (h < math.inf), _where(f == math.inf, 2 * j + 2, code), 2 * j + 1)
-    x_low, y_low, z_low = lows
-    pairs = ((x_low, y_low), (y_low, z_low), (x_low, z_low))
-    counts = tuple(_quadrant_counts(a_low, b_low) for a_low, b_low in pairs)
-    return tuple(dens), counts, code
+        h = _silverman_bandwidth(values, ordered)
+        dens = _kde(values, medians, h)
+        low = values <= medians[..., None]
+    # each variable's code, 7 where usable: the first failing variable has the least
+    codes = np.where((h > 0.0) & (h < math.inf), np.where(dens == math.inf, _CODES + 1, 7), _CODES)
+    code = np.minimum.reduce(codes, axis=0) % 7
+    return dens, _quadrant_counts(low[[0, 1, 0]], low[[1, 2, 2]]), code
 
 
 def _split_failure(code: int) -> tuple[str, bool]:

@@ -22,6 +22,8 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .core_stats import (
+    _finite,
+    _finite_floats,
     _median_split,
     _quadrant_counts,
     _quantile_selected,
@@ -63,20 +65,16 @@ class EstimatorError(ValueError):
 
 
 def _checked(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float).ravel()
+    arr = _finite_floats(values)
+    if arr is None:
+        raise EstimatorError(f"invalid datum in {name}")
     if arr.size == 0:
         raise EstimatorError(f"empty sample: {name}")
-    if not np.isfinite(arr).all():
-        raise EstimatorError(f"invalid datum in {name}")
-    return arr
+    return arr.ravel()
 
 
 def _require_finite(value, message: str) -> None:
-    try:
-        finite = math.isfinite(value)
-    except (TypeError, OverflowError):  # not a real number, or an int past the float range
-        finite = False
-    if not finite:
+    if not _finite(value):
         raise EstimatorError(message)
 
 
@@ -157,9 +155,9 @@ class SampleView:
     def from_population(cls, pop: Population, sample: TwoPhaseSample) -> "SampleView":
         """Materialise the view for a drawn sample; the known medians are
         the census medians of the population (knowable from the frame)."""
-        sm, sn = sample.second_phase, sample.first_phase
-        [view], _, _ = _views(np.array((pop.x[sm], pop.y[sm], pop.z[sm]))[:, None],
-                              np.array((pop.x[sn], pop.z[sn]))[:, None], pop.median_z, pop)
+        [view], _, _ = _views(pop.xyz.take(sample.second_phase[None], axis=1),
+                              pop.xyz.take(sample.first_phase[None], axis=1)[::2],
+                              pop.median_z, pop)
         return view
 
 
@@ -231,7 +229,7 @@ def position_probability(view: SampleView) -> tuple[float, float, bool]:
     if m < 2:
         raise EstimatorError("position estimator needs m >= 2")
     meds = view.medians
-    c11, c12, _, _ = _quadrant_counts(view.x_m <= meds.mx, view.y_m <= meds.my)
+    c11, c12, _, _ = (int(c) for c in _quadrant_counts(view.x_m <= meds.mx, view.y_m <= meds.my))
     m_x = int(np.count_nonzero(view.x_m <= mx_known))
     raw = 2.0 * (m_x * (c11 / m) + (m - m_x) * (c12 / m)) / m
     clamped = min(max(raw, 1.0 / m), 1.0)
@@ -247,7 +245,7 @@ Estimate = tuple[float, bool, bool]
 
 def _position(view: SampleView) -> Estimate:
     _, p_hat, clamped = position_probability(view)
-    return _quantile_sorted(view.sorted_y_m, p_hat), clamped, False
+    return float(_quantile_sorted(view.sorted_y_m, p_hat)), clamped, False
 
 
 def position_estimator(view: SampleView) -> float:
@@ -394,27 +392,26 @@ def plugin_coefficients(view: SampleView) -> PluginCoefficients:
     a1..a3 None.
     """
     meds = view.medians
-    [coeffs] = _plugin_rows(
-        (view.x_m, view.y_m, view.z_m),
-        (view.sorted_x_m, view.sorted_y_m, view.sorted_z_m),
-        (meds.mx, meds.my, meds.mz),
-    )
+    [coeffs] = _plugin_rows(np.array((view.x_m, view.y_m, view.z_m))[:, None],
+                            np.array((view.sorted_x_m, view.sorted_y_m, view.sorted_z_m))[:, None],
+                            np.array(((meds.mx,), (meds.my,), (meds.mz,))))
     if isinstance(coeffs, EstimatorError):
         raise coeffs
     return coeffs
 
 
-def _plugin_rows(columns, sorted_columns, medians) -> list[PluginCoefficients | EstimatorError]:
-    """:func:`plugin_coefficients` along the last axis of second-phase x, y,
-    z samples, given their sorted copies and medians: per sample, its
-    coefficients or the EstimatorError that says why it has none."""
-    m = columns[0].shape[-1]
+def _plugin_rows(values: np.ndarray, ordered: np.ndarray,
+                 medians: np.ndarray) -> list[PluginCoefficients | EstimatorError]:
+    """:func:`plugin_coefficients` along the last axis of (3, k, m)
+    second-phase x, y, z samples, given their sorted copies and (3, k)
+    medians: per sample, its coefficients or the EstimatorError that says
+    why it has none."""
+    m = values.shape[-1]
     if m < 4:
-        return [EstimatorError("plug-in coefficients need m >= 4")] * np.size(medians[0])
-    dens, counts, codes = _median_split(columns, sorted_columns, medians)
-    values = (codes, *medians, *dens, *(c[0] for c in counts))
+        return [EstimatorError("plug-in coefficients need m >= 4")] * values.shape[1]
+    dens, (c11, *_), codes = _median_split(values, ordered, medians)
     out: list[PluginCoefficients | EstimatorError] = []
-    for code, *row in zip(*(v.tolist() if isinstance(v, np.ndarray) else [v] for v in values)):
+    for code, *row in zip(codes.tolist(), *medians.tolist(), *dens.tolist(), *c11.tolist()):
         try:  # row: the medians, the densities and the counts c11 of the three pairs
             if code:
                 name, overflowed = _split_failure(code)

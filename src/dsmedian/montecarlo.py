@@ -219,7 +219,7 @@ def generate_population(spec: GeneratorSpec, N: int, seed: SeedSpec) -> Populati
     with np.errstate(over="ignore"):  # an inf the population's finite check reports
         for marginal, row in zip((spec.marginal_x, spec.marginal_y, spec.marginal_z), values):
             marginal.transform(row)
-    return Population(*values, _adopt=True)
+    return Population(*values, _adopt=values)
 
 
 @dataclass(frozen=True)
@@ -466,10 +466,10 @@ def _plan(config: SimConfig) -> _Plan:
 
 def _replicate_rows(plan: _Plan, start: int, stop: int) -> np.ndarray:
     """Per replicate in [start, stop): the estimates, then the clamp and
-    fallback flags, one column per id.  The samples of :data:`_CHUNK`
-    replicates are gathered into one (chunk x m) and one (chunk x n) array
-    per variable, whose views (:func:`~dsmedian.estimators._views`) and
-    plug-ins come from the last-axis kernels, with the bits of
+    fallback flags, one column per id.  Each phase of the samples of
+    :data:`_CHUNK` replicates is gathered from ``pop.xyz`` with one take,
+    and their views (:func:`~dsmedian.estimators._views`) and plug-ins
+    come from the last-axis kernels, with the bits of
     ``SampleView.from_population`` and ``plugin_coefficients`` on each
     replicate alone; every id then reads its replicate's view.  So the
     chunk size never changes a bit.  One Philox generator, re-keyed to
@@ -492,13 +492,9 @@ def _replicate_rows(plan: _Plan, start: int, stop: int) -> np.ndarray:
             _rekey(rng, cfg.master_seed, r)
             sample = _draw(rng, cfg.N, cfg.n, cfg.m)
             second_idx[i], first_idx[i] = sample.second_phase, sample.first_phase
-        second = np.empty((3, len(reps), cfg.m))  # x, y, z over S_m
-        first = np.empty((2, len(reps), cfg.n))  # x, z over S_n
-        # the indices are valid: "clip" only skips a copy
-        for out, values in zip(second, (pop.x, pop.y, pop.z)):
-            values.take(second_idx, out=out, mode="clip")
-        for out, values in zip(first, (pop.x, pop.z)):
-            values.take(first_idx, out=out, mode="clip")
+        # x, y, z over S_m and x, z over S_n: take copies a strided source whole,
+        # so the phase takes y too, from the contiguous array, at a cost in n not N
+        second, first = pop.xyz.take(second_idx, axis=1), pop.xyz.take(first_idx, axis=1)[::2]
         views, ordered, meds = _views(second, first, pop.median_z, pop)
         coeffs = _plugin_rows(second, ordered, meds) if needs_plugin else [None] * len(reps)
         for view, c, row in zip(views, coeffs, rows[lo - start:]):

@@ -1,11 +1,11 @@
 """Finite-population data model and the population-level summary quantities.
 
-A :class:`Population` is three equal-length value vectors (x, y, z): the
-study variate is y, x is the auxiliary whose median is estimated in the
-first phase, and z is the second auxiliary whose population median is
-treated as known.  :func:`population_summary` computes every quantity the
-variance theory consumes: the three medians, the marginal densities at
-those medians, and the three quadrant-proportion matrices.
+A :class:`Population` is one (3, N) array of (x, y, z) values: the study
+variate is y, x is the auxiliary whose median is estimated in the first
+phase, and z is the second auxiliary whose population median is treated
+as known.  :func:`population_summary` computes every quantity the variance
+theory consumes: the three medians, the marginal densities at those
+medians, and the three quadrant-proportion matrices.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .core_stats import ProportionMatrix, _median_split, _split_failure, median
+from .core_stats import ProportionMatrix, _finite_floats, _median_split, _split_failure, median
 
 __all__ = ["Population", "PopulationSummary", "population_summary", "load_population_csv"]
 
@@ -27,35 +27,34 @@ CSV_COLUMNS = ("x", "y", "z")
 _TOO_FEW_UNITS = "population needs at least 4 units for two-phase sampling"
 
 
-def _frozen_array(values, name: str, adopt: bool) -> np.ndarray:
-    arr = np.array(values, dtype=float, copy=not adopt).ravel()
-    if not np.isfinite(arr).all():
-        raise ValueError(f"population variable {name} contains non-finite values")
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class Population:
-    """A finite population of N units carrying (x, y, z) values: frozen copies
-    of the arrays passed in (``_adopt``, for generate_population, skips the copy)."""
+    """A finite population of N units carrying (x, y, z) values, kept as the
+    rows of one read-only (3, N) array ``xyz``: a copy of the arrays passed
+    in (``_adopt``, for generate_population, is the (3, N) array whose rows
+    are passed, kept without a copy)."""
 
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
-    _adopt: InitVar[bool] = False
+    xyz: np.ndarray = field(init=False, repr=False)
+    _adopt: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, _adopt: bool) -> None:
-        for name in ("x", "y", "z"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name), name, _adopt))
-        if not (self.x.size == self.y.size == self.z.size):
+    def __post_init__(self, _adopt: np.ndarray | None) -> None:
+        rows = [_finite_floats(getattr(self, name)) for name in ("x", "y", "z")]
+        for name, row in zip(("x", "y", "z"), rows):
+            if row is None:
+                raise ValueError(f"population variable {name} contains non-finite values")
+        if not (rows[0].size == rows[1].size == rows[2].size):
             raise ValueError("x, y, z must have equal length")
-        if self.x.size < 4:
+        if rows[0].size < 4:
             raise ValueError(_TOO_FEW_UNITS)
+        # reshape, unlike ravel, keeps a strided 1-D column a view: the stack is the one copy
+        xyz = np.array([row.reshape(-1) for row in rows]) if _adopt is None else _adopt
+        xyz.flags.writeable = False
+        self.__dict__.update(xyz=xyz, x=xyz[0], y=xyz[1], z=xyz[2])
 
-    @property
-    def N(self) -> int:
-        return self.x.size
+    N = property(lambda self: self.xyz.shape[1])
 
     # census medians, each computed on first use and kept with the population
     median_x = cached_property(lambda self: median(self.x))
@@ -148,13 +147,15 @@ def population_summary(pop: Population) -> PopulationSummary:
     Deterministic: identical input bits give identical output bits.
     """
     meds = (pop.median_x, pop.median_y, pop.median_z)
-    cols = (pop.x, pop.y, pop.z)
-    dens, counts, code = _median_split(cols, tuple(np.sort(c) for c in cols), meds)
+    xyz = pop.xyz[:, None]
+    dens, counts, [code] = _median_split(xyz, np.sort(xyz), np.array(meds)[:, None])
     if code:
         name, _ = _split_failure(code)
         raise ValueError(f"zero density at median: variable {name} is degenerate")
-    pm_xy, pm_yz, pm_xz = (ProportionMatrix(*(c / pop.N for c in cs)) for cs in counts)
-    return PopulationSummary(*meds, *dens, pm_xy=pm_xy, pm_xz=pm_xz, pm_yz=pm_yz, N=pop.N)
+    pm_xy, pm_yz, pm_xz = (ProportionMatrix(*proportions)
+                           for proportions in (np.array(counts)[..., 0].T / pop.N).tolist())
+    return PopulationSummary(*meds, *dens[:, 0].tolist(), pm_xy=pm_xy, pm_xz=pm_xz, pm_yz=pm_yz,
+                             N=pop.N)
 
 
 def load_population_csv(path) -> Population:

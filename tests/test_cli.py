@@ -150,8 +150,9 @@ class TestEstimate:
         assert code == 2
         assert "unsigned 64-bit integer" in capsys.readouterr().err
 
-    def test_bad_sizes_exit_2(self, pop_csv):
+    def test_bad_sizes_exit_2(self, pop_csv, capsys):
         assert cli.main(["estimate", pop_csv, "--m", "100", "--n", "30"]) == 2
+        assert "require 2 <= m < n <= N, got m=100, n=30, N=" in capsys.readouterr().err
 
     def test_per_estimator_errors_surfaced(self, tmp_path, capsys):
         # x and z identical: the generalized class fails, the others still report

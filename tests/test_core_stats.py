@@ -102,8 +102,8 @@ class TestEmpiricalQuantile:
     def test_selection_median_equals_sorted_rule(self, k, seed, extra, weights):
         pool = [-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, extra]
         a = np.random.default_rng(seed).choice(pool, size=k, p=np.array(weights) / sum(weights))
-        expected = _quantile_sorted(np.sort(a), 0.5).hex()
-        assert median(a).hex() == _quantile_selected(a, 0.5).hex() == expected
+        expected = float(_quantile_sorted(np.sort(a), 0.5)).hex()
+        assert median(a).hex() == float(_quantile_selected(a, 0.5)).hex() == expected
 
     def test_errors(self):
         with pytest.raises(ValueError, match="empty sample"):
@@ -252,6 +252,27 @@ class TestKdeAt:
                 kde_at([1.0, 1.0, 1.0], 1.0, 5e-324)
 
 
+class TestNotAFloat:
+    """An int past the float range, or a non-number, is a ValueError of each
+    public form, not numpy's or math's OverflowError or a TypeError."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: empirical_quantile([10**400, 1], 0.5), "invalid datum: values"),
+        (lambda: empirical_quantile([1.0, 2.0], "a"), "quantile level must be in"),
+        (lambda: silverman_bandwidth([10**400, 1, 2]), "invalid datum: values"),
+        (lambda: kde_at([1.0, 2.0], 10**400, 1.0), "evaluation point must be finite"),
+        (lambda: kde_at([1.0, 2.0], 1.0, 10**400), "bandwidth must be positive"),
+        (lambda: proportion_matrix([(1.0, 2.0)], 10**400, 1.0), "thresholds must be finite"),
+        (lambda: proportion_matrix([(10**400, 2.0)], 1.0, 1.0), "invalid datum: pairs"),
+    ], ids=["empirical_quantile", "empirical_quantile-level", "silverman_bandwidth",
+            "kde_at-point", "kde_at-bandwidth", "proportion_matrix-threshold",
+            "proportion_matrix-pairs"])
+    def test_value_error(self, call, message):
+        with pytest.raises(ValueError, match=message) as info:
+            call()
+        assert type(info.value) is ValueError
+
+
 class TestKernels:
     """The private kernels over validated 1-D float arrays give the bits of
     the validated public forms, and the sd those of ``np.std(ddof=1)``."""
@@ -283,7 +304,7 @@ class TestKernels:
             else:
                 assert _silverman_bandwidth(a, np.sort(a)).hex() == h.hex()
             point = median(a)
-            density = _kde(a, point, h)
+            density = _kde(a, np.float64(point), np.float64(h))
             if math.isfinite(density):
                 assert kde_at(a, point, h).value.hex() == density.hex()
         ta, tb = median(a), float(b[0])
@@ -318,8 +339,9 @@ ROW_KINDS = st.tuples(st.sampled_from(["normal", "ties", "subnormal", "degenerat
 
 class TestLastAxisKernels:
     """Every row of a last-axis kernel called on (rows x k) samples has the
-    bits of the kernel's 1-D call on that row, so chunking replicates never
-    changes a bit."""
+    bits of the kernel's 1-D call on that row, and every sample of a
+    (3, rows, k) :func:`_median_split` those of its (3, 1, k) call and of
+    the public forms, so chunking replicates never changes a bit."""
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(k=st.sampled_from([*range(2, 10), *range(127, 131), *range(1023, 1026)]),
@@ -327,11 +349,11 @@ class TestLastAxisKernels:
     @example(k=4, kinds=[("degenerate", 1.0), ("ties", 1.0), ("subnormal", 1.0)], seed=0)
     def test_rows_equal_1d_calls(self, k, kinds, seed):
         rng = np.random.default_rng(seed)
-        cols = tuple(_edge_rows(rng, [kinds[(i + j) % len(kinds)] for i in range(len(kinds))], k)
-                     for j in range(3))
-        x = cols[0]
-        ordered = tuple(np.sort(c, axis=-1) for c in cols)
-        meds = tuple(_quantile_sorted(o, 0.5) for o in ordered)
+        values = np.array([_edge_rows(rng, [kinds[(i + j) % len(kinds)] for i in range(len(kinds))],
+                                      k) for j in range(3)])  # x, y, z: (3, rows, k)
+        x = values[0]
+        ordered = np.sort(values, axis=-1)
+        meds = _quantile_sorted(ordered, 0.5)
 
         def same(rows, calls):
             assert [float(v).hex() for v in np.ravel(rows)] == [float(v).hex() for v in calls]
@@ -344,16 +366,35 @@ class TestLastAxisKernels:
             h = _silverman_bandwidth(x, ordered[0])
             same(h, [_silverman_bandwidth(row, o) for row, o in zip(x, ordered[0])])
             same(_kde(x, meds[0], h), [_kde(row, at, hr) for row, at, hr in zip(x, meds[0], h)])
-            dens, counts, code = _median_split(cols, ordered, meds)
+            dens, counts, code = _median_split(values, ordered, meds)
             for i in range(len(kinds)):
-                row_dens, row_counts, row_code = _median_split(
-                    tuple(c[i] for c in cols), tuple(o[i] for o in ordered),
-                    tuple(float(m[i]) for m in meds))
-                same([d[i] for d in dens], row_dens)
-                assert [[int(c[i]) for c in pair] for pair in counts] == [
-                    list(pair) for pair in row_counts]
-                assert code[i] == row_code
-        lows = x <= meds[0][:, None], cols[1] <= meds[1][:, None]
+                one = np.s_[:, i:i + 1]
+                row_dens, row_counts, row_code = _median_split(values[one], ordered[one], meds[one])
+                same(dens[:, i], row_dens.ravel())
+                assert np.array_equal(np.array(counts)[..., i], np.array(row_counts)[..., 0])
+                assert code[i] == row_code[0] == self.public_code(values[:, i], meds[:, i],
+                                                                  dens[:, i])
+                for (a, b), pair_counts in zip(((0, 1), (1, 2), (0, 2)), np.array(counts)[..., i].T):
+                    pm = proportion_matrix(values[(a, b), i].T, meds[a, i], meds[b, i])
+                    assert tuple(pair_counts / k) == (pm.p11, pm.p12, pm.p21, pm.p22)
+        lows = x <= meds[0][:, None], values[1] <= meds[1][:, None]
         rows = _quadrant_counts(*lows)
         for i in range(len(kinds)):
-            assert [int(c[i]) for c in rows] == list(_quadrant_counts(lows[0][i], lows[1][i]))
+            assert [int(c[i]) for c in rows] == [int(c) for c in _quadrant_counts(lows[0][i],
+                                                                                   lows[1][i])]
+
+    @staticmethod
+    def public_code(xyz, meds, dens):
+        """The :func:`_median_split` code of one sample, from the public
+        forms, whose densities must equal ``dens`` where they are usable."""
+        for j, (v, at, density) in enumerate(zip(xyz, meds, dens)):
+            try:
+                h = silverman_bandwidth(v)
+            except ValueError:
+                return 2 * j + 1
+            try:
+                value = kde_at(v, at, h).value
+            except ValueError:  # an overflowing density is refused
+                return 2 * j + 2
+            assert value.hex() == float(density).hex()
+        return 0

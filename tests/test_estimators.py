@@ -155,8 +155,8 @@ class TestSampleMedians:
             assert meds.my == median(v.y_m) and meds.mx == median(v.x_m)
             assert meds.mz == median(v.z_m)
             # first-phase medians are selected; no sorted copy is kept
-            assert meds.mx1.hex() == _quantile_sorted(np.sort(v.x_n), 0.5).hex()
-            assert meds.mz1.hex() == _quantile_sorted(np.sort(v.z_n), 0.5).hex()
+            assert meds.mx1.hex() == float(_quantile_sorted(np.sort(v.x_n), 0.5)).hex()
+            assert meds.mz1.hex() == float(_quantile_sorted(np.sort(v.z_n), 0.5)).hex()
             assert not hasattr(v, "sorted_x_n") and not hasattr(v, "sorted_z_n")
             for name in ("y_m", "x_m", "z_m"):
                 ordered = getattr(v, "sorted_" + name)
@@ -250,6 +250,16 @@ class TestSampleViewChecks:
         with pytest.raises(EstimatorError) as info:
             SampleView(**{**self.GOOD, **changes})
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("name", ["y_m", "x_n"])
+    @pytest.mark.parametrize("bad", ["a", 10**400])
+    def test_sample_value_not_a_float(self, name, bad):
+        # numpy's ValueError or OverflowError is an EstimatorError naming the array
+        values = list(self.GOOD[name])
+        values[0] = bad
+        with pytest.raises(EstimatorError) as info:
+            SampleView(**{**self.GOOD, name: values})
+        assert str(info.value) == f"invalid datum in {name}"
 
     def test_read_only_copies(self):
         given = {name: np.asarray(v, dtype=float) for name, v in self.GOOD.items()
@@ -443,8 +453,12 @@ class TestPluginCoefficients:
                 plugin_coefficients(v)
             except EstimatorError:
                 pass  # tie-heavy samples may be collinear; the KDEs ran first
-        assert len(seen) >= 20
-        for values, h in seen:
+        # each call runs on the (3, 1, m) x, y, z stack of one view
+        assert all(values.shape[:-1] == (3, 1) for values, _ in seen)
+        rows = [(row, float(hr)) for values, h in seen
+                for row, hr in zip(values.reshape(-1, values.shape[-1]), np.ravel(h))]
+        assert len(rows) >= 20
+        for values, h in rows:
             # the sd must be summed over the sample in its original order
             sd = float(np.std(values, ddof=1))
             iqr = oracle_quantile(list(values), 0.75) - oracle_quantile(list(values), 0.25)

@@ -25,12 +25,64 @@ def small_population(rng, N=200):
 
 class TestPopulation:
     def test_requires_equal_lengths(self):
-        with pytest.raises(ValueError, match="equal length"):
+        with pytest.raises(ValueError, match="^x, y, z must have equal length$"):
             Population(x=[1, 2, 3, 4], y=[1, 2, 3], z=[1, 2, 3, 4])
 
     def test_requires_four_units(self):
-        with pytest.raises(ValueError, match="at least 4"):
+        with pytest.raises(ValueError,
+                           match="^population needs at least 4 units for two-phase sampling$"):
             Population(x=[1, 2, 3], y=[1, 2, 3], z=[1, 2, 3])
+
+    @pytest.mark.parametrize("columns, message", [
+        (([1, 2, 3, 4], [1, np.nan, 3, 4], [1, 2, 3, 4]),
+         "population variable y contains non-finite values"),
+        (([1, 2, 3, 4], [1, 2, 3, 4], [1, 2, 3, -np.inf]),
+         "population variable z contains non-finite values"),
+        # numpy's OverflowError and ValueError name the variable too
+        (([10**400, 1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 4]),
+         "population variable x contains non-finite values"),
+        (([1, 2, 3, 4], [1, 2, "a", 4], [1, 2, 3, 4]),
+         "population variable y contains non-finite values"),
+        (([1, 2, 3, 4], [1, 2, 3, 4], [[1, 2], 3, 4, 5]),
+         "population variable z contains non-finite values"),
+    ])
+    def test_non_finite_names_the_variable(self, columns, message):
+        with pytest.raises(ValueError) as info:
+            Population(*columns)
+        assert type(info.value) is ValueError and str(info.value) == message
+
+    def test_one_read_only_layout(self, rng):
+        x, y, z = (rng.normal(size=50) for _ in range(3))
+        pop = Population(x=x, y=y, z=z)
+        assert pop.xyz.shape == (3, 50) and not pop.xyz.flags.writeable
+        for row, name, given in zip(pop.xyz, ("x", "y", "z"), (x, y, z)):
+            value = getattr(pop, name)
+            assert value.base is pop.xyz and np.shares_memory(value, row)
+            assert value.tobytes() == given.tobytes()
+            assert not np.shares_memory(pop.xyz, given)
+
+    def test_generated_population_adopts_its_draw(self, monkeypatch):
+        from dsmedian.montecarlo import GeneratorSpec, MarginalSpec, generate_population
+        from dsmedian.sampling import SeedSpec
+
+        draws = []
+        generator = SeedSpec.generator
+
+        class Recording:
+            def __init__(self, spec):
+                self.rng = generator(spec)
+
+            def standard_normal(self, shape):
+                draws.append(self.rng.standard_normal(shape))
+                return draws[-1]
+
+        monkeypatch.setattr(SeedSpec, "generator", lambda spec: Recording(spec))
+        normal = MarginalSpec("normal", 0.0, 1.0)
+        pop = generate_population(GeneratorSpec(0.5, 0.5, 0.5, normal, normal, normal), 40,
+                                  SeedSpec(3, 7))
+        assert [d.shape for d in draws] == [(3, 40)]
+        assert pop.xyz is draws[0] and not pop.xyz.flags.writeable
+        assert all(getattr(pop, name).base is draws[0] for name in ("x", "y", "z"))
 
     def test_arrays_frozen(self, rng):
         pop = small_population(rng)
