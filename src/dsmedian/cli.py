@@ -18,7 +18,6 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import hashlib
 import json
 import os
 import sys
@@ -39,7 +38,8 @@ from .estimators import (
     plugin_coefficients,
 )
 from .montecarlo import PopulationInputError, load_sim_config, run_simulation
-from .population import PopulationSummary, load_population_csv, population_summary
+from .population import Population, PopulationSummary, load_population_csv, population_summary
+from .population import _sha256
 from .sampling import SeedSpec, draw_two_phase
 from .variance_theory import DesignSizes, VarianceComponents, variance_components
 
@@ -64,19 +64,16 @@ class _ModelError(Exception):
 
 
 def _digest_file(path: str) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return _sha256(fh)
 
 
-def _manifest(subcommand: str, config: dict, seed: int | None, inputs: list[str]) -> dict:
+def _manifest(subcommand: str, config: dict, seed: int | None, digests: dict[str, str]) -> dict:
     return {
         "subcommand": subcommand,
         "config": config,
         "master_seed": seed,
-        "input_digests": {p: _digest_file(p) for p in inputs},
+        "input_digests": digests,
         "tool_version": __version__,
         "timestamp": os.environ.get("DSMEDIAN_TIMESTAMP"),
     }
@@ -121,13 +118,16 @@ def _resolve_seed(flag_value: int | None, fallback: int = 0) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _census(path: str) -> tuple[PopulationSummary, VarianceComponents]:
-    """The census summary of a population CSV and its V0..V3: a file that
-    does not load is an input error, a degenerate population a model error."""
+def _load(path: str) -> Population:
+    """The population in a CSV; a file that does not load is an input error."""
     try:
-        pop = load_population_csv(path)
+        return load_population_csv(path)
     except (OSError, ValueError) as exc:
         raise _InputError(str(exc)) from None
+
+
+def _census(pop: Population) -> tuple[PopulationSummary, VarianceComponents]:
+    """A population's census summary and V0..V3; a degenerate one is a model error."""
     try:
         summary = population_summary(pop)
         return summary, variance_components(summary)
@@ -136,9 +136,10 @@ def _census(path: str) -> tuple[PopulationSummary, VarianceComponents]:
 
 
 def _cmd_analyze(args) -> int:
-    summary, comps = _census(args.csv)
+    pop = _load(args.csv)
+    summary, comps = _census(pop)
     payload = {
-        "manifest": _manifest("analyze", {"csv": args.csv}, None, [args.csv]),
+        "manifest": _manifest("analyze", {"csv": args.csv}, None, {args.csv: pop._sha256}),
         "summary": {"N": summary.N, **dataclasses.asdict(summary)},  # N, then the fields
         "variance_components": dataclasses.asdict(comps),
     }
@@ -161,10 +162,7 @@ def _parse_estimators(raw: str) -> tuple[str, ...]:
 def _cmd_estimate(args) -> int:
     seed = _resolve_seed(args.seed)
     ids = _parse_estimators(args.estimators)
-    try:
-        pop = load_population_csv(args.csv)
-    except (OSError, ValueError) as exc:
-        raise _InputError(str(exc)) from None
+    pop = _load(args.csv)
     try:
         DesignSizes(args.m, args.n, pop.N)
     except ValueError as exc:
@@ -191,7 +189,7 @@ def _cmd_estimate(args) -> int:
         "estimators": list(ids),
     }
     payload = {
-        "manifest": _manifest("estimate", config, seed, [args.csv]),
+        "manifest": _manifest("estimate", config, seed, {args.csv: pop._sha256}),
         "estimates": estimates,
         "coefficients": None if coeffs is None else dataclasses.asdict(coeffs),
         "coefficients_error": coeffs_error,
@@ -224,7 +222,8 @@ def _cmd_simulate(args) -> int:
         raise _ModelError(str(exc)) from None
     payload = {
         "manifest": _manifest(
-            "simulate", config.canonical_dict(), config.master_seed, [args.config]
+            "simulate", config.canonical_dict(), config.master_seed,
+            {args.config: _digest_file(args.config)}
         ),
         "report": report.to_json_dict(),
     }
@@ -238,12 +237,10 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _components_from_args(args) -> tuple[VarianceComponents, list[str]]:
-    inputs: list[str] = []
+def _components_from_args(args) -> tuple[VarianceComponents, dict[str, str]]:
     if args.csv is not None:
-        _, comps = _census(args.csv)
-        inputs.append(args.csv)
-        return comps, inputs
+        pop = _load(args.csv)
+        return _census(pop)[1], {args.csv: pop._sha256}
     missing = [k for k in ("v0", "v1", "v2") if getattr(args, k) is None]
     if missing:
         raise _InputError(f"missing components: {', '.join('--' + k for k in missing)} (or --csv)")
@@ -251,7 +248,7 @@ def _components_from_args(args) -> tuple[VarianceComponents, list[str]]:
         comps = VarianceComponents(V0=args.v0, V1=args.v1, V2=args.v2, V3=args.v3)
     except ValueError as exc:
         raise _InputError(str(exc)) from None
-    return comps, inputs
+    return comps, {}
 
 
 def _cost_from_args(args) -> CostModel:

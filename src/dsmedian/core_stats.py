@@ -47,9 +47,14 @@ def _finite(value) -> bool:
 
 def _finite_floats(values) -> np.ndarray | None:
     """``values`` as a float array, or None if one is not a finite real: a
-    NaN, an infinity, a non-number or an int past the float range."""
+    NaN, an infinity, a non-number (a str or bytes too, which numpy would
+    parse) or an int past the float range."""
     try:
-        arr = np.asarray(values, dtype=float)
+        raw = np.asarray(values)
+        kind = raw.dtype.kind
+        if kind not in "biufO" or kind == "O" and any(isinstance(v, str | bytes) for v in raw.flat):
+            return None
+        arr = raw.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
         return None
     return arr if np.isfinite(arr).all() else None

@@ -11,6 +11,8 @@ medians, and the three quadrant-proportion matrices.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import math
 import warnings
 from dataclasses import InitVar, dataclass, field
@@ -25,6 +27,8 @@ __all__ = ["Population", "PopulationSummary", "population_summary", "load_popula
 CSV_COLUMNS = ("x", "y", "z")
 
 _TOO_FEW_UNITS = "population needs at least 4 units for two-phase sampling"
+#: the last population load_population_csv returned, its memo of one
+_last: Population | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,10 +60,11 @@ class Population:
 
     N = property(lambda self: self.xyz.shape[1])
 
-    # census medians, each computed on first use and kept with the population
+    # census medians and summary, each computed on first use and kept with the population
     median_x = cached_property(lambda self: median(self.x))
     median_y = cached_property(lambda self: median(self.y))
     median_z = cached_property(lambda self: median(self.z))
+    _summary = cached_property(lambda self: _summarize(self))
 
 
 @dataclass(frozen=True)
@@ -144,8 +149,12 @@ def population_summary(pop: Population) -> PopulationSummary:
     matrices split each pair at the medians.  Both come from the owner the
     plug-ins share, :func:`~dsmedian.core_stats._median_split`, and a
     variable it finds degenerate raises ValueError naming it.
-    Deterministic: identical input bits give identical output bits.
+    Deterministic (identical input bits give identical output bits) and kept once computed.
     """
+    return pop._summary
+
+
+def _summarize(pop: Population) -> PopulationSummary:
     meds = (pop.median_x, pop.median_y, pop.median_z)
     xyz = pop.xyz[:, None]
     dens, counts, [code] = _median_split(xyz, np.sort(xyz), np.array(meds)[:, None])
@@ -165,18 +174,40 @@ def load_population_csv(path) -> Population:
     column count, a blank line, or a non-numeric or non-finite field raises
     ValueError naming the line.
 
+    A call whose file has the sha256 of the last population returned, hashed
+    64 KiB at a time, returns that population and parses nothing.  Any other
+    call reads the file once, parses its bytes and keeps their sha256 on the
+    population as ``_sha256`` (the CLI manifest's digest); a failure is not kept.
+
     numpy's C reader parses the data rows when the checks in
     :func:`_data_records` and :func:`_loadtxt_table` show its result is the
     one the strict ``csv`` + ``float()`` reference would give; every other
     file, valid or not, goes to the reference, which returns the population
     or raises the error that names the line.
     """
-    with open(path, newline="") as fh:
+    global _last
+    last = _last  # one read of the slot, so a hit returns the population it checked
+    with open(path, "rb") as fh:
+        if last is not None and _sha256(fh) == last._sha256:
+            return last
+        fh.seek(0)
+        data = fh.read()
+    digest = hashlib.sha256(data).hexdigest()  # of the bytes parsed, even if the file changed
+    with io.TextIOWrapper(io.BytesIO(data), newline="") as fh:
         _read_header(csv.reader(fh))
-        table = _loadtxt_table(fh, _data_records(path))
-    if table is None:
-        return _load_reference(path)
-    return Population(*table.T)
+        table = _loadtxt_table(fh, _data_records(data))
+    pop = _load_reference(data) if table is None else Population(*table.T)
+    object.__setattr__(pop, "_sha256", digest)
+    _last = pop
+    return pop
+
+
+def _sha256(fh) -> str:
+    """The sha256 hex digest of the rest of binary file ``fh``, read 64 KiB at a time."""
+    h = hashlib.sha256()
+    while chunk := fh.read(1 << 16):
+        h.update(chunk)
+    return h.hexdigest()
 
 
 def _read_header(reader) -> None:
@@ -195,25 +226,15 @@ def _read_header(reader) -> None:
 _UNIT_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _data_records(path) -> int | None:
+def _data_records(data: bytes) -> int | None:
     """Lines after a one-line header, counted as ``\\n`` bytes, or None when
     the count could be wrong (a lone CR ends a line too) or a byte in
     0x1c..0x1f could make numpy accept a field that float() rejects."""
-    newlines = lone_crs = 0
-    last = b"\n"
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            if chunk.endswith(b"\r"):  # keep a CRLF split across chunks whole
-                chunk += fh.read(1)
-            if any(sep in chunk for sep in _UNIT_SEPARATORS):
-                return None
-            newlines += chunk.count(b"\n")
-            if b"\r" in chunk:
-                lone_crs += chunk.count(b"\r") - chunk.count(b"\r\n")
-            last = chunk[-1:]
-    if lone_crs:
+    if any(sep in data for sep in _UNIT_SEPARATORS):
         return None
-    return newlines - 1 + (last != b"\n")
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    return data.count(b"\n") - 1 + (not data.endswith(b"\n"))
 
 
 def _loadtxt_table(fh, records: int | None) -> np.ndarray | None:
@@ -239,10 +260,11 @@ def _loadtxt_table(fh, records: int | None) -> np.ndarray | None:
     return table
 
 
-def _load_reference(path) -> Population:
-    """The strict ``csv.reader`` + ``float()`` parser: the reference for the
-    numpy path and the reporter of every error past the header."""
-    with open(path, newline="") as fh:
+def _load_reference(data: bytes) -> Population:
+    """The strict ``csv.reader`` + ``float()`` parser of a file's bytes: the
+    reference for the numpy path and the reporter of every error past the
+    header."""
+    with io.TextIOWrapper(io.BytesIO(data), newline="") as fh:
         reader = csv.reader(fh)
         _read_header(reader)
         cols: list[list[float]] = [[], [], []]

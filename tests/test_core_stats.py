@@ -253,8 +253,8 @@ class TestKdeAt:
 
 
 class TestNotAFloat:
-    """An int past the float range, or a non-number, is a ValueError of each
-    public form, not numpy's or math's OverflowError or a TypeError."""
+    """An int past the float range, or a non-number (a numeric str or bytes
+    too), is a ValueError of each public form, not numpy's or math's OverflowError or a TypeError."""
 
     @pytest.mark.parametrize("call, message", [
         (lambda: empirical_quantile([10**400, 1], 0.5), "invalid datum: values"),
@@ -264,9 +264,15 @@ class TestNotAFloat:
         (lambda: kde_at([1.0, 2.0], 1.0, 10**400), "bandwidth must be positive"),
         (lambda: proportion_matrix([(1.0, 2.0)], 10**400, 1.0), "thresholds must be finite"),
         (lambda: proportion_matrix([(10**400, 2.0)], 1.0, 1.0), "invalid datum: pairs"),
+        # numpy would parse a numeric str or bytes; neither is a real
+        (lambda: empirical_quantile(["1", "2", "3"], 0.5), "invalid datum: values"),
+        (lambda: silverman_bandwidth([b"1", b"2", b"3"]), "invalid datum: values"),
+        (lambda: proportion_matrix([("1", 2.0)], 1.0, 1.0), "invalid datum: pairs"),
+        (lambda: proportion_matrix([(10**20, "1")], 1.0, 1.0), "invalid datum: pairs"),
     ], ids=["empirical_quantile", "empirical_quantile-level", "silverman_bandwidth",
             "kde_at-point", "kde_at-bandwidth", "proportion_matrix-threshold",
-            "proportion_matrix-pairs"])
+            "proportion_matrix-pairs", "empirical_quantile-str", "silverman_bandwidth-bytes",
+            "proportion_matrix-str", "proportion_matrix-object-str"])
     def test_value_error(self, call, message):
         with pytest.raises(ValueError, match=message) as info:
             call()

@@ -252,9 +252,10 @@ class TestSampleViewChecks:
         assert str(info.value) == message
 
     @pytest.mark.parametrize("name", ["y_m", "x_n"])
-    @pytest.mark.parametrize("bad", ["a", 10**400])
+    @pytest.mark.parametrize("bad", ["a", 10**400, "1", b"1"])
     def test_sample_value_not_a_float(self, name, bad):
-        # numpy's ValueError or OverflowError is an EstimatorError naming the array
+        # numpy's ValueError or OverflowError is an EstimatorError naming the
+        # array, and so is a numeric str or bytes, which numpy would parse
         values = list(self.GOOD[name])
         values[0] = bad
         with pytest.raises(EstimatorError) as info:
