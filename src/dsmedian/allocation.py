@@ -274,34 +274,28 @@ def grid_search_allocation(
         ms = np.arange(2, m_upper + 1, dtype=np.int64)
     except (MemoryError, ValueError):  # numpy: too large to allocate, or to index
         raise ValueError(f"the grid of m = 2..{m_upper} does not fit in memory") from None
-    best = None  # (variance, m, n) of the first least variance; a NaN is least, as in argmin
-    for lo in range(0, ms.size, 1 << 14):  # blocks of m keep the scan's arrays small
-        m = ms[lo:lo + (1 << 14)]
-        with np.errstate(over="ignore"):  # a tiny cn: every n up to N is affordable
-            n_hi = np.minimum(N, np.floor((cost.c0 - cost.c1 * m) / cn))  # floats: N may pass int64
-        valid = n_hi > m
-        if not np.any(valid):
-            continue
-        m, n_hi = m[valid], n_hi[valid]
-        n_lo = m + 1
-        var_hi = a_coef / m + b_coef / n_hi
-        var_lo = a_coef / m + b_coef / n_lo
-        take_hi = var_hi <= var_lo
-        var = np.where(take_hi, var_hi, var_lo) - k_coef / N
-        i = int(np.argmin(var))
-        if best is None or best[0] == best[0] and not var[i] >= best[0]:
-            best = var[i], m[i], n_hi[i] if take_hi[i] else n_lo[i]
-    if best is None:
+    with np.errstate(over="ignore"):  # a tiny cn: every n up to N is affordable
+        n_hi = np.minimum(N, np.floor((cost.c0 - cost.c1 * ms) / cn))  # floats: N may pass int64
+    valid = n_hi > ms
+    if not np.any(valid):
         return _infeasible(strategy, "no feasible integer (m, n) with 2 <= m < n under the budget")
-    var, m, n = best
+    ms = ms[valid]
+    n_hi = n_hi[valid]
+    n_lo = ms + 1
+    var_hi = a_coef / ms + b_coef / n_hi
+    var_lo = a_coef / ms + b_coef / n_lo
+    take_hi = var_hi <= var_lo
+    var = np.where(take_hi, var_hi, var_lo) - k_coef / N
+    ns = np.where(take_hi, n_hi, n_lo)
+    best = int(np.argmin(var))
     return AllocationResult(
         strategy=strategy,
-        m_real=float(m),
-        n_real=float(n),
-        m_int=int(m),
-        n_int=int(n),
-        opt_variance=float(var),
-        variance_large_n=float(var + k_coef / N),
+        m_real=float(ms[best]),
+        n_real=float(ns[best]),
+        m_int=int(ms[best]),
+        n_int=int(ns[best]),
+        opt_variance=float(var[best]),
+        variance_large_n=float(var[best] + k_coef / N),
         feasible=True,
         note="grid",
     )

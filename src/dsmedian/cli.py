@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -39,7 +40,6 @@ from .estimators import (
 )
 from .montecarlo import PopulationInputError, load_sim_config, run_simulation
 from .population import Population, PopulationSummary, load_population_csv, population_summary
-from .population import _sha256
 from .sampling import SeedSpec, draw_two_phase
 from .variance_theory import DesignSizes, VarianceComponents, variance_components
 
@@ -64,8 +64,11 @@ class _ModelError(Exception):
 
 
 def _digest_file(path: str) -> str:
+    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        return _sha256(fh)
+        for chunk in iter(lambda: fh.read(65536), b""):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 def _manifest(subcommand: str, config: dict, seed: int | None, digests: dict[str, str]) -> dict:

@@ -9,7 +9,6 @@ efficiency-ordering properties theorems rather than accidents.
 import numpy as np
 import pytest
 
-from dsmedian import population
 from dsmedian.population import Population, PopulationSummary
 
 
@@ -38,13 +37,6 @@ def write_population_csv(path, pop: Population) -> str:
         for x, y, z in zip(pop.x, pop.y, pop.z):
             fh.write(f"{float(x)!r},{float(y)!r},{float(z)!r}\n")
     return str(path)
-
-
-@pytest.fixture(autouse=True)
-def empty_csv_memo(monkeypatch):
-    """Each test starts with an empty loader memo, so its first load of a
-    CSV parses the file whatever ran before it."""
-    monkeypatch.setattr(population, "_last", None)
 
 
 @pytest.fixture

@@ -1,13 +1,10 @@
 """Cost-optimal allocation: worked examples, oracle agreement, verdicts."""
 
-import math
 import warnings
 
-import numpy as np
 import pytest
 
 from conftest import realizable_concordances
-from dsmedian import allocation
 from dsmedian.allocation import (
     CostModel,
     allocate,
@@ -212,36 +209,6 @@ class TestGridSearch:
             warnings.simplefilter("error")
             g = grid_search_allocation(CostModel(1e20, 1e19, 1.0, 0.5), COMPS, 2**64, "H")
         assert (g.m_int, g.n_int) == (9, 10**19)
-
-    @staticmethod
-    def whole_scan(cost, comps, N, strategy):
-        """The grid as one scan over every m at once: the reference for the
-        blocked scan, with numpy's first least variance."""
-        a, b, k, cn = allocation._strategy_terms(strategy, comps, cost)
-        m_upper = math.floor(min(N - 1, (cost.c0 - cn) / (cost.c1 + cn)))
-        ms = np.arange(2, m_upper + 1, dtype=np.int64)
-        n_hi = np.minimum(N, np.floor((cost.c0 - cost.c1 * ms) / cn))
-        ms, n_hi = ms[n_hi > ms], n_hi[n_hi > ms]
-        var_hi, var_lo = a / ms + b / n_hi, a / ms + b / (ms + 1)
-        var = np.where(var_hi <= var_lo, var_hi, var_lo) - k / N
-        best = int(np.argmin(var))
-        n = n_hi[best] if var_hi[best] <= var_lo[best] else ms[best] + 1
-        return m_upper, (int(ms[best]), int(n), float(var[best]))
-
-    def test_blocks_equal_one_scan(self, rng):
-        # up to 99 998 values of m in blocks of 2**14: the planning costs at N = 100 000
-        cost = CostModel(c0=1e6, c1=4.0, c2=0.7, c3=0.3)
-        cases = [(cost, comps) for comps in (COMPS, COMPS_F)]
-        cases += [(random_cost(rng, c0=float(10 ** rng.uniform(6, 7))), random_components(rng))
-                  for _ in range(6)]
-        # V1 = V0 leaves A = 0: every m with n_hi = N ties, across blocks
-        cases.append((cost, VarianceComponents(V0=1.0, V1=1.0, V2=0.36, V3=0.0)))
-        for cost, comps in cases:
-            for strategy in ("H", "g", "F"):
-                g = grid_search_allocation(cost, comps, 100_000, strategy)
-                m_upper, expected = self.whole_scan(cost, comps, 100_000, strategy)
-                assert m_upper > 2**15 and g.feasible
-                assert (g.m_int, g.n_int, g.opt_variance) == expected
 
     def test_single_past_float_range(self):
         g = grid_search_allocation(CostModel(1e308, 1e-300, 1e-301, 1e-302), COMPS, 9, "single")

@@ -22,11 +22,6 @@ and one whose y median is zero.  Then, in OUT_DIR and with relative paths
 
 Each command writes its stdout to ``<name>.out`` and its stderr, if any,
 to ``<name>.err``; ``commands.txt`` lists the exit code and argv of each.
-
-Since one process reuses the last population it loaded for identical
-bytes, every CSV command after the first on a source is a hit of that
-memo, and ``diff -r`` against the base also proves that a hit emits the
-bytes a parse would.
 """
 
 from __future__ import annotations
