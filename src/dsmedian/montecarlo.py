@@ -42,7 +42,7 @@ from .estimators import (
 )
 from .population import Population, PopulationSummary, load_population_csv, population_summary
 from .population import _TOO_FEW_UNITS
-from .sampling import SeedSpec, _draw, _rekey
+from .sampling import SeedSpec, _picks, _rekey, _two_phase
 from .variance_theory import (
     DesignSizes,
     VarianceComponents,
@@ -473,7 +473,9 @@ def _replicate_rows(plan: _Plan, start: int, stop: int) -> np.ndarray:
     ``SampleView.from_population`` and ``plugin_coefficients`` on each
     replicate alone; every id then reads its replicate's view.  So the
     chunk size never changes a bit.  One Philox generator, re-keyed to
-    stream r, draws replicate r."""
+    stream r, draws replicate r's picks, and each phase's picks of the
+    chunk are resolved as one block (:func:`~dsmedian.sampling._resolve`),
+    row for row the draw of ``draw_two_phase``."""
     cfg, pop = plan.config, plan.pop
     ids = cfg.estimators
     try:
@@ -486,12 +488,12 @@ def _replicate_rows(plan: _Plan, start: int, stop: int) -> np.ndarray:
     rng = SeedSpec(cfg.master_seed).generator()
     for lo in range(start, stop, _CHUNK):
         reps = range(lo, min(lo + _CHUNK, stop))
-        second_idx = np.empty((len(reps), cfg.m), dtype=np.int64)
-        first_idx = np.empty((len(reps), cfg.n), dtype=np.int64)
+        first_picks = np.empty((len(reps), cfg.n), dtype=np.int64)
+        second_picks = np.empty((len(reps), cfg.m), dtype=np.int64)
         for i, r in enumerate(reps):
             _rekey(rng, cfg.master_seed, r)
-            sample = _draw(rng, cfg.N, cfg.n, cfg.m)
-            second_idx[i], first_idx[i] = sample.second_phase, sample.first_phase
+            first_picks[i], second_picks[i] = _picks(rng, cfg.N, cfg.n), _picks(rng, cfg.n, cfg.m)
+        first_idx, second_idx = _two_phase(first_picks, second_picks, cfg.N)
         # x, y, z over S_m and x, z over S_n: take copies a strided source whole,
         # so the phase takes y too, from the contiguous array, at a cost in n not N
         second, first = pop.xyz.take(second_idx, axis=1), pop.xyz.take(first_idx, axis=1)[::2]

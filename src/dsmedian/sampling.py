@@ -4,8 +4,18 @@ Randomness is owned by a counter-based Philox generator keyed by
 ``(master_seed, stream_id)``: the same :class:`SeedSpec` reproduces the
 same draw on any platform, and distinct stream ids can be consumed
 concurrently with no coordination.  Subsets are selected by a partial
-Fisher-Yates shuffle whose bounded integers come from the generator's
-rejection-based ``integers`` method, so every k-subset is equally likely.
+Fisher-Yates shuffle whose bounded integers (its picks) come from the
+generator's rejection-based ``integers`` method, so every k-subset is
+equally likely.
+
+A draw takes its picks first, and :func:`_resolve` turns a (B, k) block
+of picks into the B shuffles' outputs at once, exactly: only the steps
+whose pick lies below k or recurs can output other than their pick.  The
+replicate engine resolves one block per phase of a chunk, and one sort of
+those steps gives their outputs.  The public draws resolve a block of
+one, which runs only those steps' swaps on a sparse pool, faster for a
+single draw.  Both paths are exact, so a draw is the same whatever block
+it is resolved in.
 
 A replicate loop need not build a generator per stream: re-keying one
 Philox generator to ``[master_seed, stream_id]`` at counter 0 with an
@@ -106,21 +116,72 @@ class TwoPhaseSample:
         return self.second_phase.size
 
 
-def _sample_indices(rng: np.random.Generator, N: int, k: int) -> np.ndarray:
-    """First k entries of a partial Fisher-Yates shuffle of range(N).
+def _picks(rng: np.random.Generator, N: int, k: int) -> np.ndarray:
+    """The k bounded integers of a partial Fisher-Yates shuffle of range(N):
+    pick i is uniform on [i, N)."""
+    return rng.integers(low=np.arange(k), high=N)
 
-    Step i swaps pool positions i and j = picks[i] >= i, after which
-    position i is final.  The pool is kept sparse on Python ints: ``moved``
-    maps each position a swap has written to its current value, and every
-    other position still holds its own index.
 
-    Only the steps whose pick recurs or lies below k run the swap; every
-    other step outputs its pick unchanged.  That is exact: a position >= k
-    is only ever read as a pick, so a write to it matters only if the pick
-    recurs; a position below k is read at its own step, and only steps that
-    pick it, all of which run, write to it.
+def _resolve(picks: np.ndarray, N: int) -> np.ndarray:
+    """Each row of a (B, k) block of picks, ``picks[b, i]`` in ``[i, N)``,
+    resolved to the first k entries of its partial Fisher-Yates shuffle of
+    range(N), in draw order.
+
+    Step i swaps pool positions i and p = ``picks[b, i]``, and position i is
+    final after it, so step i outputs the value at p just before it.  Let
+    W(s) be the value at position s just before step s.  A position is
+    written only at its own step and at the steps that pick it, so:
+
+    - step i outputs p if no earlier step picked p, and W(q) otherwise, for
+      the previous step q that picked p, which left W(q) there;
+    - W(s) is s if no step before s picked s, and W(t) otherwise, for the
+      last step t < s that picked s: the writer of s.  W(s) is needed only
+      by a later step that picks what step s picked and by the position
+      step s wrote, so a self-pick (step s picks s) never needs it: a
+      later step picks only from its own index on.
+
+    Only positions below k have steps, so only the steps whose pick lies
+    below k or recurs need either rule; every other step outputs its pick.
+    Those steps are marked by a bincount of the picks modulo k, one bin per
+    pick whatever N is: a bin counted twice marks its steps, and a false
+    collision marks a step whose pick occurs once and lies at or above k,
+    which outputs its pick under the rules as well.  A stable sort of the
+    marked steps by (row, pick) puts each step just after its previous
+    occurrence and each position's writers in step order; the last is its
+    writer, or its own self-pick, whose W is never read.  Pointer jumping
+    over the writers, whose steps strictly fall along a chain, gives every
+    W it needs.  Those are some 45 numpy calls whatever B is, so a block of
+    one goes to :func:`_resolve_one`, which is faster for a single draw.
     """
-    picks = rng.integers(low=np.arange(k), high=N)
+    B, k = picks.shape
+    if B == 1:
+        return _resolve_one(picks[0])[None]
+    step = np.flatnonzero(_marked(picks))  # flat b * k + i, ordered by (row, step)
+    pick = picks.ravel()[step]
+    row = step // k
+    key = row * N + pick
+    order = key.argsort(kind="stable")
+    key, step, pick, row = key[order], step[order], pick[order], row[order]
+    repeat = key[1:] == key[:-1]  # sorted step j + 1 picks what step j picked
+    pos = row * k + pick  # the picked position, flat, where the pick is below k
+    writes = pick < k
+    writes[:-1] &= ~repeat  # only the last step to pick a position
+    root = np.arange(B * k)  # flat position s -> the flat position whose index is W(s)
+    nodes, link = pos[writes], step[writes]
+    root[nodes] = link
+    while not np.array_equal(jump := root[link], link):
+        root[nodes] = link = jump
+    out = picks.flatten()
+    out[step[1:][repeat]] = root[step[:-1][repeat]] % k
+    return out.reshape(B, k)
+
+
+def _resolve_one(picks: np.ndarray) -> np.ndarray:
+    """One row of :func:`_resolve`: the steps whose pick lies below k or
+    ties another, found by one argsort, run their swaps in order on a
+    sparse pool, a dict of the positions a swap has written, and every
+    other step outputs its pick."""
+    k = picks.size
     order = picks.argsort()
     tie = np.flatnonzero(picks[order[1:]] == picks[order[:-1]])
     swaps = picks < k
@@ -132,8 +193,42 @@ def _sample_indices(rng: np.random.Generator, N: int, k: int) -> np.ndarray:
     for i, j in zip(steps.tolist(), picks[steps].tolist()):
         values.append(moved.get(j, j))
         moved[j] = moved.get(i, i)
-    picks[steps] = values
-    return picks
+    out = picks.copy()
+    out[steps] = values
+    return out
+
+
+def _marked(picks: np.ndarray) -> np.ndarray:
+    """Where a (B, k) block of picks lies below k or shares its bin, the
+    pick modulo k, with another pick of its row: a table of one bin per
+    pick, exact when N = k."""
+    B, k = picks.shape
+    bins = picks % k
+    bins += np.arange(0, B * k, k)[:, None]
+    marked = np.bincount(bins.ravel(), minlength=B * k)[bins] > 1
+    marked |= picks < k
+    return marked
+
+
+def _sample_indices(rng: np.random.Generator, N: int, k: int) -> np.ndarray:
+    """First k entries of a partial Fisher-Yates shuffle of range(N), in
+    draw order: the resolved block of one."""
+    return _resolve(_picks(rng, N, k)[None], N)[0]
+
+
+def _two_phase(
+    first_picks: np.ndarray, second_picks: np.ndarray, N: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted (B, n) first phases and (B, m) second phases of B draws from
+    their picks: the second phase's positions in the first, resolved over
+    range(n), are gathered from the first phase in draw order, then both
+    are sorted."""
+    first = _resolve(first_picks, N)
+    B, n = first.shape
+    second = first[np.arange(B)[:, None], _resolve(second_picks, n)]
+    first.sort(axis=1)
+    second.sort(axis=1)
+    return first, second
 
 
 def srswor(N: int, k: int, seed: SeedSpec) -> np.ndarray:
@@ -156,14 +251,7 @@ def draw_two_phase(N: int, n: int, m: int, seed: SeedSpec) -> TwoPhaseSample:
     """
     if not 1 <= m < n <= N:
         raise ValueError(f"require m < n <= N with m >= 1, got m={m}, n={n}, N={N}")
-    return _draw(seed.generator(), N, n, m)
-
-
-def _draw(rng: np.random.Generator, N: int, n: int, m: int) -> TwoPhaseSample:
-    """:func:`draw_two_phase` from ``rng``, for checked sizes: the second
-    phase is gathered from the first in draw order, then both are sorted."""
-    first = _sample_indices(rng, N, n)
-    second = np.sort(first[_sample_indices(rng, n, m)])
-    first = np.sort(first)
+    rng = seed.generator()
+    first, second = _two_phase(_picks(rng, N, n)[None], _picks(rng, n, m)[None], N)
     first.flags.writeable = second.flags.writeable = False
-    return TwoPhaseSample(first, second, _trusted=True)
+    return TwoPhaseSample(first[0], second[0], _trusted=True)

@@ -1,28 +1,36 @@
 """Replayable SRSWOR and the nested two-phase scheme."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dsmedian.sampling import (
     SeedSpec,
     TwoPhaseSample,
+    _picks,
     _rekey,
+    _resolve,
     _sample_indices,
     draw_two_phase,
     srswor,
 )
 
 
-def reference_sample_indices(rng, N, k):
-    """The dense partial Fisher-Yates swap loop on a numpy pool: the
-    reference every draw must reproduce index for index."""
+def swap_loop(picks, N):
+    """The dense partial Fisher-Yates swap loop on a numpy pool, given its
+    picks: the reference every resolution must reproduce index for index."""
     pool = np.arange(N, dtype=np.int64)
-    picks = rng.integers(low=np.arange(k), high=N)
     for i, j in enumerate(picks):
         pool[i], pool[j] = pool[j], pool[i]
-    return pool[:k]
+    return pool[:len(picks)]
+
+
+def reference_sample_indices(rng, N, k):
+    """The swap loop on the picks ``rng`` draws."""
+    return swap_loop(rng.integers(low=np.arange(k), high=N), N)
 
 
 ORACLE_SIZES = [(2, 1), (2, 2), (7, 3), (10, 10), (600, 150), (5000, 600), (20000, 1200)]
@@ -72,6 +80,69 @@ class TestSampleIndices:
             expected = reference_sample_indices(seed.generator(), N, k)
             assert got.dtype == np.int64
             assert np.array_equal(got, expected), (N, k, r)
+
+
+# (100000, 600) is the design-csv estimate draw; (10**6, 600) keeps the
+# collision table far smaller than N
+BLOCK_SIZES = ORDER_SIZES + [(100_000, 600), (10**6, 600)]
+BLOCK_STREAMS = 48
+
+
+@st.composite
+def pick_blocks(draw):
+    """(picks, N): a (B, k) block with picks[b, i] in [i, N), each pick a
+    self-pick, the next position (a writer chain), the last position (all
+    equal) or any valid one."""
+    N = draw(st.integers(1, 80))
+    k = draw(st.integers(1, N))
+    B = draw(st.integers(1, 4))
+    picks = np.empty((B, k), dtype=np.int64)
+    for b in range(B):
+        for i in range(k):
+            picks[b, i] = draw(st.sampled_from([i, min(i + 1, N - 1), N - 1,
+                                                draw(st.integers(i, N - 1))]))
+    return picks, N
+
+
+class TestResolve:
+    @pytest.mark.parametrize("N,k", BLOCK_SIZES)
+    @pytest.mark.parametrize("B", [1, 3, 16])
+    def test_block_rows_match_swap_loop(self, N, k, B):
+        # every row of a block resolves as the reference does on its own stream
+        for lo in range(0, BLOCK_STREAMS, B):
+            streams = range(lo, lo + B)
+            block = np.stack([_picks(SeedSpec(2002, r).generator(), N, k) for r in streams])
+            got = _resolve(block, N)
+            assert got.dtype == np.int64 and got.shape == (B, k)
+            for row, r in zip(got, streams):
+                expected = reference_sample_indices(SeedSpec(2002, r).generator(), N, k)
+                assert np.array_equal(row, expected), (N, k, B, r)
+
+    @given(pick_blocks())
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @example((np.arange(6)[None], 6))  # every step a self-pick
+    @example((np.full((2, 5), 9), 10))  # every pick equal
+    @example((np.minimum(np.arange(1, 41), 39)[None], 40))  # step i writes position i + 1
+    @example((np.array([[3, 3, 3, 3], [1, 2, 3, 3]]), 4))  # a chain ending in a self-pick
+    def test_arbitrary_picks_match_swap_loop(self, case):
+        picks, N = case
+        got = _resolve(picks, N)
+        for row, row_picks in zip(got, picks):
+            assert np.array_equal(row, swap_loop(row_picks, N)), (picks, N)
+
+    def test_table_stays_a_multiple_of_the_picks(self):
+        # the collision table is O(B k), not O(B N): one bin per pick, with
+        # the picks' bins, their counts and the sorted marked steps
+        N, k, B = 10**6, 50_000, 16
+        block = np.stack([_picks(SeedSpec(2002, r).generator(), N, k) for r in range(B)])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _resolve(block, N)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * block.nbytes, peak / block.nbytes
 
 
 class TestSrswor:
