@@ -369,7 +369,7 @@ def _mse_mc_se(sq_err: np.ndarray, mse: float) -> float:
     the squared deviations from a finite ``mse`` overflow, they are summed
     relative to ``mse``; a finite direct sum keeps every bit."""
     k = sq_err.size
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf where an error overflowed
         dev_sq = (sq_err - mse) ** 2
     try:
         var_sq = math.fsum(dev_sq) / (k - 1)
@@ -538,7 +538,8 @@ def _aggregate(plan: _Plan, rows: np.ndarray, keep_estimates: bool) -> SimReport
         if k:
             vals = col[ok]
             mean = math.fsum(vals) / k
-            sq_err = (vals - estimand) ** 2
+            with np.errstate(over="ignore"):  # an estimate far out squares to inf
+                sq_err = (vals - estimand) ** 2
             mse = math.fsum(sq_err) / k
             if k > 1:
                 mse_mc_se = _mse_mc_se(sq_err, mse)

@@ -10,12 +10,10 @@ equally likely.
 
 A draw takes its picks first, and :func:`_resolve` turns a (B, k) block
 of picks into the B shuffles' outputs at once, exactly: only the steps
-whose pick lies below k or recurs can output other than their pick.  The
-replicate engine resolves one block per phase of a chunk, and one sort of
-those steps gives their outputs.  The public draws resolve a block of
-one, which runs only those steps' swaps on a sparse pool, faster for a
-single draw.  Both paths are exact, so a draw is the same whatever block
-it is resolved in.
+whose pick lies below k or recurs can output other than their pick, and
+one sort of those steps gives their outputs.  The replicate engine
+resolves one block per phase of a chunk and the public draws a block of
+one, so a draw is the same whatever block it is resolved in.
 
 A replicate loop need not build a generator per stream: re-keying one
 Philox generator to ``[master_seed, stream_id]`` at counter 0 with an
@@ -142,20 +140,17 @@ def _resolve(picks: np.ndarray, N: int) -> np.ndarray:
 
     Only positions below k have steps, so only the steps whose pick lies
     below k or recurs need either rule; every other step outputs its pick.
-    Those steps are marked by a bincount of the picks modulo k, one bin per
-    pick whatever N is: a bin counted twice marks its steps, and a false
-    collision marks a step whose pick occurs once and lies at or above k,
-    which outputs its pick under the rules as well.  A stable sort of the
-    marked steps by (row, pick) puts each step just after its previous
-    occurrence and each position's writers in step order; the last is its
-    writer, or its own self-pick, whose W is never read.  Pointer jumping
-    over the writers, whose steps strictly fall along a chain, gives every
-    W it needs.  Those are some 45 numpy calls whatever B is, so a block of
-    one goes to :func:`_resolve_one`, which is faster for a single draw.
+    Those steps are marked by :func:`_marked`, a bincount of the picks into
+    O(k) bins per row whatever N is: a bin counted twice marks its steps,
+    and a false collision marks a step whose pick occurs once and lies at
+    or above k, which outputs its pick under the rules as well.  A stable
+    sort of the marked steps by (row, pick) puts each step just after its
+    previous occurrence and each position's writers in step order; the
+    last is its writer, or its own self-pick, whose W is never read.
+    Pointer jumping over the writers, whose steps strictly fall along a
+    chain, gives every W it needs.
     """
     B, k = picks.shape
-    if B == 1:
-        return _resolve_one(picks[0])[None]
     step = np.flatnonzero(_marked(picks))  # flat b * k + i, ordered by (row, step)
     pick = picks.ravel()[step]
     row = step // k
@@ -169,43 +164,23 @@ def _resolve(picks: np.ndarray, N: int) -> np.ndarray:
     root = np.arange(B * k)  # flat position s -> the flat position whose index is W(s)
     nodes, link = pos[writes], step[writes]
     root[nodes] = link
-    while not np.array_equal(jump := root[link], link):
+    while not ((jump := root[link]) == link).all():
         root[nodes] = link = jump
     out = picks.flatten()
     out[step[1:][repeat]] = root[step[:-1][repeat]] % k
     return out.reshape(B, k)
 
 
-def _resolve_one(picks: np.ndarray) -> np.ndarray:
-    """One row of :func:`_resolve`: the steps whose pick lies below k or
-    ties another, found by one argsort, run their swaps in order on a
-    sparse pool, a dict of the positions a swap has written, and every
-    other step outputs its pick."""
-    k = picks.size
-    order = picks.argsort()
-    tie = np.flatnonzero(picks[order[1:]] == picks[order[:-1]])
-    swaps = picks < k
-    swaps[order[tie]] = True
-    swaps[order[tie + 1]] = True
-    steps = np.flatnonzero(swaps)
-    moved: dict[int, int] = {}
-    values = []
-    for i, j in zip(steps.tolist(), picks[steps].tolist()):
-        values.append(moved.get(j, j))
-        moved[j] = moved.get(i, i)
-    out = picks.copy()
-    out[steps] = values
-    return out
-
-
 def _marked(picks: np.ndarray) -> np.ndarray:
-    """Where a (B, k) block of picks lies below k or shares its bin, the
-    pick modulo k, with another pick of its row: a table of one bin per
-    pick, exact when N = k."""
+    """Where a (B, k) block of picks lies below k or shares its bin,
+    ``pick & (M - 1)``, with another pick of its row, for M the least power
+    of two at or above 2k: a table of M bins per row, so O(B k) whatever N
+    is, and exact when N <= M, where each pick has a bin of its own."""
     B, k = picks.shape
-    bins = picks % k
-    bins += np.arange(0, B * k, k)[:, None]
-    marked = np.bincount(bins.ravel(), minlength=B * k)[bins] > 1
+    M = 1 << (2 * k - 1).bit_length()
+    bins = picks & (M - 1)
+    bins += np.arange(0, B * M, M)[:, None]
+    marked = np.bincount(bins.ravel(), minlength=B * M)[bins] > 1
     marked |= picks < k
     return marked
 

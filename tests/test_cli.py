@@ -479,11 +479,6 @@ class TestSimulate:
         assert exc.value.code == 0
         assert f"1..{cli.MAX_THREADS}" in capsys.readouterr().out
 
-
-    # numpy warns when a g-form value near 1e181 overflows the squared error
-    # in the aggregation, a fault of its own that this test does not cover
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     def test_g_form_overflow_counted_as_failure(self, tmp_path, capsys):
         ini = tmp_path / "sim.ini"
         ini.write_text(
@@ -500,6 +495,27 @@ class TestSimulate:
         rows = {r["estimator"]: r for r in json.loads(oj.read_text())["report"]["estimators"]}
         assert rows["g7"]["failures"] > 0
         assert rows["g7"]["failures"] + rows["g7"]["replicates_ok"] == 300
+
+    def test_overflowing_squared_errors_aggregate_without_warnings(self, tmp_path, capsys):
+        # a g7 estimate near 1e306 squares to inf in the aggregation, and its
+        # deviation from the inf mse is inf - inf: the report keeps both, silently
+        ini = tmp_path / "sim.ini"
+        ini.write_text(
+            "[population]\nunits = 5000\nr_xy = 0.8\nr_yz = 0.6\nr_xz = 0.7\n"
+            "[design]\nm = 150\nn = 600\n"
+            "[run]\nreplicates = 300\nmaster_seed = 2002\n"
+            "estimators = " + ", ".join(ESTIMATOR_IDS) + "\n"
+        )
+        texts = []
+        for action in ("error", "ignore"):
+            oj = tmp_path / f"{action}.json"
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                assert cli.main(["simulate", str(ini), "--out-json", str(oj),
+                                 "--out-csv", str(tmp_path / f"{action}.csv")]) == 0
+            capsys.readouterr()
+            texts.append(oj.read_bytes())
+        assert texts[0] == texts[1]
 
 
 class TestAllocate:

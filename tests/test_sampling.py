@@ -66,8 +66,10 @@ class TestSeedSpec:
         assert half_word and partial_buffer
 
 
-# k close to N, or k large against sqrt(N), makes many picks repeat or fall below k
-ORDER_SIZES = [(2, 2), (10, 10), (50, 49), (1000, 999), (600, 150), (5000, 600), (20000, 1200)]
+# k close to N, or k large against sqrt(N), makes many picks repeat or fall below k;
+# (1200, 300) is the second phase of a superpop-n20000 draw
+ORDER_SIZES = [(2, 2), (10, 10), (50, 49), (1000, 999), (600, 150), (5000, 600), (20000, 1200),
+               (1200, 300)]
 
 
 class TestSampleIndices:
@@ -130,10 +132,11 @@ class TestResolve:
         for row, row_picks in zip(got, picks):
             assert np.array_equal(row, swap_loop(row_picks, N)), (picks, N)
 
-    def test_table_stays_a_multiple_of_the_picks(self):
-        # the collision table is O(B k), not O(B N): one bin per pick, with
-        # the picks' bins, their counts and the sorted marked steps
-        N, k, B = 10**6, 50_000, 16
+    @pytest.mark.parametrize("B", [1, 16])
+    def test_table_stays_a_multiple_of_the_picks(self, B):
+        # the collision table is O(B k), not O(B N): under 4 bins per pick,
+        # with the picks' bins, their counts and the sorted marked steps
+        N, k = 10**6, 50_000
         block = np.stack([_picks(SeedSpec(2002, r).generator(), N, k) for r in range(B)])
         tracemalloc.start()
         try:
