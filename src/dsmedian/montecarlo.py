@@ -42,7 +42,7 @@ from .estimators import (
 )
 from .population import Population, PopulationSummary, load_population_csv, population_summary
 from .population import _TOO_FEW_UNITS
-from .sampling import SeedSpec, _picks, _rekey, _two_phase
+from .sampling import SeedSpec, _draw_picks, _stream_state, _two_phase
 from .variance_theory import (
     DesignSizes,
     VarianceComponents,
@@ -472,10 +472,12 @@ def _replicate_rows(plan: _Plan, start: int, stop: int) -> np.ndarray:
     come from the last-axis kernels, with the bits of
     ``SampleView.from_population`` and ``plugin_coefficients`` on each
     replicate alone; every id then reads its replicate's view.  So the
-    chunk size never changes a bit.  One Philox generator, re-keyed to
-    stream r, draws replicate r's picks, and each phase's picks of the
-    chunk are resolved as one block (:func:`~dsmedian.sampling._resolve`),
-    row for row the draw of ``draw_two_phase``."""
+    chunk size never changes a bit.  One Philox generator, set to stream
+    r's start, draws replicate r's picks, all the chunk's picks come from
+    one block of raw words (:func:`~dsmedian.sampling._draw_picks`), and
+    each phase's picks are resolved as one block
+    (:func:`~dsmedian.sampling._resolve`), row for row the draw of
+    ``draw_two_phase``."""
     cfg, pop = plan.config, plan.pop
     ids = cfg.estimators
     try:
@@ -488,12 +490,8 @@ def _replicate_rows(plan: _Plan, start: int, stop: int) -> np.ndarray:
     rng = SeedSpec(cfg.master_seed).generator()
     for lo in range(start, stop, _CHUNK):
         reps = range(lo, min(lo + _CHUNK, stop))
-        first_picks = np.empty((len(reps), cfg.n), dtype=np.int64)
-        second_picks = np.empty((len(reps), cfg.m), dtype=np.int64)
-        for i, r in enumerate(reps):
-            _rekey(rng, cfg.master_seed, r)
-            first_picks[i], second_picks[i] = _picks(rng, cfg.N, cfg.n), _picks(rng, cfg.n, cfg.m)
-        first_idx, second_idx = _two_phase(first_picks, second_picks, cfg.N)
+        states = [_stream_state(cfg.master_seed, r) for r in reps]
+        first_idx, second_idx = _two_phase(*_draw_picks(rng, states, cfg.N, cfg.n, cfg.m), cfg.N)
         # x, y, z over S_m and x, z over S_n: take copies a strided source whole,
         # so the phase takes y too, from the contiguous array, at a cost in n not N
         second, first = pop.xyz.take(second_idx, axis=1), pop.xyz.take(first_idx, axis=1)[::2]

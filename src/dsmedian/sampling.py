@@ -4,23 +4,34 @@ Randomness is owned by a counter-based Philox generator keyed by
 ``(master_seed, stream_id)``: the same :class:`SeedSpec` reproduces the
 same draw on any platform, and distinct stream ids can be consumed
 concurrently with no coordination.  Subsets are selected by a partial
-Fisher-Yates shuffle whose bounded integers (its picks) come from the
+Fisher-Yates shuffle whose bounded integers (its picks) are those of the
 generator's rejection-based ``integers`` method, so every k-subset is
 equally likely.
 
-A draw takes its picks first, and :func:`_resolve` turns a (B, k) block
-of picks into the B shuffles' outputs at once, exactly: only the steps
-whose pick lies below k or recurs can output other than their pick, and
-one sort of those steps gives their outputs.  The replicate engine
-resolves one block per phase of a chunk and the public draws a block of
-one, so a draw is the same whatever block it is resolved in.
+A draw's picks come from the stream's raw 64-bit Philox words, two
+32-bit halves each, the low half first, by numpy's 32-bit Lemire rule
+(:func:`_lemire`): pick i over N is ``i + (half * (N - i) >> 32)``.
+numpy redraws a half whose leftover ``half * (N - i) mod 2**32`` lies
+below a threshold under ``N - i``, so a stream with a leftover below
+``N - i`` goes whole to ``Generator.integers`` (:func:`_picks`), as does
+every draw over more than 2**32 units, whose picks take 64-bit words,
+or of all N units, whose last pick takes no half.  So the picks are
+``Generator.integers``'s on every stream, whatever numpy's threshold.
 
-A replicate loop need not build a generator per stream: re-keying one
-Philox generator to ``[master_seed, stream_id]`` at counter 0 with an
-empty buffer puts it in the state a fresh :meth:`SeedSpec.generator`
-starts from, so its draws are the same.  The package's own draw checks its
-sizes, not its indices: it builds its :class:`TwoPhaseSample` from indices
-valid by construction, while the public constructor checks every one.
+:func:`_resolve` then turns a (B, k) block of picks into the B
+shuffles' outputs at once, exactly: only the steps whose pick lies below
+k or recurs can output other than their pick, and one sort of those
+steps gives their outputs.  The replicate engine draws and resolves one
+block per chunk and the public draws a block of one, so a draw is the
+same whatever block it is drawn in.
+
+A replicate loop need not build a generator per stream: setting one
+Philox generator to :func:`_stream_state`, the stream's key at counter 0
+with an empty buffer, puts it in the state a fresh
+:meth:`SeedSpec.generator` starts from, so its draws are the same.  The
+package's own draw checks its sizes, not its indices: it builds its
+:class:`TwoPhaseSample` from indices valid by construction, while the
+public constructor checks every one.
 """
 
 from __future__ import annotations
@@ -32,6 +43,8 @@ import numpy as np
 __all__ = ["SeedSpec", "TwoPhaseSample", "srswor", "draw_two_phase"]
 
 _U64 = 2**64
+_I64 = 2**63  # the public draws' size bound: a pick is an int64
+_U32 = 2**32
 
 
 @dataclass(frozen=True)
@@ -57,11 +70,11 @@ def _key(master_seed: int, stream_id: int) -> np.ndarray:
     return np.array([master_seed, stream_id], dtype=np.uint64)
 
 
-def _rekey(rng: np.random.Generator, master_seed: int, stream_id: int) -> None:
-    """Put ``rng``, a Philox generator, in the state that
-    ``SeedSpec(master_seed, stream_id).generator()`` starts from: the
-    stream's key, counter 0, no buffered word and no buffered half word."""
-    rng.bit_generator.state = {
+def _stream_state(master_seed: int, stream_id: int) -> dict:
+    """The Philox state ``SeedSpec(master_seed, stream_id).generator()``
+    starts from: the stream's key, counter 0, no buffered word and no
+    buffered half word."""
+    return {
         "bit_generator": "Philox",
         "state": {"counter": np.zeros(4, dtype=np.uint64), "key": _key(master_seed, stream_id)},
         "buffer": np.zeros(4, dtype=np.uint64),
@@ -115,9 +128,76 @@ class TwoPhaseSample:
 
 
 def _picks(rng: np.random.Generator, N: int, k: int) -> np.ndarray:
-    """The k bounded integers of a partial Fisher-Yates shuffle of range(N):
-    pick i is uniform on [i, N)."""
+    """The k bounded integers of a partial Fisher-Yates shuffle of range(N),
+    pick i uniform on [i, N), by ``Generator.integers``: the reference
+    :func:`_draw_picks` falls back to."""
     return rng.integers(low=np.arange(k), high=N)
+
+
+def _draw_picks(
+    rng: np.random.Generator, states: list[dict], N: int, n: int, m: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, n) picks over range(N) and (B, m) picks over range(n) that
+    ``_picks(rng, N, n)`` and then ``_picks(rng, n, m)`` draw from each of
+    the B Philox ``states``; ``rng``, a Philox generator, is set to each in
+    turn and left in no particular state.
+
+    The picks come from each stream's raw words through :func:`_lemire`.
+    A row it cannot vouch for is drawn again from its state by
+    ``Generator.integers``, and so is every row of a block that cannot use
+    raw words: a draw over more than 2**32 units (64-bit picks), a draw of
+    all N units (its last pick takes no half) or a state holding a half
+    word."""
+    bg = rng.bit_generator
+    B = len(states)
+    if N <= _U32 and m < n < N and not any(s["has_uint32"] for s in states):
+        words = np.empty((B, (n + m + 1) // 2), dtype=np.uint64)
+        for b, state in enumerate(states):
+            bg.state = state
+            words[b] = bg.random_raw(words.shape[1])
+        first, second, redo = _lemire(words, N, n, m)
+    else:
+        first, second = np.empty((B, n), dtype=np.int64), np.empty((B, m), dtype=np.int64)
+        redo = range(B)
+    for b in redo:
+        bg.state = states[b]
+        first[b], second[b] = _picks(rng, N, n), _picks(rng, n, m)
+    return first, second
+
+
+def _lemire(
+    words: np.ndarray, N: int, n: int, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | list[int]]:
+    """The (B, n) picks over range(N) and (B, m) picks over range(n) of a
+    (B, ceil((n + m) / 2)) block of raw Philox words, by numpy's 32-bit
+    Lemire rule, and the rows that are not exact.
+
+    Each word gives two 32-bit halves, the low half first (by mask and
+    shift, whatever the byte order), as numpy's ``next_uint32`` takes
+    them; half n + i opens the second phase, on a high half when n is
+    odd.  Pick i of a phase over N is ``i + (half * (N - i) >> 32)``, in
+    uint64, for 1 < N - i <= 2**32.  numpy redraws the half while its
+    leftover ``half * (N - i) mod 2**32`` lies below ``2**32 mod (N - i)``,
+    so a row is not exact where any leftover lies below ``N - i``, a
+    superset of that test.  At N - i = 2**32 numpy takes the half as is,
+    and the flag compares with ``(N - i) mod 2**32``, which is 0 there."""
+    offset = np.arange(n + m, dtype=np.uint64)  # i of each phase, and its span N - i or n - i
+    offset[n:] -= n
+    span = np.full(n + m, n, dtype=np.uint64)
+    span[:n] = N
+    span -= offset
+    scaled = np.empty((len(words), 2 * words.shape[1]), dtype=np.uint64)
+    np.bitwise_and(words, 0xFFFFFFFF, out=scaled[:, 0::2])
+    np.right_shift(words, 32, out=scaled[:, 1::2])
+    scaled = scaled[:, :n + m]
+    scaled *= span
+    flagged = (scaled & 0xFFFFFFFF) < (span & 0xFFFFFFFF)
+    scaled >>= 32
+    scaled += offset
+    picks = scaled.view(np.int64)  # every pick lies below N <= 2**32
+    # about one draw in 1000 at (5000, 600, 150) has a flag: test the block first
+    inexact = np.flatnonzero(flagged.any(axis=1)) if flagged.any() else []
+    return picks[:, :n], picks[:, n:], inexact
 
 
 def _resolve(picks: np.ndarray, N: int) -> np.ndarray:
@@ -187,8 +267,8 @@ def _marked(picks: np.ndarray) -> np.ndarray:
 
 def _sample_indices(rng: np.random.Generator, N: int, k: int) -> np.ndarray:
     """First k entries of a partial Fisher-Yates shuffle of range(N), in
-    draw order: the resolved block of one."""
-    return _resolve(_picks(rng, N, k)[None], N)[0]
+    draw order, from the state of ``rng``: the resolved block of one."""
+    return _resolve(_draw_picks(rng, [rng.bit_generator.state], N, k)[0], N)[0]
 
 
 def _two_phase(
@@ -212,8 +292,8 @@ def srswor(N: int, k: int, seed: SeedSpec) -> np.ndarray:
     Returned sorted ascending.  Deterministic in ``seed``; every k-subset
     is equally probable.
     """
-    if not 1 <= k <= N:
-        raise ValueError(f"require 1 <= k <= N, got k={k}, N={N}")
+    if not 1 <= k <= N < _I64:
+        raise ValueError(f"require 1 <= k <= N < 2**63, got k={k}, N={N}")
     return np.sort(_sample_indices(seed.generator(), N, k))
 
 
@@ -224,9 +304,9 @@ def draw_two_phase(N: int, n: int, m: int, seed: SeedSpec) -> TwoPhaseSample:
     population; the two phases share one random stream so a single
     :class:`SeedSpec` replays the whole draw.
     """
-    if not 1 <= m < n <= N:
-        raise ValueError(f"require m < n <= N with m >= 1, got m={m}, n={n}, N={N}")
-    rng = seed.generator()
-    first, second = _two_phase(_picks(rng, N, n)[None], _picks(rng, n, m)[None], N)
+    if not 1 <= m < n <= N < _I64:
+        raise ValueError(f"require m < n <= N < 2**63 with m >= 1, got m={m}, n={n}, N={N}")
+    state = _stream_state(seed.master_seed, seed.stream_id)
+    first, second = _two_phase(*_draw_picks(seed.generator(), [state], N, n, m), N)
     first.flags.writeable = second.flags.writeable = False
     return TwoPhaseSample(first[0], second[0], _trusted=True)

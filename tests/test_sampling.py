@@ -10,10 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 from dsmedian.sampling import (
     SeedSpec,
     TwoPhaseSample,
+    _draw_picks,
+    _lemire,
     _picks,
-    _rekey,
     _resolve,
     _sample_indices,
+    _stream_state,
     draw_two_phase,
     srswor,
 )
@@ -49,16 +51,18 @@ class TestSeedSpec:
     def test_rekeyed_generator_draws_as_a_fresh_one(self):
         # one generator re-keyed per stream, as run_simulation draws its
         # replicates, after draws that leave a buffered half word or a partly
-        # consumed Philox buffer behind
+        # consumed Philox buffer behind: raw words leave neither, so an odd
+        # count of 32-bit draws before each re-key does
         rng = SeedSpec(2002).generator()
         half_word = partial_buffer = False
         for N, k in ORACLE_SIZES:
             m = max(1, k // 4)
             for r in range(ORACLE_SEEDS):
+                rng.integers(2**32, size=2 * (r % 4) + 1, dtype=np.uint32)
                 state = rng.bit_generator.state
                 half_word |= state["has_uint32"] == 1
                 partial_buffer |= 0 < state["buffer_pos"] < 4
-                _rekey(rng, 2002, r)
+                rng.bit_generator.state = _stream_state(2002, r)
                 fresh = SeedSpec(2002, r).generator()
                 for size, picks in ((N, k), (k, m)):  # first phase, then positions in it
                     expected = _sample_indices(fresh, size, picks)
@@ -148,6 +152,90 @@ class TestResolve:
         assert peak <= 8 * block.nbytes, peak / block.nbytes
 
 
+def integers_picks(r, N, n, m):
+    """Stream r's first-phase picks over range(N), then its second-phase
+    picks over range(n), by ``Generator.integers``."""
+    rng = SeedSpec(2002, r).generator()
+    return rng.integers(low=np.arange(n), high=N), rng.integers(low=np.arange(m), high=n)
+
+
+def raw_words(streams, n, m):
+    """The block of raw Philox words a draw of the streams reads."""
+    return np.stack([SeedSpec(2002, r).generator().bit_generator.random_raw((n + m + 1) // 2)
+                     for r in streams])
+
+
+# (N, n, m): ORDER_SIZES and BLOCK_SIZES hold n == N, odd n (1000, 999) and
+# large N; m == 0 is a one-phase draw, as srswor's
+PICK_SIZES = [(N, k, k // 4) for N, k in BLOCK_SIZES] + [
+    (5000, 601, 150),  # odd n: the second phase opens on a high half
+    (5000, 600, 151),  # odd n + m: the last word's high half goes unused
+    (2**32, 1, 0),  # a span of 2**32, whose pick numpy takes as the half itself
+    (2**32, 3, 1),  # spans just under 2**32: nearly every row redrawn
+    (2**32 + 1, 3, 1),  # 64-bit picks: every row by Generator.integers
+    (3 * 2**30, 1, 0),  # numpy rejects a quarter of the halves here
+    (3 * 2**30, 2, 1),
+]
+
+
+class TestPicks:
+    @pytest.mark.parametrize("N,n,m", PICK_SIZES)
+    @pytest.mark.parametrize("B", [1, 16])
+    def test_rows_match_integers_on_their_own_streams(self, N, n, m, B):
+        rng = SeedSpec(1).generator()
+        for lo in range(0, BLOCK_STREAMS, B):
+            streams = range(lo, lo + B)
+            first, second = _draw_picks(rng, [_stream_state(2002, r) for r in streams], N, n, m)
+            assert first.dtype == second.dtype == np.int64
+            assert first.shape == (B, n) and second.shape == (B, m)
+            for r, got_first, got_second in zip(streams, first, second):
+                expected_first, expected_second = integers_picks(r, N, n, m)
+                assert np.array_equal(got_first, expected_first), (N, n, m, B, r)
+                assert np.array_equal(got_second, expected_second), (N, n, m, B, r)
+
+    @pytest.mark.parametrize("N,n,m", [(600, 150, 37), (5000, 600, 150), (5000, 601, 151),
+                                       (20000, 1200, 300), (100_000, 600, 150)])
+    def test_kernel_vouches_for_nearly_every_row(self, N, n, m):
+        # the fallback alone passes the test above: the kernel's own picks must
+        # be exact, on nearly every row
+        streams = range(BLOCK_STREAMS)
+        first, second, inexact = _lemire(raw_words(streams, n, m), N, n, m)
+        assert len(inexact) <= 2
+        for r in set(streams) - set(inexact):
+            expected_first, expected_second = integers_picks(r, N, n, m)
+            assert np.array_equal(first[r], expected_first), (N, n, m, r)
+            assert np.array_equal(second[r], expected_second), (N, n, m, r)
+
+    def test_kernel_exact_at_a_span_of_2_32(self):
+        streams = range(BLOCK_STREAMS)
+        first, _, inexact = _lemire(raw_words(streams, 1, 0), 2**32, 1, 0)
+        assert len(inexact) == 0
+        assert np.array_equal(first[:, 0], [integers_picks(r, 2**32, 1, 0)[0][0] for r in streams])
+
+    def test_redrawn_rows_keep_their_neighbours(self):
+        # flagged and exact rows alternate within one block
+        N, n, m = 3 * 2**30, 1, 0
+        streams = range(16)
+        first, _, inexact = _lemire(raw_words(streams, n, m), N, n, m)
+        exact = np.ones(16, dtype=bool)
+        exact[inexact] = False
+        assert exact.any() and not exact.all()
+        got, _ = _draw_picks(SeedSpec(1).generator(), [_stream_state(2002, r) for r in streams],
+                             N, n, m)
+        assert np.array_equal(got[exact], first[exact])
+        for r in streams:
+            assert np.array_equal(got[r], integers_picks(r, N, n, m)[0]), r
+
+    def test_state_with_a_half_word_draws_as_integers(self):
+        rng = SeedSpec(2002, 5).generator()
+        rng.integers(2**32, dtype=np.uint32)
+        state = rng.bit_generator.state
+        assert state["has_uint32"] == 1
+        first, second = _draw_picks(SeedSpec(1).generator(), [state], 5000, 600, 150)
+        assert np.array_equal(first[0], rng.integers(low=np.arange(600), high=5000))
+        assert np.array_equal(second[0], rng.integers(low=np.arange(150), high=600))
+
+
 class TestSrswor:
     def test_census(self):
         assert np.array_equal(srswor(5, 5, SeedSpec(0, 0)), np.arange(5))
@@ -182,6 +270,13 @@ class TestSrswor:
     def test_k_larger_than_N(self):
         with pytest.raises(ValueError):
             srswor(4, 5, SeedSpec(0, 0))
+
+    def test_size_past_int64_names_the_bound(self):
+        # numpy raised its own "high is out of bounds for int64"
+        with pytest.raises(ValueError, match=r"N < 2\*\*63, got k=2, N=1180591620717411303424"):
+            srswor(2**70, 2, SeedSpec(1))
+        idx = srswor(2**63 - 1, 2, SeedSpec(1))
+        assert idx.size == 2 and idx[0] < idx[1] <= 2**63 - 2
 
     def test_single_draw_uniform(self):
         # 60,000 draws of one index from six: each count within 3 sigma of 10,000
@@ -250,6 +345,14 @@ class TestDrawTwoPhase:
             draw_two_phase(10, 5, 5, SeedSpec(0, 0))
         with pytest.raises(ValueError, match="m < n"):
             draw_two_phase(10, 11, 5, SeedSpec(0, 0))
+
+    def test_size_past_int64_names_the_bound(self):
+        # numpy raised OverflowError at 2**63 and ValueError on its own bound at 2**64
+        for N in (2**63, 2**64):
+            with pytest.raises(ValueError, match=rf"N < 2\*\*63 with m >= 1, got m=2, n=5, N={N}"):
+                draw_two_phase(N, 5, 2, SeedSpec(1))
+        s = draw_two_phase(2**63 - 1, 5, 2, SeedSpec(1))
+        assert s.n == 5 and s.first_phase[-1] <= 2**63 - 2
 
     def test_nestedness_many_draws(self, rng):
         for r in range(200):
