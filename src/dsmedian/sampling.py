@@ -148,6 +148,7 @@ def _draw_picks(
     raw words: a draw over more than 2**32 units (64-bit picks), a draw of
     all N units (its last pick takes no half) or a state holding a half
     word."""
+    N, n, m = int(N), int(n), int(m)  # a numpy integer would turn the uint64 arithmetic to float
     bg = rng.bit_generator
     B = len(states)
     if N <= _U32 and m < n < N and not any(s["has_uint32"] for s in states):
@@ -286,14 +287,19 @@ def _two_phase(
     return first, second
 
 
+def _integers(*sizes) -> bool:
+    """Whether every size is an int or a numpy integer."""
+    return all(isinstance(v, (int, np.integer)) for v in sizes)
+
+
 def srswor(N: int, k: int, seed: SeedSpec) -> np.ndarray:
     """Simple random sample without replacement: k distinct indices in [0, N).
 
     Returned sorted ascending.  Deterministic in ``seed``; every k-subset
     is equally probable.
     """
-    if not 1 <= k <= N < _I64:
-        raise ValueError(f"require 1 <= k <= N < 2**63, got k={k}, N={N}")
+    if not (_integers(N, k) and 1 <= k <= N < _I64):
+        raise ValueError(f"require integers 1 <= k <= N < 2**63, got k={k}, N={N}")
     return np.sort(_sample_indices(seed.generator(), N, k))
 
 
@@ -304,8 +310,10 @@ def draw_two_phase(N: int, n: int, m: int, seed: SeedSpec) -> TwoPhaseSample:
     population; the two phases share one random stream so a single
     :class:`SeedSpec` replays the whole draw.
     """
-    if not 1 <= m < n <= N < _I64:
-        raise ValueError(f"require m < n <= N < 2**63 with m >= 1, got m={m}, n={n}, N={N}")
+    if not (_integers(N, n, m) and 1 <= m < n <= N < _I64):
+        raise ValueError(
+            f"require integers m < n <= N < 2**63 with m >= 1, got m={m}, n={n}, N={N}"
+        )
     state = _stream_state(seed.master_seed, seed.stream_id)
     first, second = _two_phase(*_draw_picks(seed.generator(), [state], N, n, m), N)
     first.flags.writeable = second.flags.writeable = False

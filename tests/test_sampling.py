@@ -278,6 +278,14 @@ class TestSrswor:
         idx = srswor(2**63 - 1, 2, SeedSpec(1))
         assert idx.size == 2 and idx[0] < idx[1] <= 2**63 - 2
 
+    def test_non_integer_sizes_rejected(self):
+        # 10.5 units drew three indices
+        for N, k in ((10.5, 3), (10, 3.0), ("10", 3)):
+            with pytest.raises(ValueError, match="require integers"):
+                srswor(N, k, SeedSpec(1))
+        expected = srswor(10, 3, SeedSpec(1))
+        assert np.array_equal(srswor(np.int64(10), np.int32(3), SeedSpec(1)), expected)
+
     def test_single_draw_uniform(self):
         # 60,000 draws of one index from six: each count within 3 sigma of 10,000
         counts = np.zeros(6, dtype=int)
@@ -353,6 +361,16 @@ class TestDrawTwoPhase:
                 draw_two_phase(N, 5, 2, SeedSpec(1))
         s = draw_two_phase(2**63 - 1, 5, 2, SeedSpec(1))
         assert s.n == 5 and s.first_phase[-1] <= 2**63 - 2
+
+    def test_non_integer_sizes_rejected(self):
+        # a float n ended in numpy's TypeError, and a float N drew
+        for N, n, m in ((5000, 600.0, 150), (5000.0, 600, 150), (5000, 600, 150.0)):
+            with pytest.raises(ValueError, match="require integers"):
+                draw_two_phase(N, n, m, SeedSpec(1))
+        s = draw_two_phase(np.int64(5000), np.int64(600), np.int64(150), SeedSpec(1))
+        t = draw_two_phase(5000, 600, 150, SeedSpec(1))
+        assert np.array_equal(s.first_phase, t.first_phase)
+        assert np.array_equal(s.second_phase, t.second_phase)
 
     def test_nestedness_many_draws(self, rng):
         for r in range(200):
