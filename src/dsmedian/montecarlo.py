@@ -42,7 +42,7 @@ from .estimators import (
 )
 from .population import Population, PopulationSummary, load_population_csv, population_summary
 from .population import _TOO_FEW_UNITS
-from .sampling import SeedSpec, _draw_picks, _stream_state, _two_phase
+from .sampling import SeedSpec, _draws
 from .variance_theory import (
     DesignSizes,
     VarianceComponents,
@@ -472,11 +472,9 @@ def _replicate_rows(plan: _Plan, start: int, stop: int) -> np.ndarray:
     come from the last-axis kernels, with the bits of
     ``SampleView.from_population`` and ``plugin_coefficients`` on each
     replicate alone; every id then reads its replicate's view.  So the
-    chunk size never changes a bit.  One Philox generator, set to stream
-    r's start, draws replicate r's picks, all the chunk's picks come from
-    one block of raw words (:func:`~dsmedian.sampling._draw_picks`), and
-    each phase's picks are resolved as one block
-    (:func:`~dsmedian.sampling._resolve`), row for row the draw of
+    chunk size never changes a bit.  The chunk's samples are one block of
+    streams, drawn by the one draw entry
+    (:func:`~dsmedian.sampling._draws`), row for row the draw of
     ``draw_two_phase``."""
     cfg, pop = plan.config, plan.pop
     ids = cfg.estimators
@@ -487,11 +485,9 @@ def _replicate_rows(plan: _Plan, start: int, stop: int) -> np.ndarray:
             f"replicates = {cfg.replicates}: the results do not fit in memory"
         ) from None
     needs_plugin = any(e in COEFFICIENT_IDS for e in ids)
-    rng = SeedSpec(cfg.master_seed).generator()
     for lo in range(start, stop, _CHUNK):
         reps = range(lo, min(lo + _CHUNK, stop))
-        states = [_stream_state(cfg.master_seed, r) for r in reps]
-        first_idx, second_idx = _two_phase(*_draw_picks(rng, states, cfg.N, cfg.n, cfg.m), cfg.N)
+        first_idx, second_idx = _draws(cfg.master_seed, reps, cfg.N, cfg.n, cfg.m)
         # x, y, z over S_m and x, z over S_n: take copies a strided source whole,
         # so the phase takes y too, from the contiguous array, at a cost in n not N
         second, first = pop.xyz.take(second_idx, axis=1), pop.xyz.take(first_idx, axis=1)[::2]
@@ -624,11 +620,11 @@ def load_sim_config(
     try:  # a syntax or interpolation error is a fault of the file, like any other
         if not parser.read(path):
             raise ValueError(f"cannot read config file {path}")
-        for section, keys in _INI_KEYS.items():
-            if not parser.has_section(section):
-                continue
+        for section in parser.sections():
+            if section not in _INI_KEYS:
+                raise ValueError(f"unknown config section [{section}]")
             for key, value in parser.items(section):
-                if key not in keys:
+                if key not in _INI_KEYS[section]:
                     raise ValueError(f"unknown config key [{section}] {key}")
                 flat[key] = value
     except configparser.Error as exc:

@@ -21,21 +21,22 @@ or of all N units, whose last pick takes no half.  So the picks are
 :func:`_resolve` then turns a (B, k) block of picks into the B
 shuffles' outputs at once, exactly: only the steps whose pick lies below
 k or recurs can output other than their pick, and one sort of those
-steps gives their outputs.  The replicate engine draws and resolves one
-block per chunk and the public draws a block of one, so a draw is the
-same whatever block it is drawn in.
+steps gives their outputs.
 
-A replicate loop need not build a generator per stream: setting one
-Philox generator to :func:`_stream_state`, the stream's key at counter 0
-with an empty buffer, puts it in the state a fresh
-:meth:`SeedSpec.generator` starts from, so its draws are the same.  The
-package's own draw checks its sizes, not its indices: it builds its
-:class:`TwoPhaseSample` from indices valid by construction, while the
-public constructor checks every one.
+One entry, :func:`_draws`, draws a block of streams: it alone builds the
+Philox generator and sets it to each stream's start, the state a fresh
+:meth:`SeedSpec.generator` starts from, so a draw is the same whatever
+block it is drawn in.  The replicate engine calls it once per chunk, and
+the public draws with a block of one.  The package's own draw checks its
+sizes, not its indices: it builds its :class:`TwoPhaseSample` from
+indices valid by construction, while the public constructor checks every
+one.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Sequence
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -70,18 +71,18 @@ def _key(master_seed: int, stream_id: int) -> np.ndarray:
     return np.array([master_seed, stream_id], dtype=np.uint64)
 
 
+@functools.cache
+def _fresh_state() -> dict:
+    """A fresh Philox generator's state: counter 0, no buffered word or
+    half word.  Built at the first draw, not at import."""
+    return np.random.Philox(0).state
+
+
 def _stream_state(master_seed: int, stream_id: int) -> dict:
     """The Philox state ``SeedSpec(master_seed, stream_id).generator()``
-    starts from: the stream's key, counter 0, no buffered word and no
-    buffered half word."""
-    return {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": _key(master_seed, stream_id)},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    starts from: a fresh generator's, with the stream's key."""
+    fresh = _fresh_state()
+    return {**fresh, "state": {**fresh["state"], "key": _key(master_seed, stream_id)}}
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,33 +136,32 @@ def _picks(rng: np.random.Generator, N: int, k: int) -> np.ndarray:
 
 
 def _draw_picks(
-    rng: np.random.Generator, states: list[dict], N: int, n: int, m: int = 0
+    master_seed: int, streams: Sequence[int], N: int, n: int, m: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (B, n) picks over range(N) and (B, m) picks over range(n) that
-    ``_picks(rng, N, n)`` and then ``_picks(rng, n, m)`` draw from each of
-    the B Philox ``states``; ``rng``, a Philox generator, is set to each in
-    turn and left in no particular state.
+    ``_picks(rng, N, n)`` and then ``_picks(rng, n, m)`` draw on each of the
+    B streams ``(master_seed, r)``, ``rng`` a fresh generator of the stream.
 
-    The picks come from each stream's raw words through :func:`_lemire`.
-    A row it cannot vouch for is drawn again from its state by
+    One Philox generator is set to each stream's start in turn, and the
+    picks come from its raw words through :func:`_lemire`.  A row it
+    cannot vouch for is drawn again from the stream's start by
     ``Generator.integers``, and so is every row of a block that cannot use
-    raw words: a draw over more than 2**32 units (64-bit picks), a draw of
-    all N units (its last pick takes no half) or a state holding a half
-    word."""
-    N, n, m = int(N), int(n), int(m)  # a numpy integer would turn the uint64 arithmetic to float
+    raw words: a draw over more than 2**32 units (64-bit picks) or of all
+    N units (its last pick takes no half)."""
+    rng = SeedSpec(master_seed).generator()
     bg = rng.bit_generator
-    B = len(states)
-    if N <= _U32 and m < n < N and not any(s["has_uint32"] for s in states):
+    B = len(streams)
+    if N <= _U32 and m < n < N:
         words = np.empty((B, (n + m + 1) // 2), dtype=np.uint64)
-        for b, state in enumerate(states):
-            bg.state = state
+        for b, r in enumerate(streams):
+            bg.state = _stream_state(master_seed, r)
             words[b] = bg.random_raw(words.shape[1])
         first, second, redo = _lemire(words, N, n, m)
     else:
         first, second = np.empty((B, n), dtype=np.int64), np.empty((B, m), dtype=np.int64)
         redo = range(B)
     for b in redo:
-        bg.state = states[b]
+        bg.state = _stream_state(master_seed, streams[b])
         first[b], second[b] = _picks(rng, N, n), _picks(rng, n, m)
     return first, second
 
@@ -266,22 +266,18 @@ def _marked(picks: np.ndarray) -> np.ndarray:
     return marked
 
 
-def _sample_indices(rng: np.random.Generator, N: int, k: int) -> np.ndarray:
-    """First k entries of a partial Fisher-Yates shuffle of range(N), in
-    draw order, from the state of ``rng``: the resolved block of one."""
-    return _resolve(_draw_picks(rng, [rng.bit_generator.state], N, k)[0], N)[0]
-
-
-def _two_phase(
-    first_picks: np.ndarray, second_picks: np.ndarray, N: int
+def _draws(
+    master_seed: int, streams: Sequence[int], N: int, n: int, m: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted (B, n) first phases and (B, m) second phases of B draws from
-    their picks: the second phase's positions in the first, resolved over
-    range(n), are gathered from the first phase in draw order, then both
-    are sorted."""
+    """The sorted (B, n) first phases and (B, m) second phases of the draws
+    on the B streams ``(master_seed, r)``, r in ``streams``: the one entry
+    to every draw.  Each phase's picks (:func:`_draw_picks`) are resolved
+    as one block, and the second phase's positions in the first are
+    gathered from the first phase in draw order; then both are sorted."""
+    N, n, m = int(N), int(n), int(m)  # a numpy integer would turn the uint64 arithmetic to float
+    first_picks, second_picks = _draw_picks(master_seed, streams, N, n, m)
     first = _resolve(first_picks, N)
-    B, n = first.shape
-    second = first[np.arange(B)[:, None], _resolve(second_picks, n)]
+    second = first[np.arange(len(first))[:, None], _resolve(second_picks, n)]
     first.sort(axis=1)
     second.sort(axis=1)
     return first, second
@@ -300,7 +296,7 @@ def srswor(N: int, k: int, seed: SeedSpec) -> np.ndarray:
     """
     if not (_integers(N, k) and 1 <= k <= N < _I64):
         raise ValueError(f"require integers 1 <= k <= N < 2**63, got k={k}, N={N}")
-    return np.sort(_sample_indices(seed.generator(), N, k))
+    return _draws(seed.master_seed, [seed.stream_id], N, k)[0][0]
 
 
 def draw_two_phase(N: int, n: int, m: int, seed: SeedSpec) -> TwoPhaseSample:
@@ -314,7 +310,6 @@ def draw_two_phase(N: int, n: int, m: int, seed: SeedSpec) -> TwoPhaseSample:
         raise ValueError(
             f"require integers m < n <= N < 2**63 with m >= 1, got m={m}, n={n}, N={N}"
         )
-    state = _stream_state(seed.master_seed, seed.stream_id)
-    first, second = _two_phase(*_draw_picks(seed.generator(), [state], N, n, m), N)
+    first, second = _draws(seed.master_seed, [seed.stream_id], N, n, m)
     first.flags.writeable = second.flags.writeable = False
     return TwoPhaseSample(first[0], second[0], _trusted=True)

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 from .estimators import composite_concordance, true_coefficients
 from .population import PopulationSummary
+from .sampling import _integers
 
 __all__ = [
     "DesignSizes",
@@ -58,13 +59,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DesignSizes:
-    """Second-phase, first-phase, and population sizes with 2 <= m < n <= N."""
+    """Second-phase, first-phase, and population sizes: integers with
+    2 <= m < n <= N."""
 
     m: int
     n: int
     N: int
 
     def __post_init__(self) -> None:
+        if not _integers(self.m, self.n, self.N):
+            raise ValueError(f"require integer sizes, got m={self.m!r}, n={self.n!r}, N={self.N!r}")
         if not 2 <= self.m < self.n <= self.N:
             raise ValueError(f"require 2 <= m < n <= N, got m={self.m}, n={self.n}, N={self.N}")
 

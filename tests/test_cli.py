@@ -252,7 +252,11 @@ class TestSimulate:
          "option 'units' in section 'population' already exists"),
         (SIM_INI + "[design]\nm = 3\n", "section 'design' already exists"),
         (SIM_INI.replace("mu_x = 10.0", "mu_x = 5%"), "'%' must be followed by '%' or '('"),
-    ], ids=["no-section-header", "duplicate-option", "duplicate-section", "lone-percent"])
+        # the section was skipped: normal(0, 1) marginals ran, with exit 0
+        (SIM_INI + "[marginals]\nmarginal_y = lognormal\nmu_y = 2.0\n",
+         "unknown config section [marginals]"),
+    ], ids=["no-section-header", "duplicate-option", "duplicate-section", "lone-percent",
+            "unknown-section"])
     def test_config_syntax_error_exit_2(self, tmp_path, capsys, text, message):
         ini = tmp_path / "sim.ini"
         ini.write_text(text)

@@ -216,6 +216,14 @@ class TestSimConfig:
             SimConfig(m=4, n=8, N=100, replicates=1, master_seed=0,
                       estimators=("median",), generator=None, csv_path=None)
 
+    def test_non_integer_sizes_rejected(self):
+        # m = 150.9 drew the m = 150 samples and reported theory at 150.9
+        for sizes in (dict(m=40.5), dict(n=160.0), dict(N=1000.0), dict(m="40")):
+            with pytest.raises(ValueError, match="require integer sizes"):
+                quick_config(**sizes)
+        cfg = quick_config(m=np.int64(40), n=np.int32(160), N=np.int64(1000))
+        assert (cfg.m, cfg.n, cfg.N) == (40, 160, 1000)
+
     def test_digest_changes_with_config(self):
         a = quick_config().digest()
         b = quick_config(master_seed=12).digest()
@@ -683,6 +691,13 @@ estimators = median, reg-xz
         p = tmp_path / "sim.ini"
         p.write_text("[design]\nm = 3\nwhatever = 1\n")
         with pytest.raises(ValueError, match="unknown config key"):
+            load_sim_config(p)
+
+    def test_unknown_section_rejected(self, tmp_path):
+        # a [marginals] section was skipped, so its keys never reached the generator
+        p = tmp_path / "sim.ini"
+        p.write_text("[design]\nm = 3\n[marginals]\nmarginal_y = lognormal\n")
+        with pytest.raises(ValueError, match=r"unknown config section \[marginals\]"):
             load_sim_config(p)
 
     def test_csv_source(self, tmp_path):

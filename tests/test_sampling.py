@@ -11,10 +11,10 @@ from dsmedian.sampling import (
     SeedSpec,
     TwoPhaseSample,
     _draw_picks,
+    _draws,
     _lemire,
     _picks,
     _resolve,
-    _sample_indices,
     _stream_state,
     draw_two_phase,
     srswor,
@@ -49,10 +49,10 @@ class TestSeedSpec:
             SeedSpec(2**64, 0)
 
     def test_rekeyed_generator_draws_as_a_fresh_one(self):
-        # one generator re-keyed per stream, as run_simulation draws its
-        # replicates, after draws that leave a buffered half word or a partly
-        # consumed Philox buffer behind: raw words leave neither, so an odd
-        # count of 32-bit draws before each re-key does
+        # one generator re-keyed per stream, as _draw_picks redraws its
+        # fallback rows, after draws that leave a buffered half word or a
+        # partly consumed Philox buffer behind: raw words leave neither, so
+        # an odd count of 32-bit draws before each re-key does
         rng = SeedSpec(2002).generator()
         half_word = partial_buffer = False
         for N, k in ORACLE_SIZES:
@@ -65,8 +65,8 @@ class TestSeedSpec:
                 rng.bit_generator.state = _stream_state(2002, r)
                 fresh = SeedSpec(2002, r).generator()
                 for size, picks in ((N, k), (k, m)):  # first phase, then positions in it
-                    expected = _sample_indices(fresh, size, picks)
-                    assert np.array_equal(_sample_indices(rng, size, picks), expected), (N, k, r)
+                    expected = _picks(fresh, size, picks)
+                    assert np.array_equal(_picks(rng, size, picks), expected), (N, k, r)
         assert half_word and partial_buffer
 
 
@@ -82,7 +82,7 @@ class TestSampleIndices:
         # the second phase indexes the first in draw order, so the order counts
         for r in range(ORACLE_SEEDS):
             seed = SeedSpec(2002, r)
-            got = _sample_indices(seed.generator(), N, k)
+            got = _resolve(_draw_picks(2002, [r], N, k)[0], N)[0]
             expected = reference_sample_indices(seed.generator(), N, k)
             assert got.dtype == np.int64
             assert np.array_equal(got, expected), (N, k, r)
@@ -182,10 +182,9 @@ class TestPicks:
     @pytest.mark.parametrize("N,n,m", PICK_SIZES)
     @pytest.mark.parametrize("B", [1, 16])
     def test_rows_match_integers_on_their_own_streams(self, N, n, m, B):
-        rng = SeedSpec(1).generator()
         for lo in range(0, BLOCK_STREAMS, B):
             streams = range(lo, lo + B)
-            first, second = _draw_picks(rng, [_stream_state(2002, r) for r in streams], N, n, m)
+            first, second = _draw_picks(2002, streams, N, n, m)
             assert first.dtype == second.dtype == np.int64
             assert first.shape == (B, n) and second.shape == (B, m)
             for r, got_first, got_second in zip(streams, first, second):
@@ -220,20 +219,27 @@ class TestPicks:
         exact = np.ones(16, dtype=bool)
         exact[inexact] = False
         assert exact.any() and not exact.all()
-        got, _ = _draw_picks(SeedSpec(1).generator(), [_stream_state(2002, r) for r in streams],
-                             N, n, m)
+        got, _ = _draw_picks(2002, streams, N, n, m)
         assert np.array_equal(got[exact], first[exact])
         for r in streams:
             assert np.array_equal(got[r], integers_picks(r, N, n, m)[0]), r
 
-    def test_state_with_a_half_word_draws_as_integers(self):
-        rng = SeedSpec(2002, 5).generator()
-        rng.integers(2**32, dtype=np.uint32)
-        state = rng.bit_generator.state
-        assert state["has_uint32"] == 1
-        first, second = _draw_picks(SeedSpec(1).generator(), [state], 5000, 600, 150)
-        assert np.array_equal(first[0], rng.integers(low=np.arange(600), high=5000))
-        assert np.array_equal(second[0], rng.integers(low=np.arange(150), high=600))
+
+class TestDraws:
+    @pytest.mark.parametrize("N,n,m", PICK_SIZES)
+    def test_block_rows_equal_the_public_draws(self, N, n, m):
+        # a chunk of 16, then a tail of 5, as the engine draws 21 replicates
+        for streams in (range(16), range(16, 21)):
+            first, second = _draws(2002, streams, N, n, m)
+            assert first.shape == (len(streams), n) and second.shape == (len(streams), m)
+            for r, got_first, got_second in zip(streams, first, second):
+                if m:
+                    sample = draw_two_phase(N, n, m, SeedSpec(2002, r))
+                    expected_first, expected_second = sample.first_phase, sample.second_phase
+                else:
+                    expected_first, expected_second = srswor(N, n, SeedSpec(2002, r)), []
+                assert np.array_equal(got_first, expected_first), (N, n, m, r)
+                assert np.array_equal(got_second, expected_second), (N, n, m, r)
 
 
 class TestSrswor:

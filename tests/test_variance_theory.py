@@ -47,6 +47,15 @@ class TestDesignSizes:
         with pytest.raises(ValueError):
             DesignSizes(m=5, n=10, N=9)
 
+    def test_non_integer_sizes_rejected(self):
+        # a float m ran the design's floor but gave the theory at the float
+        for m, n, N in ((150.9, 600, 5000), (150, 600.5, 5000), (150, 600, 5000.0),
+                        ("150", 600, 5000)):
+            with pytest.raises(ValueError, match=f"require integer sizes, got m={m!r}, n={n!r}"):
+                DesignSizes(m=m, n=n, N=N)
+        sizes = DesignSizes(m=np.int64(150), n=np.int32(600), N=np.uint64(5000))
+        assert sizes.theta_mN == DesignSizes(150, 600, 5000).theta_mN
+
 
 class TestClassDomain:
     """The class variances read the clamped concordances and divide by the
