@@ -42,7 +42,7 @@ from .estimators import (
 )
 from .population import Population, PopulationSummary, load_population_csv, population_summary
 from .population import _TOO_FEW_UNITS
-from .sampling import SeedSpec, _draws
+from .sampling import SeedSpec, _draws, _integers
 from .variance_theory import (
     DesignSizes,
     VarianceComponents,
@@ -240,6 +240,8 @@ class SimConfig:
         if (self.generator is None) == (self.csv_path is None):
             raise ValueError("exactly one population source required: generator or csv_path")
         DesignSizes(self.m, self.n, self.N)
+        if not _integers(self.replicates):
+            raise ValueError(f"replicates must be an integer, got {self.replicates!r}")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if not self.estimators:
@@ -249,6 +251,8 @@ class SimConfig:
             if est not in _ALL_IDS:
                 raise ValueError(f"unknown estimator id {est!r}")
         SeedSpec(self.master_seed)  # the seed range of every draw: [0, 2**64)
+        for name in ("m", "n", "N", "replicates", "master_seed"):  # numpy integers digest as ints
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     def canonical_dict(self) -> dict:
         """The fields in order, with the estimators as a list and the

@@ -20,8 +20,10 @@ or of all N units, whose last pick takes no half.  So the picks are
 
 :func:`_resolve` then turns a (B, k) block of picks into the B
 shuffles' outputs at once, exactly: only the steps whose pick lies below
-k or recurs can output other than their pick, and one sort of those
-steps gives their outputs.
+k or recurs can output other than their pick, and one value sort of each
+row's keys ``pick * k + i`` finds exactly those steps and orders them.
+The keys fit int64 while ``N * k <= 2**63``; only a draw over more than
+2**31.5 units can pass that, and its keys take the picks' ranks.
 
 One entry, :func:`_draws`, draws a block of streams: it alone builds the
 Philox generator and sets it to each stream's start, the state a fresh
@@ -221,25 +223,33 @@ def _resolve(picks: np.ndarray, N: int) -> np.ndarray:
 
     Only positions below k have steps, so only the steps whose pick lies
     below k or recurs need either rule; every other step outputs its pick.
-    Those steps are marked by :func:`_marked`, a bincount of the picks into
-    O(k) bins per row whatever N is: a bin counted twice marks its steps,
-    and a false collision marks a step whose pick occurs once and lies at
-    or above k, which outputs its pick under the rules as well.  A stable
-    sort of the marked steps by (row, pick) puts each step just after its
-    previous occurrence and each position's writers in step order; the
-    last is its writer, or its own self-pick, whose W is never read.
-    Pointer jumping over the writers, whose steps strictly fall along a
-    chain, gives every W it needs.
+    One value sort of each row's unique keys ``pick * k + i`` orders its
+    steps by (pick, step), so a pick recurs exactly where it equals a
+    neighbour's, and the steps kept are those and the picks below k.  That
+    order puts each kept step just after its previous occurrence and each
+    position's writers in step order; the last is its writer, or its own
+    self-pick, whose W is never read.  Pointer jumping over the writers,
+    whose steps strictly fall along a chain, gives every W it needs.
+
+    Where ``N * k`` passes 2**63 the keys would overflow int64, so they
+    take the picks' ranks in the block, which keep their order and ties.
+    A rank is at most its pick, so the steps kept include every pick below
+    k, and any other kept step's pick occurs once: it outputs that pick.
     """
     B, k = picks.shape
-    step = np.flatnonzero(_marked(picks))  # flat b * k + i, ordered by (row, step)
+    # the picks, or their ranks in the block where pick * k + i could pass int64
+    codes = np.unique(picks, return_inverse=True)[1].reshape(B, k) if N * k > _I64 else picks
+    keys = codes * k + np.arange(k)
+    keys.sort(axis=1)
+    code, step = np.divmod(keys, k, out=(keys, None))  # the codes overwrite the keys
+    step += k * np.arange(B)[:, None]  # flat b * k + i, ordered by (row, pick, step)
+    repeat = np.zeros((B, k), dtype=bool)  # the step picks what the step before it picked
+    np.equal(code[:, 1:], code[:, :-1], out=repeat[:, 1:])
+    keep = (code < k) | repeat
+    keep[:, :-1] |= repeat[:, 1:]  # and the step after it picks the same
+    step, repeat = step[keep], repeat[keep][1:]
     pick = picks.ravel()[step]
-    row = step // k
-    key = row * N + pick
-    order = key.argsort(kind="stable")
-    key, step, pick, row = key[order], step[order], pick[order], row[order]
-    repeat = key[1:] == key[:-1]  # sorted step j + 1 picks what step j picked
-    pos = row * k + pick  # the picked position, flat, where the pick is below k
+    pos = step - step % k + pick  # the picked position, flat, where the pick is below k
     writes = pick < k
     writes[:-1] &= ~repeat  # only the last step to pick a position
     root = np.arange(B * k)  # flat position s -> the flat position whose index is W(s)
@@ -250,20 +260,6 @@ def _resolve(picks: np.ndarray, N: int) -> np.ndarray:
     out = picks.flatten()
     out[step[1:][repeat]] = root[step[:-1][repeat]] % k
     return out.reshape(B, k)
-
-
-def _marked(picks: np.ndarray) -> np.ndarray:
-    """Where a (B, k) block of picks lies below k or shares its bin,
-    ``pick & (M - 1)``, with another pick of its row, for M the least power
-    of two at or above 2k: a table of M bins per row, so O(B k) whatever N
-    is, and exact when N <= M, where each pick has a bin of its own."""
-    B, k = picks.shape
-    M = 1 << (2 * k - 1).bit_length()
-    bins = picks & (M - 1)
-    bins += np.arange(0, B * M, M)[:, None]
-    marked = np.bincount(bins.ravel(), minlength=B * M)[bins] > 1
-    marked |= picks < k
-    return marked
 
 
 def _draws(

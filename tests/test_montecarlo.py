@@ -224,6 +224,25 @@ class TestSimConfig:
         cfg = quick_config(m=np.int64(40), n=np.int32(160), N=np.int64(1000))
         assert (cfg.m, cfg.n, cfg.N) == (40, 160, 1000)
 
+    def test_numpy_integer_fields_digest_and_run_as_ints(self):
+        # numpy integers passed validation, then failed to serialise in digest()
+        cfg = quick_config(m=np.int64(40), n=np.int32(160), N=np.int64(1000),
+                           replicates=np.int64(3), master_seed=np.uint64(11))
+        for name in ("m", "n", "N", "replicates", "master_seed"):
+            assert type(getattr(cfg, name)) is int, name
+        assert cfg.digest() == quick_config(replicates=3).digest()
+        assert run_simulation(cfg).to_json_dict() == run_simulation(
+            quick_config(replicates=3)).to_json_dict()
+
+    def test_non_integer_replicates_rejected(self):
+        # 5.5 failed deep in the run, "3" on a comparison with 1
+        for replicates in (5.5, 3.0, "3", None):
+            with pytest.raises(ValueError, match="replicates must be an integer"):
+                quick_config(replicates=replicates)
+        for replicates in (0, np.int64(-2)):
+            with pytest.raises(ValueError, match="need at least one replicate"):
+                quick_config(replicates=replicates)
+
     def test_digest_changes_with_config(self):
         a = quick_config().digest()
         b = quick_config(master_seed=12).digest()

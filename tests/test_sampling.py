@@ -88,8 +88,8 @@ class TestSampleIndices:
             assert np.array_equal(got, expected), (N, k, r)
 
 
-# (100000, 600) is the design-csv estimate draw; (10**6, 600) keeps the
-# collision table far smaller than N
+# (100000, 600) is the design-csv estimate draw; at (10**6, 600) nearly
+# every pick lies at or above k and occurs once, so few steps are kept
 BLOCK_SIZES = ORDER_SIZES + [(100_000, 600), (10**6, 600)]
 BLOCK_STREAMS = 48
 
@@ -136,10 +136,25 @@ class TestResolve:
         for row, row_picks in zip(got, picks):
             assert np.array_equal(row, swap_loop(row_picks, N)), (picks, N)
 
+    @given(pick_blocks())
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @example((np.full((2, 5), 9), 10))  # every pick equal, and at or above k
+    def test_picks_past_2_62_shift_their_outputs(self, case):
+        # no swap loop holds 2**62 units: every pick at or above k, and N, move
+        # up by 2**62, so N * k passes 2**63 and the keys take the picks' ranks;
+        # the outputs at or above k move up with them and the others stay
+        picks, N = case
+        k = picks.shape[1]
+        got = _resolve(np.where(picks >= k, picks + 2**62, picks), N + 2**62)
+        for row, row_picks in zip(got, picks):
+            expected = swap_loop(row_picks, N)
+            assert np.array_equal(row, np.where(expected >= k, expected + 2**62, expected)), (
+                picks, N)
+
     @pytest.mark.parametrize("B", [1, 16])
     def test_table_stays_a_multiple_of_the_picks(self, B):
-        # the collision table is O(B k), not O(B N): under 4 bins per pick,
-        # with the picks' bins, their counts and the sorted marked steps
+        # the resolver's memory is O(B k), not O(B N): the sorted keys, decoded
+        # in place beside their steps, the pointer table and the outputs
         N, k = 10**6, 50_000
         block = np.stack([_picks(SeedSpec(2002, r).generator(), N, k) for r in range(B)])
         tracemalloc.start()
