@@ -218,21 +218,13 @@ def allocate_F(cost: CostModel, comps: VarianceComponents, N: int) -> Allocation
     return _allocate_two_phase("F", cost, comps, N)
 
 
-_ALLOCATORS = {
-    "single": allocate_single,
-    "H": allocate_H,
-    "g": allocate_g,
-    "F": allocate_F,
-}
-
-
 def allocate(strategy: str, cost: CostModel, comps: VarianceComponents, N: int) -> AllocationResult:
-    """Dispatch to the named strategy's closed-form allocator."""
-    try:
-        fn = _ALLOCATORS[strategy]
-    except KeyError:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}") from None
-    return fn(cost, comps, N)
+    """The named strategy's closed-form allocation."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    if strategy == "single":
+        return allocate_single(cost, comps, N)
+    return _allocate_two_phase(strategy, cost, comps, N)
 
 
 def grid_search_allocation(

@@ -242,13 +242,16 @@ def _cmd_simulate(args) -> int:
 
 def _components_from_args(args) -> tuple[VarianceComponents, dict[str, str]]:
     if args.csv is not None:
+        if given := [f"--{k}" for k in ("v0", "v1", "v2", "v3") if getattr(args, k) is not None]:
+            raise _InputError(f"--csv derives V0..V3, so it excludes {', '.join(given)}")
         pop = _load(args.csv)
         return _census(pop)[1], {args.csv: pop._sha256}
     missing = [k for k in ("v0", "v1", "v2") if getattr(args, k) is None]
     if missing:
         raise _InputError(f"missing components: {', '.join('--' + k for k in missing)} (or --csv)")
+    v3 = 0.0 if args.v3 is None else args.v3
     try:
-        comps = VarianceComponents(V0=args.v0, V1=args.v1, V2=args.v2, V3=args.v3)
+        comps = VarianceComponents(V0=args.v0, V1=args.v1, V2=args.v2, V3=v3)
     except ValueError as exc:
         raise _InputError(str(exc)) from None
     return comps, {}
@@ -346,11 +349,11 @@ def _add_component_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c2", type=float, required=True, help="per-unit cost of x (first phase)")
     p.add_argument("--c3", type=float, required=True, help="per-unit cost of z (first phase)")
     p.add_argument("--units", type=int, required=True, help="population size N")
-    p.add_argument("--csv", help="derive V0..V3 from a population CSV instead of flags")
+    p.add_argument("--csv", help="derive V0..V3 from a population CSV instead of --v0..--v3")
     p.add_argument("--v0", type=float, help="sample-median variance scale V0")
     p.add_argument("--v1", type=float, help="x-association gain V1")
     p.add_argument("--v2", type=float, help="z-association gain V2")
-    p.add_argument("--v3", type=float, default=0.0, help="x-z composite gain V3 (default 0)")
+    p.add_argument("--v3", type=float, help="x-z composite gain V3 (default 0)")
     p.add_argument("--out", help="also write the JSON artifact to this path")
 
 

@@ -16,8 +16,9 @@ the known population median of z.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .core_stats import (
     _split_failure,
 )
 from .population import Population, PopulationSummary
-from .sampling import TwoPhaseSample
+from .sampling import TwoPhaseSample, _unchecked
 
 __all__ = [
     "EstimatorError",
@@ -111,9 +112,9 @@ class SampleView:
     Every view comes from one builder, :func:`_views`, which the
     replicate engine calls once per chunk of samples, :meth:`from_population`
     with one sample, and this constructor with read-only copies of the
-    arrays passed in, once they pass its checks.  ``_built``, for the
-    builder, carries the sorted copies and medians it computed for the
-    read-only arrays it passes, which the view adopts without checks.
+    arrays passed in, once they pass its checks.  The builder's views hold
+    the read-only arrays, sorted copies and medians it computed, unchecked:
+    they never pass through this constructor, whose checks always run.
     """
 
     y_m: np.ndarray
@@ -127,12 +128,8 @@ class SampleView:
     sorted_x_m: np.ndarray = field(init=False, repr=False)
     sorted_z_m: np.ndarray = field(init=False, repr=False)
     medians: SampleMedians = field(init=False, repr=False)
-    _built: InitVar[dict | None] = None
 
-    def __post_init__(self, _built: dict | None) -> None:
-        if _built is not None:
-            self.__dict__.update(_built)
-            return
+    def __post_init__(self) -> None:
         y_m, x_m, z_m, x_n, z_n = (
             _checked(getattr(self, name), name) for name in ("y_m", "x_m", "z_m", "x_n", "z_n")
         )
@@ -186,9 +183,9 @@ def _views(
     for arr in (second, first, ordered):
         arr.flags.writeable = False
     views = [
-        SampleView(y, x, z, x1, z1, known_mz, known_mx, _built=dict(
-            sorted_y_m=sy, sorted_x_m=sx, sorted_z_m=sz,
-            medians=SampleMedians(my, mx, mx1, mz, mz1)))
+        _unchecked(SampleView, y_m=y, x_m=x, z_m=z, x_n=x1, z_n=z1, known_mz=known_mz,
+                   _known_mx=known_mx, sorted_y_m=sy, sorted_x_m=sx, sorted_z_m=sz,
+                   medians=SampleMedians(my, mx, mx1, mz, mz1))
         for x, y, z, x1, z1, sx, sy, sz, mx, my, mz, mx1, mz1
         in zip(*second, *first, *ordered, *meds.tolist(), *first_meds.tolist())
     ]
@@ -595,17 +592,32 @@ def class_F_estimate(view: SampleView, coeffs: PluginCoefficients) -> float:
 # Registry
 # ---------------------------------------------------------------------------
 
-ESTIMATOR_IDS = (
-    "median",
-    "ratio-known",
-    "position",
-    "stratified",
-    "ratio-double",
-    "reg-x",
-    "reg-xz",
-    *G_FORM_IDS,
-    "f-linear",
-)
+def _g_estimate(form: str, view: SampleView, coeffs: PluginCoefficients) -> float:
+    """class_g_estimate at gform_estimated_optimum(form, *coeffs.alphas()),
+    without building the GForm."""
+    alpha, beta, w1, w2 = _optimum_parameters(form, *coeffs.alphas())
+    _require_finite_parameters(alpha, beta)
+    meds = view.medians
+    u, v, _ = _ratios(view, meds)
+    return meds.my * _g_value(form, alpha, beta, w1, w2, u, v)
+
+
+#: The catalog, in id order: the estimator behind each stable id, called
+#: with the view, and with the optimum coefficients for the ids of
+#: COEFFICIENT_IDS (each g-form at the optimum parameters its alphas imply).
+_CATALOG = {
+    "median": lambda view: view.medians.my,
+    "ratio-known": ratio_known,
+    "position": position_estimator,
+    "stratified": stratification_estimator,
+    "ratio-double": ratio_double,
+    "reg-x": regression_single_aux,
+    "reg-xz": regression_two_aux,
+    **{form: functools.partial(_g_estimate, form) for form in G_FORM_IDS},
+    "f-linear": class_F_estimate,
+}
+
+ESTIMATOR_IDS = tuple(_CATALOG)
 
 #: Estimator ids that consume plug-in (or true) optimum coefficients.
 COEFFICIENT_IDS = frozenset(("reg-x", "reg-xz", "f-linear", *G_FORM_IDS))
@@ -620,32 +632,13 @@ def evaluate_estimator(
     optimum parameters implied by alpha1/alpha2) and the generalized-class
     representative; when omitted it is computed from the view.
     """
-    if est_id == "median":
-        return view.medians.my
-    if est_id == "ratio-known":
-        return ratio_known(view)
-    if est_id == "position":
-        return position_estimator(view)
-    if est_id == "stratified":
-        return stratification_estimator(view)
-    if est_id == "ratio-double":
-        return ratio_double(view)
-    if est_id in COEFFICIENT_IDS:
-        if coeffs is None:
-            coeffs = plugin_coefficients(view)
-        if est_id == "reg-x":
-            return regression_single_aux(view, coeffs)
-        if est_id == "reg-xz":
-            return regression_two_aux(view, coeffs)
-        if est_id == "f-linear":
-            return class_F_estimate(view, coeffs)
-        # class_g_estimate at gform_estimated_optimum, without building the GForm
-        alpha, beta, w1, w2 = _optimum_parameters(est_id, *coeffs.alphas())
-        _require_finite_parameters(alpha, beta)
-        meds = view.medians
-        u, v, _ = _ratios(view, meds)
-        return meds.my * _g_value(est_id, alpha, beta, w1, w2, u, v)
-    raise EstimatorError(f"unknown estimator id {est_id!r}")
+    try:
+        estimator = _CATALOG[est_id]
+    except KeyError:
+        raise EstimatorError(f"unknown estimator id {est_id!r}") from None
+    if est_id not in COEFFICIENT_IDS:
+        return estimator(view)
+    return estimator(view, plugin_coefficients(view) if coeffs is None else coeffs)
 
 
 def evaluate_with_diagnostics(

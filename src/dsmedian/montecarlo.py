@@ -123,6 +123,8 @@ class MarginalSpec:
                 f"{self.kind} density at the median is out of float range at "
                 f"mu = {self.mu!r}, sigma = {self.sigma!r}"
             )
+        for name in ("mu", "sigma"):  # an int or numpy float digests as the CLI's float
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def true_median(self) -> float:
@@ -158,6 +160,7 @@ class GeneratorSpec:
             r = getattr(self, name)
             if not (math.isfinite(r) and abs(r) < 1.0):
                 raise ValueError(f"correlation {name}={r!r} must satisfy |r| < 1")
+            object.__setattr__(self, name, float(r))
         try:
             object.__setattr__(self, "_factor", np.linalg.cholesky(self.correlation_matrix()))
         except np.linalg.LinAlgError:
@@ -244,6 +247,8 @@ class SimConfig:
             raise ValueError(f"replicates must be an integer, got {self.replicates!r}")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
+        if isinstance(self.estimators, str):
+            raise ValueError(f"estimators must be a sequence of ids, got {self.estimators!r}")
         if not self.estimators:
             raise ValueError("estimator list is empty")
         object.__setattr__(self, "estimators", tuple(self.estimators))
@@ -253,6 +258,10 @@ class SimConfig:
         SeedSpec(self.master_seed)  # the seed range of every draw: [0, 2**64)
         for name in ("m", "n", "N", "replicates", "master_seed"):  # numpy integers digest as ints
             object.__setattr__(self, name, int(getattr(self, name)))
+        if self.csv_path is not None:  # a path-like digests as its str
+            if not isinstance(path := os.fspath(self.csv_path), str):
+                raise ValueError(f"csv_path must be a str or path-like, got {self.csv_path!r}")
+            object.__setattr__(self, "csv_path", path)
 
     def canonical_dict(self) -> dict:
         """The fields in order, with the estimators as a list and the
@@ -641,16 +650,23 @@ def load_sim_config(
             raise ValueError(f"missing config key {key!r}")
         return flat[key]
 
+    def parse(kind: type, key: str, default: str | None = None):
+        raw = need(key) if default is None else flat.get(key, default)
+        try:
+            return kind(raw)
+        except ValueError as exc:
+            raise ValueError(f"config key {key}: {exc}") from None
+
     source = flat.get("source", "synthetic").strip().lower()
     estimators = tuple(
         tok.strip() for tok in need("estimators").split(",") if tok.strip()
     )
     common = dict(
-        m=int(need("m")),
-        n=int(need("n")),
-        N=int(need("units")),
-        replicates=int(need("replicates")),
-        master_seed=int(need("master_seed")),
+        m=parse(int, "m"),
+        n=parse(int, "n"),
+        N=parse(int, "units"),
+        replicates=parse(int, "replicates"),
+        master_seed=parse(int, "master_seed"),
         estimators=estimators,
     )
     if source == "csv":
@@ -661,14 +677,14 @@ def load_sim_config(
     def marginal(var: str) -> MarginalSpec:
         return MarginalSpec(
             kind=flat.get(f"marginal_{var}", "normal").strip().lower(),
-            mu=float(flat.get(f"mu_{var}", "0.0")),
-            sigma=float(flat.get(f"sigma_{var}", "1.0")),
+            mu=parse(float, f"mu_{var}", "0.0"),
+            sigma=parse(float, f"sigma_{var}", "1.0"),
         )
 
     gen = GeneratorSpec(
-        r_xy=float(need("r_xy")),
-        r_yz=float(need("r_yz")),
-        r_xz=float(need("r_xz")),
+        r_xy=parse(float, "r_xy"),
+        r_yz=parse(float, "r_yz"),
+        r_xz=parse(float, "r_xz"),
         marginal_x=marginal("x"),
         marginal_y=marginal("y"),
         marginal_z=marginal("z"),

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Sequence
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,19 +87,24 @@ def _stream_state(master_seed: int, stream_id: int) -> dict:
     return {**fresh, "state": {**fresh["state"], "key": _key(master_seed, stream_id)}}
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given,
+    past its constructor's checks: for the package's values valid by construction."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class TwoPhaseSample:
     """Nested index sets: second_phase (size m) inside first_phase (size n),
-    as sorted read-only int64 arrays.  ``_trusted``, for the package's own
-    draw, adopts the sorted read-only arrays it passes without checks."""
+    as sorted read-only int64 arrays, every index checked by the constructor
+    (:func:`draw_two_phase`'s sample, valid by construction, skips it)."""
 
     first_phase: np.ndarray
     second_phase: np.ndarray
-    _trusted: InitVar[bool] = False
 
-    def __post_init__(self, _trusted: bool) -> None:
-        if _trusted:
-            return
+    def __post_init__(self) -> None:
         first, second = np.asarray(self.first_phase), np.asarray(self.second_phase)
         for phase in (first, second):
             if phase.size and not np.issubdtype(phase.dtype, np.integer):
@@ -308,4 +313,4 @@ def draw_two_phase(N: int, n: int, m: int, seed: SeedSpec) -> TwoPhaseSample:
         )
     first, second = _draws(seed.master_seed, [seed.stream_id], N, n, m)
     first.flags.writeable = second.flags.writeable = False
-    return TwoPhaseSample(first[0], second[0], _trusted=True)
+    return _unchecked(TwoPhaseSample, first_phase=first[0], second_phase=second[0])

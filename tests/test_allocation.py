@@ -67,6 +67,11 @@ class TestAllocateSingle:
         r = allocate_single(CostModel(3.0, 4.0, 1.0, 0.5), COMPS, BIG_N)
         assert not r.feasible
 
+    def test_unknown_strategy(self):
+        with pytest.raises(ValueError) as info:
+            allocate("X", COST_H, COMPS, BIG_N)
+        assert str(info.value) == "unknown strategy 'X'; expected one of ('single', 'H', 'g', 'F')"
+
 
 class TestAllocateH:
     def test_worked_example(self):

@@ -150,6 +150,18 @@ class TestEstimate:
         assert code == 2
         assert "unsigned 64-bit integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, env, message", [
+        (["--estimators", ","], None, "empty estimator list"),
+        ([], "abc", "DSMEDIAN_SEED must be an integer, got 'abc'"),
+    ], ids=["empty-estimator-list", "non-integer-env-seed"])
+    def test_input_error_exit_2(self, pop_csv, capsys, monkeypatch, args, env, message):
+        if env is None:
+            monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(cli.SEED_ENV_VAR, env)
+        assert cli.main(["estimate", pop_csv, "--m", "30", "--n", "100", *args]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_bad_sizes_exit_2(self, pop_csv, capsys):
         assert cli.main(["estimate", pop_csv, "--m", "100", "--n", "30"]) == 2
         assert "require 2 <= m < n <= N, got m=100, n=30, N=" in capsys.readouterr().err
@@ -255,8 +267,20 @@ class TestSimulate:
         # the section was skipped: normal(0, 1) marginals ran, with exit 0
         (SIM_INI + "[marginals]\nmarginal_y = lognormal\nmu_y = 2.0\n",
          "unknown config section [marginals]"),
+        # the parse errors named no key
+        (SIM_INI.replace("units = 400", "units = 1e3"),
+         "config key units: invalid literal for int() with base 10: '1e3'"),
+        (SIM_INI.replace("r_xy = 0.8", "r_xy = abc"),
+         "config key r_xy: could not convert string to float: 'abc'"),
+        (SIM_INI.replace("r_xy = 0.8", "r_xy = 1.0"), "correlation r_xy=1.0 must satisfy |r| < 1"),
+        (SIM_INI.replace("estimators = median, reg-xz", "estimators = ,"),
+         "estimator list is empty"),
+        (SIM_INI.replace("units = 400\n", ""), "missing config key 'units'"),
+        (SIM_INI.replace("source = synthetic", "source = parquet"),
+         "population source must be synthetic or csv, got 'parquet'"),
     ], ids=["no-section-header", "duplicate-option", "duplicate-section", "lone-percent",
-            "unknown-section"])
+            "unknown-section", "non-integer-units", "non-float-r_xy", "unit-correlation",
+            "empty-estimator-list", "missing-units", "unknown-source"])
     def test_config_syntax_error_exit_2(self, tmp_path, capsys, text, message):
         ini = tmp_path / "sim.ini"
         ini.write_text(text)
@@ -632,6 +656,17 @@ class TestAllocate:
         assert capsys.readouterr().err == (
             "error: zero density at median: variable z is degenerate\n")
         assert cli.main(["analyze", str(p)]) == 3
+
+    @pytest.mark.parametrize("sub", ["allocate", "compare"])
+    @pytest.mark.parametrize("flags, named", [
+        (ARGS[-6:], "--v0, --v1, --v2"),
+        (["--v3", "0"], "--v3"),
+    ], ids=["v0-v2", "v3"])
+    def test_csv_excludes_component_flags(self, pop_csv, capsys, sub, flags, named):
+        # the flags were dropped in silence, and the CSV's components ran
+        assert cli.main([sub, *self.ARGS[:-6], *flags, "--csv", pop_csv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --csv derives V0..V3, so it excludes {named}\n")
 
     def test_components_from_csv(self, pop_csv, capsys):
         code, out = run_cli(capsys, "allocate", "--c0", "500", "--c1", "4", "--c2", "1",

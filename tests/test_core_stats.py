@@ -198,6 +198,10 @@ class TestSilvermanBandwidth:
         with pytest.raises(ValueError, match="degenerate sample for bandwidth"):
             silverman_bandwidth([3.0, 3.0, 3.0])
 
+    def test_one_value(self):
+        with pytest.raises(ValueError, match="^bandwidth needs at least 2 values$"):
+            silverman_bandwidth([1.0])
+
     def test_zero_iqr_falls_back_to_sd(self):
         # heavy ties: IQR is 0 under the type-1 quartiles but sd > 0
         h = silverman_bandwidth([0.0, 0.0, 0.0, 1.0])

@@ -315,6 +315,12 @@ class TestPositionEstimator:
         assert not fired
         assert position_estimator(v) == 2.0
 
+    def test_needs_two_units(self):
+        v = make_view(y_m=[7], x_m=[-1], z_m=[0], x_n=[-1, 1], z_n=[0, 1], known_mz=1.0,
+                      known_mx=0.0)
+        with pytest.raises(EstimatorError, match="^position estimator needs m >= 2$"):
+            position_estimator(v)
+
     def test_two_point_hand_example(self):
         v = make_view(y_m=[7, 9], x_m=[-1, 1], z_m=[0, 1], x_n=[-1, 1, 0], z_n=[0, 1, 2],
                       known_mz=1.0, known_mx=0.0)

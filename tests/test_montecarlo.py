@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,6 +243,36 @@ class TestSimConfig:
         for replicates in (0, np.int64(-2)):
             with pytest.raises(ValueError, match="need at least one replicate"):
                 quick_config(replicates=replicates)
+
+    def test_path_and_float_fields_digest_and_run_as_the_cli_types(self, tmp_path):
+        # a Path csv_path and numpy float parameters passed validation, ran
+        # every replicate, then failed to serialise in digest(); int
+        # parameters digested apart from the CLI's floats
+        pop = generate_population(GEN, 200, SeedSpec(1, POPULATION_STREAM))
+        csv_path = write_population_csv(tmp_path / "pop.csv", pop)
+        as_path = quick_config(N=200, n=80, m=20, replicates=3, generator=None,
+                               csv_path=Path(csv_path))
+        assert type(as_path.csv_path) is str
+        assert run_simulation(as_path).to_json_dict() == run_simulation(
+            dataclasses.replace(as_path, csv_path=csv_path)).to_json_dict()
+        ints = MarginalSpec("normal", 10, 2)
+        assert (type(ints.mu), type(ints.sigma)) == (float, float) and ints == NORMAL
+        numpy_floats = GeneratorSpec(r_xy=np.float32(0.8), r_yz=np.float64(0.6),
+                                     r_xz=np.float32(0.75), marginal_x=ints,
+                                     marginal_y=MarginalSpec("normal", np.float32(10.0), 2),
+                                     marginal_z=NORMAL)
+        floats = GeneratorSpec(r_xy=float(np.float32(0.8)), r_yz=0.6, r_xz=0.75,
+                               marginal_x=NORMAL, marginal_y=NORMAL, marginal_z=NORMAL)
+        assert type(numpy_floats.r_xy) is float
+        assert (quick_config(generator=numpy_floats).digest()
+                == quick_config(generator=floats).digest())
+
+    def test_malformed_estimators_and_csv_path_rejected(self):
+        # a bare str was read as its characters: "unknown estimator id 'm'"
+        with pytest.raises(ValueError, match="^estimators must be a sequence of ids, got 'median'$"):
+            quick_config(estimators="median")
+        with pytest.raises(ValueError, match="^csv_path must be a str or path-like"):
+            quick_config(generator=None, csv_path=b"pop.csv")
 
     def test_digest_changes_with_config(self):
         a = quick_config().digest()

@@ -449,6 +449,10 @@ class TestTwoPhaseSample:
             with pytest.raises(ValueError, match="duplicates"):
                 TwoPhaseSample(first_phase=first, second_phase=second)
 
+    def test_rejects_negative_indices(self):
+        with pytest.raises(ValueError, match="^indices must be nonnegative$"):
+            TwoPhaseSample(first_phase=[-1, 2, 3], second_phase=[2])
+
     def test_rejects_equal_sizes(self):
         with pytest.raises(ValueError, match="m < n"):
             TwoPhaseSample(first_phase=[0, 1], second_phase=[0, 1])
