@@ -100,15 +100,20 @@ def _emit(payload: dict, out_path: str | None) -> None:
             fh.write(text + "\n")
 
 
-def _resolve_seed(flag_value: int | None, fallback: int = 0) -> int:
-    seed = fallback
-    if flag_value is not None:
-        seed = flag_value
-    elif (env := os.environ.get(SEED_ENV_VAR)) is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise _InputError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+def _env_seed() -> int | None:
+    """The seed DSMEDIAN_SEED gives, or None where it is unset."""
+    if (env := os.environ.get(SEED_ENV_VAR)) is None:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise _InputError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+
+
+def _resolve_seed(flag_value: int | None) -> int:
+    seed = flag_value if flag_value is not None else _env_seed()
+    if seed is None:
+        seed = 0
     try:
         SeedSpec(seed)
     except ValueError as exc:
@@ -212,9 +217,8 @@ def _cmd_simulate(args) -> int:
         "estimators": args.estimators,
         "master_seed": args.seed,
     }
-    defaults = {"master_seed": os.environ.get(SEED_ENV_VAR)}
-    try:
-        config = load_sim_config(args.config, overrides, defaults)
+    try:  # DSMEDIAN_SEED is read only where the flags and the file give no seed
+        config = load_sim_config(args.config, overrides, {"master_seed": _env_seed})
     except (OSError, ValueError) as exc:
         raise _InputError(str(exc)) from None
     try:

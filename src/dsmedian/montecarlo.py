@@ -29,6 +29,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
+from .core_stats import _finite
 from .estimators import (
     COEFFICIENT_IDS,
     ESTIMATOR_IDS,
@@ -42,7 +43,7 @@ from .estimators import (
 )
 from .population import Population, PopulationSummary, load_population_csv, population_summary
 from .population import _TOO_FEW_UNITS
-from .sampling import SeedSpec, _draws, _integers
+from .sampling import SeedSpec, _draws, _integers, _stream_generator
 from .variance_theory import (
     DesignSizes,
     VarianceComponents,
@@ -73,7 +74,7 @@ __all__ = [
 #: replicates use stream ids 0..R-1.
 POPULATION_STREAM = 2**63
 
-_CHOLESKY_BLOCK = 2048  # most columns per step of generate_population's Cholesky product
+_CHOLESKY_BLOCK = 8192  # most columns per step of generate_population's Cholesky product
 _CHUNK = 16  # replicates whose medians and plug-ins run as one array each
 
 #: Fixed-coefficient twins of the plug-in estimators: same formulas run
@@ -110,7 +111,7 @@ class MarginalSpec:
     def __post_init__(self) -> None:
         if self.kind not in _MARGINAL_KINDS:
             raise ValueError(f"marginal kind must be one of {_MARGINAL_KINDS}, got {self.kind!r}")
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma) and self.sigma > 0.0):
+        if not (_finite(self.mu) and _finite(self.sigma) and self.sigma > 0.0):
             raise ValueError("marginal needs finite mu and sigma > 0")
         try:
             in_range = self.kind == "normal" or math.exp(self.mu) > 0.0
@@ -135,13 +136,6 @@ class MarginalSpec:
         peak = 1.0 / (self.sigma * math.sqrt(2.0 * math.pi))
         return peak if self.kind == "normal" else peak / math.exp(self.mu)
 
-    def transform(self, values: np.ndarray) -> None:
-        """Map standard normal ``values`` to this marginal, in place."""
-        values *= self.sigma
-        values += self.mu
-        if self.kind == "lognormal":
-            np.exp(values, out=values)
-
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -158,7 +152,7 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         for name in ("r_xy", "r_yz", "r_xz"):
             r = getattr(self, name)
-            if not (math.isfinite(r) and abs(r) < 1.0):
+            if not (_finite(r) and abs(r) < 1.0):
                 raise ValueError(f"correlation {name}={r!r} must satisfy |r| < 1")
             object.__setattr__(self, name, float(r))
         try:
@@ -206,22 +200,32 @@ class GeneratorSpec:
 
 def generate_population(spec: GeneratorSpec, N: int, seed: SeedSpec) -> Population:
     """N i.i.d. trivariate draws: correlated standard normals through the
-    Cholesky factor, applied in place over near-equal column blocks (never
-    one column wide, which numpy multiplies on another path), then
-    transformed in place; the population adopts the rows.  An N below
+    Cholesky factor, applied in place over near-equal column blocks of at
+    most ``_CHOLESKY_BLOCK`` (8192) columns, never one column wide, which
+    numpy multiplies on another path, so no second (3, N) array is made;
+    then one broadcast affine step for the three marginals and ``exp`` on
+    the lognormal rows; the population adopts the array.  The standard
+    normals are those of a fresh ``seed.generator()``, drawn by the
+    thread's generator set to the stream's start.  An N below
     :class:`Population`'s minimum, checked before the draw, or whose (3, N)
     array cannot be allocated raises :class:`PopulationInputError`."""
     if N < 4:
         raise PopulationInputError(_TOO_FEW_UNITS)
     try:
-        values = seed.generator().standard_normal((3, N))
+        values = _stream_generator(seed.master_seed, seed.stream_id).standard_normal((3, N))
     except (MemoryError, ValueError):  # numpy: too large to allocate, or to index
         raise PopulationInputError(f"units = {N}: the population does not fit in memory") from None
-    for block in np.array_split(values, -(-N // _CHOLESKY_BLOCK), axis=1):
-        block[...] = np.matmul(spec.cholesky(), block)
+    blocks = -(-N // _CHOLESKY_BLOCK)
+    for b in range(blocks):
+        block = values[:, b * N // blocks:(b + 1) * N // blocks]
+        np.matmul(spec.cholesky(), block, out=block)
+    marginals = (spec.marginal_x, spec.marginal_y, spec.marginal_z)
     with np.errstate(over="ignore"):  # an inf the population's finite check reports
-        for marginal, row in zip((spec.marginal_x, spec.marginal_y, spec.marginal_z), values):
-            marginal.transform(row)
+        values *= np.array([[mg.sigma] for mg in marginals])
+        values += np.array([[mg.mu] for mg in marginals])
+        for row, marginal in zip(values, marginals):
+            if marginal.kind == "lognormal":
+                np.exp(row, out=row)
     return Population(*values, _adopt=values)
 
 
@@ -623,13 +627,14 @@ _INI_KEYS = {
 def load_sim_config(
     path,
     overrides: dict[str, str] | None = None,
-    defaults: dict[str, str] | None = None,
+    defaults: dict[str, Callable[[], object]] | None = None,
 ) -> SimConfig:
     """Parse a sectioned key = value simulation config; ``overrides`` are
-    flat key -> string pairs (CLI flags) that take precedence, ``defaults``
-    fill keys the file leaves out.  ``None`` values are ignored."""
+    flat key -> string pairs (CLI flags) that take precedence, ignored where
+    ``None``.  ``defaults`` map a key that both leave out to a function
+    giving its value or ``None``, called only then."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    flat = {k: str(v) for k, v in (defaults or {}).items() if v is not None}
+    flat = {}
     try:  # a syntax or interpolation error is a fault of the file, like any other
         if not parser.read(path):
             raise ValueError(f"cannot read config file {path}")
@@ -644,6 +649,9 @@ def load_sim_config(
         raise ValueError(str(exc)) from None
     if overrides:
         flat.update({k: str(v) for k, v in overrides.items() if v is not None})
+    for key, default in (defaults or {}).items():
+        if key not in flat and (value := default()) is not None:
+            flat[key] = str(value)
 
     def need(key: str) -> str:
         if key not in flat:

@@ -20,7 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core_stats import ProportionMatrix, _finite_floats, _median_split, _split_failure, median
+from .core_stats import ProportionMatrix, _finite_floats, _median_split, _quantile_selected
+from .core_stats import _split_failure
 
 __all__ = ["Population", "PopulationSummary", "population_summary", "load_population_csv"]
 
@@ -43,25 +44,30 @@ class Population:
     _adopt: InitVar[np.ndarray | None] = None
 
     def __post_init__(self, _adopt: np.ndarray | None) -> None:
-        rows = [_finite_floats(getattr(self, name)) for name in ("x", "y", "z")]
-        for name, row in zip(("x", "y", "z"), rows):
-            if row is None:
-                raise ValueError(f"population variable {name} contains non-finite values")
-        if not (rows[0].size == rows[1].size == rows[2].size):
-            raise ValueError("x, y, z must have equal length")
-        if rows[0].size < 4:
+        xyz = _adopt
+        # an adopted float array takes one finiteness pass; the rows are
+        # checked one by one only to name a failure
+        if xyz is None or not np.isfinite(xyz).all():
+            rows = [_finite_floats(getattr(self, name)) for name in ("x", "y", "z")]
+            for name, row in zip(("x", "y", "z"), rows):
+                if row is None:
+                    raise ValueError(f"population variable {name} contains non-finite values")
+            if not (rows[0].size == rows[1].size == rows[2].size):
+                raise ValueError("x, y, z must have equal length")
+            # reshape, unlike ravel, keeps a strided 1-D column a view: the stack is the one copy
+            xyz = np.array([row.reshape(-1) for row in rows])
+        if xyz.shape[1] < 4:
             raise ValueError(_TOO_FEW_UNITS)
-        # reshape, unlike ravel, keeps a strided 1-D column a view: the stack is the one copy
-        xyz = np.array([row.reshape(-1) for row in rows]) if _adopt is None else _adopt
         xyz.flags.writeable = False
         self.__dict__.update(xyz=xyz, x=xyz[0], y=xyz[1], z=xyz[2])
 
     N = property(lambda self: self.xyz.shape[1])
 
-    # census medians, each computed on first use and kept with the population
-    median_x = cached_property(lambda self: median(self.x))
-    median_y = cached_property(lambda self: median(self.y))
-    median_z = cached_property(lambda self: median(self.z))
+    # census medians of the validated rows, each computed on first use and
+    # kept with the population: median()'s selection, without its checks
+    median_x = cached_property(lambda self: float(_quantile_selected(self.x, 0.5)))
+    median_y = cached_property(lambda self: float(_quantile_selected(self.y, 0.5)))
+    median_z = cached_property(lambda self: float(_quantile_selected(self.z, 0.5)))
 
 
 @dataclass(frozen=True)

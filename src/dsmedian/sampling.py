@@ -25,11 +25,15 @@ row's keys ``pick * k + i`` finds exactly those steps and orders them.
 The keys fit int64 while ``N * k <= 2**63``; only a draw over more than
 2**31.5 units can pass that, and its keys take the picks' ranks.
 
-One entry, :func:`_draws`, draws a block of streams: it alone builds the
-Philox generator and sets it to each stream's start, the state a fresh
+One entry, :func:`_draws`, draws a block of streams, setting one Philox
+generator to each stream's start, the state a fresh
 :meth:`SeedSpec.generator` starts from, so a draw is the same whatever
 block it is drawn in.  The replicate engine calls it once per chunk, and
-the public draws with a block of one.  The package's own draw checks its
+the public draws with a block of one.  Each thread keeps one such
+generator (:func:`_stream_generator`), which ``generate_population``
+shares: every use sets its whole state to the stream's start first, so
+no draw sees another's words, across threads or in a forked worker, and
+no draw pays for building a generator.  The package's own draw checks its
 sizes, not its indices: it builds its :class:`TwoPhaseSample` from
 indices valid by construction, while the public constructor checks every
 one.
@@ -38,6 +42,7 @@ one.
 from __future__ import annotations
 
 import functools
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -85,6 +90,23 @@ def _stream_state(master_seed: int, stream_id: int) -> dict:
     starts from: a fresh generator's, with the stream's key."""
     fresh = _fresh_state()
     return {**fresh, "state": {**fresh["state"], "key": _key(master_seed, stream_id)}}
+
+
+_local = threading.local()  # this thread's Philox generator, built at its first draw
+
+
+def _stream_generator(master_seed: int, stream_id: int) -> np.random.Generator:
+    """This thread's one Philox generator, set to the start of the stream
+    ``(master_seed, stream_id)``: it draws what a fresh
+    ``SeedSpec(master_seed, stream_id).generator()`` draws.  Each use sets
+    the whole state, so threads, forked workers and interleaved streams
+    never see each other's words; setting it costs a fraction of a build."""
+    try:
+        rng = _local.rng
+    except AttributeError:
+        rng = _local.rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = _stream_state(master_seed, stream_id)
+    return rng
 
 
 def _unchecked(cls, **fields):
@@ -149,26 +171,23 @@ def _draw_picks(
     ``_picks(rng, N, n)`` and then ``_picks(rng, n, m)`` draw on each of the
     B streams ``(master_seed, r)``, ``rng`` a fresh generator of the stream.
 
-    One Philox generator is set to each stream's start in turn, and the
+    The thread's generator is set to each stream's start in turn, and the
     picks come from its raw words through :func:`_lemire`.  A row it
     cannot vouch for is drawn again from the stream's start by
     ``Generator.integers``, and so is every row of a block that cannot use
     raw words: a draw over more than 2**32 units (64-bit picks) or of all
     N units (its last pick takes no half)."""
-    rng = SeedSpec(master_seed).generator()
-    bg = rng.bit_generator
     B = len(streams)
     if N <= _U32 and m < n < N:
         words = np.empty((B, (n + m + 1) // 2), dtype=np.uint64)
         for b, r in enumerate(streams):
-            bg.state = _stream_state(master_seed, r)
-            words[b] = bg.random_raw(words.shape[1])
+            words[b] = _stream_generator(master_seed, r).bit_generator.random_raw(words.shape[1])
         first, second, redo = _lemire(words, N, n, m)
     else:
         first, second = np.empty((B, n), dtype=np.int64), np.empty((B, m), dtype=np.int64)
         redo = range(B)
     for b in redo:
-        bg.state = _stream_state(master_seed, streams[b])
+        rng = _stream_generator(master_seed, streams[b])
         first[b], second[b] = _picks(rng, N, n), _picks(rng, n, m)
     return first, second
 
@@ -180,32 +199,43 @@ def _lemire(
     (B, ceil((n + m) / 2)) block of raw Philox words, by numpy's 32-bit
     Lemire rule, and the rows that are not exact.
 
-    Each word gives two 32-bit halves, the low half first (by mask and
-    shift, whatever the byte order), as numpy's ``next_uint32`` takes
-    them; half n + i opens the second phase, on a high half when n is
-    odd.  Pick i of a phase over N is ``i + (half * (N - i) >> 32)``, in
-    uint64, for 1 < N - i <= 2**32.  numpy redraws the half while its
-    leftover ``half * (N - i) mod 2**32`` lies below ``2**32 mod (N - i)``,
-    so a row is not exact where any leftover lies below ``N - i``, a
-    superset of that test.  At N - i = 2**32 numpy takes the half as is,
-    and the flag compares with ``(N - i) mod 2**32``, which is 0 there."""
-    offset = np.arange(n + m, dtype=np.uint64)  # i of each phase, and its span N - i or n - i
-    offset[n:] -= n
-    span = np.full(n + m, n, dtype=np.uint64)
-    span[:n] = N
-    span -= offset
-    scaled = np.empty((len(words), 2 * words.shape[1]), dtype=np.uint64)
-    np.bitwise_and(words, 0xFFFFFFFF, out=scaled[:, 0::2])
-    np.right_shift(words, 32, out=scaled[:, 1::2])
-    scaled = scaled[:, :n + m]
+    Each word gives two 32-bit halves, the low half first (read as
+    little-endian, whatever the machine's byte order), as numpy's
+    ``next_uint32`` takes them; half n + i opens the second phase, on a
+    high half when n is odd.  Pick i of a phase over N is
+    ``i + (half * (N - i) >> 32)``, in uint64, for 1 < N - i <= 2**32.
+    numpy redraws the half while its leftover ``half * (N - i) mod 2**32``
+    lies below ``2**32 mod (N - i)``, so a row is not exact where any
+    leftover lies below ``N - i``, a superset of that test.  At
+    N - i = 2**32 numpy takes the half as is, and the flag compares with
+    ``(N - i) mod 2**32``, which is 0 there."""
+    offset, span, span_low = _lemire_spans(N, n, m)
+    halves = words.astype("<u8", copy=False).view("<u4")
+    scaled = halves[:, :n + m].astype(np.uint64)
     scaled *= span
-    flagged = (scaled & 0xFFFFFFFF) < (span & 0xFFFFFFFF)
+    flagged = (scaled & 0xFFFFFFFF) < span_low
     scaled >>= 32
     scaled += offset
     picks = scaled.view(np.int64)  # every pick lies below N <= 2**32
     # about one draw in 1000 at (5000, 600, 150) has a flag: test the block first
     inexact = np.flatnonzero(flagged.any(axis=1)) if flagged.any() else []
     return picks[:, :n], picks[:, n:], inexact
+
+
+@functools.lru_cache(maxsize=8)
+def _lemire_spans(N: int, n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (n + m) uint64 offsets i of :func:`_lemire`'s two phases, their
+    spans N - i and n - i, and the spans mod 2**32, read-only: built once
+    per design, not per draw."""
+    offset = np.arange(n + m, dtype=np.uint64)
+    offset[n:] -= n
+    span = np.full(n + m, n, dtype=np.uint64)
+    span[:n] = N
+    span -= offset
+    arrays = offset, span, span & 0xFFFFFFFF
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 def _resolve(picks: np.ndarray, N: int) -> np.ndarray:
@@ -247,14 +277,16 @@ def _resolve(picks: np.ndarray, N: int) -> np.ndarray:
     keys = codes * k + np.arange(k)
     keys.sort(axis=1)
     code, step = np.divmod(keys, k, out=(keys, None))  # the codes overwrite the keys
-    step += k * np.arange(B)[:, None]  # flat b * k + i, ordered by (row, pick, step)
+    if B > 1:  # flat b * k + i, ordered by (row, pick, step); one row is flat already
+        step += k * np.arange(B)[:, None]
     repeat = np.zeros((B, k), dtype=bool)  # the step picks what the step before it picked
     np.equal(code[:, 1:], code[:, :-1], out=repeat[:, 1:])
     keep = (code < k) | repeat
     keep[:, :-1] |= repeat[:, 1:]  # and the step after it picks the same
     step, repeat = step[keep], repeat[keep][1:]
     pick = picks.ravel()[step]
-    pos = step - step % k + pick  # the picked position, flat, where the pick is below k
+    # the picked position, flat, where the pick is below k
+    pos = step - step % k + pick if B > 1 else pick
     writes = pick < k
     writes[:-1] &= ~repeat  # only the last step to pick a position
     root = np.arange(B * k)  # flat position s -> the flat position whose index is W(s)

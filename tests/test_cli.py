@@ -319,6 +319,24 @@ class TestSimulate:
         assert code == 0
         assert json.loads(oj.read_text())["manifest"]["master_seed"] == expected
 
+    @pytest.mark.parametrize("config_seed,flag,code", [
+        (None, None, 2), ("77", None, 0), (None, "5", 0),
+    ], ids=["env-read", "config-seed", "flag-seed"])
+    def test_non_integer_env_seed_named_where_read(self, tmp_path, capsys, monkeypatch,
+                                                   config_seed, flag, code):
+        # a malformed DSMEDIAN_SEED is an error that names the variable, and
+        # only where no flag and no config key gives the seed
+        ini = tmp_path / "sim.ini"
+        seed_line = "master_seed = 77\n"
+        ini.write_text(SIM_INI.replace(seed_line, "" if config_seed is None else seed_line))
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
+        seed_args = [] if flag is None else ["--seed", flag]
+        assert cli.main(["simulate", str(ini), "--replicates", "2", *seed_args,
+                         "--out-json", str(tmp_path / "o.json"),
+                         "--out-csv", str(tmp_path / "o.csv")]) == code
+        err = capsys.readouterr().err
+        assert err == ("error: DSMEDIAN_SEED must be an integer, got 'abc'\n" if code else "")
+
     def test_missing_csv_path_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "absent.csv"
         ini = tmp_path / "sim.ini"

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import write_population_csv
-from dsmedian import core_stats, estimators, montecarlo
+from dsmedian import estimators, montecarlo, population
 from dsmedian.core_stats import median
 from dsmedian.estimators import (
     COEFFICIENT_IDS,
@@ -85,6 +85,12 @@ class TestMarginalSpec:
         with pytest.raises(ValueError, match=f"^{kind} density at the median is out of float range"):
             MarginalSpec(kind, mu, sigma)
 
+    @pytest.mark.parametrize("mu, sigma", [(10**400, 1.0), (0.0, 10**400), (-10**400, 1.0)])
+    def test_int_past_float_range_rejected(self, mu, sigma):
+        # math.isfinite raises OverflowError on such an int; the check names it
+        with pytest.raises(ValueError, match=r"^marginal needs finite mu and sigma > 0$"):
+            MarginalSpec("normal", mu, sigma)
+
 
 class TestGeneratorSpec:
     def test_concordances_are_arcsin(self):
@@ -95,6 +101,12 @@ class TestGeneratorSpec:
         with pytest.raises(ValueError, match="positive definite"):
             GeneratorSpec(r_xy=0.9, r_yz=0.9, r_xz=-0.9,
                           marginal_x=NORMAL, marginal_y=NORMAL, marginal_z=NORMAL)
+
+    @pytest.mark.parametrize("name", ["r_xy", "r_yz", "r_xz"])
+    def test_int_past_float_range_rejected(self, name):
+        rs = {"r_xy": 0.5, "r_yz": 0.3, "r_xz": 0.4, name: 10**400}
+        with pytest.raises(ValueError, match=rf"^correlation {name}=10{{400}} must satisfy"):
+            GeneratorSpec(**rs, marginal_x=NORMAL, marginal_y=NORMAL, marginal_z=NORMAL)
 
     def test_cholesky_factored_once(self, monkeypatch):
         spec, twin = (GeneratorSpec(r_xy=0.5, r_yz=0.3, r_xz=0.4, marginal_x=NORMAL,
@@ -184,15 +196,16 @@ class TestGeneratePopulation:
         assert hashlib.sha256(blob).hexdigest() == digest
 
     # the factor is applied in column blocks of at most B; around the block
-    # edges the bits must be those of one full product.  Unit-scale
-    # marginals keep a last-bit difference of the product visible.
+    # edges, and in one block 2047 to 4097 columns wide, the bits must be
+    # those of one full product.  Unit-scale marginals keep a last-bit
+    # difference of the product visible.
     B = montecarlo._CHOLESKY_BLOCK
     UNIT = {kind: GeneratorSpec(r_xy=0.8, r_yz=0.6, r_xz=0.7,
                                 **{f"marginal_{v}": MarginalSpec(kind, 0.0, 1.0) for v in "xyz"})
             for kind in ("normal", "lognormal")}
 
     @pytest.mark.parametrize("kind", ["normal", "lognormal"])
-    @pytest.mark.parametrize("N", [4, B - 1, B, B + 1, 2 * B + 1])
+    @pytest.mark.parametrize("N", [4, 2047, 2048, 2049, 4097, B - 1, B, B + 1, 2 * B + 1])
     def test_blocks_equal_full_product(self, kind, N):
         gen = self.UNIT[kind]
         for seed in range(10):
@@ -648,14 +661,14 @@ class TestReplicateDiagnostics:
             cfg = quick_config(N=N, n=120, replicates=20, estimators=ALL_IDS,
                                generator=None, csv_path=path)
         census = []
-        real = core_stats.empirical_quantile
+        real = population._quantile_selected  # the census medians' selection
 
         def counting(values, p):
-            if p == 0.5 and np.size(values) == N:
+            if p == 0.5 and np.shape(values) == (N,):
                 census.append(np.asarray(values).copy())
             return real(values, p)
 
-        monkeypatch.setattr(core_stats, "empirical_quantile", counting)
+        monkeypatch.setattr(population, "_quantile_selected", counting)
         run_simulation(cfg)
         assert len(census) == 3
         assert not any(np.array_equal(a, b) for i, a in enumerate(census) for b in census[:i])

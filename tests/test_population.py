@@ -71,21 +71,22 @@ class TestPopulation:
             assert not np.shares_memory(pop.xyz, given)
 
     def test_generated_population_adopts_its_draw(self, monkeypatch):
+        from dsmedian import montecarlo
         from dsmedian.montecarlo import GeneratorSpec, MarginalSpec, generate_population
         from dsmedian.sampling import SeedSpec
 
         draws = []
-        generator = SeedSpec.generator
+        stream_generator = montecarlo._stream_generator
 
         class Recording:
-            def __init__(self, spec):
-                self.rng = generator(spec)
+            def __init__(self, master_seed, stream_id):
+                self.rng = stream_generator(master_seed, stream_id)
 
             def standard_normal(self, shape):
                 draws.append(self.rng.standard_normal(shape))
                 return draws[-1]
 
-        monkeypatch.setattr(SeedSpec, "generator", lambda spec: Recording(spec))
+        monkeypatch.setattr(montecarlo, "_stream_generator", Recording)
         normal = MarginalSpec("normal", 0.0, 1.0)
         pop = generate_population(GeneratorSpec(0.5, 0.5, 0.5, normal, normal, normal), 40,
                                   SeedSpec(3, 7))
@@ -97,6 +98,22 @@ class TestPopulation:
         pop = small_population(rng)
         with pytest.raises(ValueError):
             pop.x[0] = 99.0
+
+    @pytest.mark.parametrize("N", [4, 41, 1000, 1001])
+    def test_census_medians_equal_median_on_signed_zeros(self, N):
+        # the cached medians skip median()'s checks of the validated rows,
+        # not its bits: among tied zeros of both signs the sort picks the
+        # sign, where selection alone differs about one time in two at N = 1000
+        rng = np.random.default_rng(N)
+        signs = set()
+        for _ in range(20):
+            cols = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(3, N), p=[0.2, 0.3, 0.3, 0.2])
+            for pop in (Population(*cols), Population(*cols, _adopt=cols.copy())):
+                for name in "xyz":
+                    got = getattr(pop, f"median_{name}")
+                    assert got.hex() == median(getattr(pop, name)).hex()
+                    signs.add(got.hex())
+        assert {"-0x0.0p+0", "0x0.0p+0"} <= signs
 
     def test_copies_even_read_only_input(self):
         x = np.arange(1.0, 9.0)

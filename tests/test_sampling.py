@@ -1,12 +1,16 @@
 """Replayable SRSWOR and the nested two-phase scheme."""
 
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dsmedian.montecarlo import GeneratorSpec, MarginalSpec, generate_population
 from dsmedian.sampling import (
     SeedSpec,
     TwoPhaseSample,
@@ -15,6 +19,7 @@ from dsmedian.sampling import (
     _lemire,
     _picks,
     _resolve,
+    _stream_generator,
     _stream_state,
     draw_two_phase,
     srswor,
@@ -68,6 +73,112 @@ class TestSeedSpec:
                     expected = _picks(fresh, size, picks)
                     assert np.array_equal(_picks(rng, size, picks), expected), (N, k, r)
         assert half_word and partial_buffer
+
+
+UNIT = MarginalSpec("normal", 0.0, 1.0)
+COPULA = GeneratorSpec(0.8, 0.6, 0.7, UNIT, UNIT, UNIT)
+
+
+def sparse_swap_loop(picks):
+    """The swap loop with the pool kept as a dict of the moved entries."""
+    pool, out = {}, []
+    for i, j in enumerate(picks):
+        out.append(pool.get(j, j))
+        pool[j] = pool.get(i, i)
+    return np.array(out, dtype=np.int64)
+
+
+def fresh_two_phase(rng, N, n, m):
+    first = reference_sample_indices(rng, N, n)
+    return np.sort(first), np.sort(first[reference_sample_indices(rng, n, m)])
+
+
+# every public use of the thread's generator on a stream, with what a fresh
+# generator of the stream gives: raw words, the Generator.integers fallback
+# (n == N; 64-bit picks past 2**32 units) and the population's normals
+STREAM_JOBS = {
+    "draw_two_phase(5000, 600, 150)": (
+        lambda seed: draw_two_phase(5000, 600, 150, seed),
+        lambda rng: fresh_two_phase(rng, 5000, 600, 150)),
+    "draw_two_phase(8, 8, 3)": (
+        lambda seed: draw_two_phase(8, 8, 3, seed), lambda rng: fresh_two_phase(rng, 8, 8, 3)),
+    "srswor(20000, 1200)": (
+        lambda seed: srswor(20000, 1200, seed),
+        lambda rng: np.sort(reference_sample_indices(rng, 20000, 1200))),
+    "srswor(5, 5)": (
+        lambda seed: srswor(5, 5, seed), lambda rng: np.sort(reference_sample_indices(rng, 5, 5))),
+    "srswor(2**33, 40)": (
+        lambda seed: srswor(2**33, 40, seed),
+        lambda rng: np.sort(sparse_swap_loop(_picks(rng, 2**33, 40)))),
+    "generate_population(50)": (
+        lambda seed: generate_population(COPULA, 50, seed).xyz,
+        lambda rng: np.matmul(COPULA.cholesky(), rng.standard_normal((3, 50))) * 1.0 + 0.0),
+}
+
+
+def job_bytes(result):
+    """The bytes of a job's arrays: a sample's phases, or one array."""
+    if isinstance(result, TwoPhaseSample):
+        result = result.first_phase, result.second_phase
+    if isinstance(result, np.ndarray):
+        result = (result,)
+    return b"".join(part.tobytes() for part in result)
+
+
+class TestStreamGenerator:
+    """The public draws and generate_population share one Philox generator
+    per thread, set to each stream's start: whatever ran before on the
+    thread, or on another thread at once, each equals a fresh generator's."""
+
+    STREAMS = range(12)
+
+    def expected(self):
+        return {(name, r): job_bytes(fresh(SeedSpec(2002, r).generator()))
+                for name, (_, fresh) in STREAM_JOBS.items() for r in self.STREAMS}
+
+    @staticmethod
+    def run(name, r):
+        return job_bytes(STREAM_JOBS[name][0](SeedSpec(2002, r)))
+
+    def test_one_generator_per_thread(self):
+        mine = _stream_generator(1, 2)
+        assert _stream_generator(3, 4) is mine
+        with ThreadPoolExecutor(1) as pool:
+            theirs = pool.submit(_stream_generator, 1, 2).result()
+        assert theirs is not mine
+
+    def test_interleaved_streams_draw_as_fresh_generators(self):
+        expected = self.expected()
+        for order in (list(STREAM_JOBS), list(STREAM_JOBS)[::-1]):
+            for r in self.STREAMS:
+                for name in order:
+                    assert self.run(name, r) == expected[name, r], (name, r)
+
+    def test_threads_at_once_draw_as_fresh_generators(self):
+        # more threads than cores, switching as often as the interpreter
+        # allows: a generator shared between threads would mix their streams
+        expected = {key: {value} for key, value in self.expected().items()}
+        threads = 4
+        start = threading.Barrier(threads, timeout=60)
+
+        def run(shift):
+            start.wait()
+            got = {}
+            for _ in range(3):
+                for r in [*self.STREAMS[shift:], *self.STREAMS[:shift]]:
+                    for name in STREAM_JOBS:
+                        got.setdefault((name, r), set()).add(self.run(name, r))
+            return got
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(threads) as pool:
+                futures = [pool.submit(run, 3 * t) for t in range(threads)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * threads
 
 
 # k close to N, or k large against sqrt(N), makes many picks repeat or fall below k;
