@@ -27,8 +27,8 @@ config = SimConfig(
 )
 
 report = run_simulation(config)
-print(f"population N={report.N}, design m={report.m}, n={report.n}, "
-      f"replicates={report.replicates}")
+cfg = report.config  # the run's inputs, as the report keeps them
+print(f"population N={cfg.N}, design m={cfg.m}, n={cfg.n}, replicates={cfg.replicates}")
 print(f"estimand (census median of y): {report.estimand:.4f}\n")
 
 header = f"{'estimator':>12s} {'mean':>8s} {'rel bias':>9s} {'MSE':>9s} {'theory':>9s} {'ratio':>6s}"

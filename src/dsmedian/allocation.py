@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core_stats import _finite
+from .sampling import _integers
 from .variance_theory import VarianceComponents
 
 __all__ = [
@@ -60,7 +62,7 @@ class CostModel:
     def __post_init__(self) -> None:
         for name in ("c0", "c1", "c2", "c3"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
+            if not (_finite(v) and v > 0.0):
                 raise ValueError(f"cost {name} must be positive, got {v!r}")
         if not self.c1 > self.c2 > self.c3:
             raise ValueError(
@@ -107,6 +109,12 @@ _NO_V3 = "V3 undefined: collinear auxiliaries (|rho_xz| = 1)"
 _OUT_OF_RANGE = "continuous optimum is out of float range"
 
 
+def _check_units(N) -> None:
+    """The check of the population size N that every allocation makes."""
+    if not (_integers(N) and _finite(N) and N >= 1):
+        raise ValueError(f"population size N must be an integer >= 1, got {N!r}")
+
+
 def _strategy_terms(strategy: str, comps: VarianceComponents, cost: CostModel):
     """(A, B, K, cn) of the strategy's variance A/m + B/n - K/N and its
     first-phase unit cost."""
@@ -126,6 +134,7 @@ def _strategy_terms(strategy: str, comps: VarianceComponents, cost: CostModel):
 
 def allocate_single(cost: CostModel, comps: VarianceComponents, N: int) -> AllocationResult:
     """Single-phase optimum: spend everything on y, m = C0/C1."""
+    _check_units(N)
     m_real = cost.c0 / cost.c1
     if m_real < 1.0:
         return _infeasible("single", "budget below the cost of one observation")
@@ -149,6 +158,7 @@ def allocate_single(cost: CostModel, comps: VarianceComponents, N: int) -> Alloc
 def _allocate_two_phase(
     strategy: str, cost: CostModel, comps: VarianceComponents, N: int
 ) -> AllocationResult:
+    _check_units(N)
     if strategy == "F" and comps.V3 is None:
         return _infeasible("F", _NO_V3)
     a_coef, b_coef, k_coef, cn = _strategy_terms(strategy, comps, cost)
@@ -239,6 +249,7 @@ def grid_search_allocation(
     m >= N leaves no n with m < n <= N, so m stops at N - 1; a grid that
     still cannot be allocated raises ValueError.
     """
+    _check_units(N)
     if strategy == "single":
         m_int = math.floor(min(N, cost.c0 / cost.c1))
         if m_int < 1:

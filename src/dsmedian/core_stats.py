@@ -149,7 +149,7 @@ class ProportionMatrix:
     def __post_init__(self) -> None:
         entries = (self.p11, self.p12, self.p21, self.p22)
         for name, v in zip(("p11", "p12", "p21", "p22"), entries):
-            if not math.isfinite(v) or v < -1e-12 or v > 1.0 + 1e-12:
+            if not _finite(v) or v < -1e-12 or v > 1.0 + 1e-12:
                 raise ValueError(f"proportion {name}={v!r} outside [0, 1]")
         if abs(sum(entries) - 1.0) > 1e-9:
             raise ValueError(f"proportions sum to {sum(entries)!r}, expected 1")
@@ -206,7 +206,7 @@ def silverman_bandwidth(values) -> float:
         raise ValueError("bandwidth needs at least 2 values")
     h = float(_silverman_bandwidth(arr, np.sort(arr)))
     if not (0.0 < h < math.inf):
-        why = "all values identical" if _sd(arr) == 0.0 else f"h = {h!r}"
+        why = "all values identical" if np.std(arr, ddof=1) == 0.0 else f"h = {h!r}"
         raise ValueError(f"degenerate sample for bandwidth: {why}")
     return h
 
@@ -219,20 +219,11 @@ def _silverman_bandwidth(arr: np.ndarray, sorted_vals: np.ndarray):
     The sd is taken over ``arr`` in its own order, because the summation
     order decides the last bits of the result.
     """
-    sd = _sd(arr)
+    sd = np.std(arr, ddof=1, axis=-1)
     iqr = _quantile_sorted(sorted_vals, 0.75) - _quantile_sorted(sorted_vals, 0.25)
     q = iqr / 1.34
     scale = np.where(iqr > 0.0, np.where(q < sd, q, sd), sd)  # min(sd, q), ties and NaN included
     return 0.9 * scale * arr.shape[-1] ** (-0.2)
-
-
-def _sd(arr: np.ndarray):
-    """The bits of ``np.std(arr, ddof=1, axis=-1)`` for validated samples of
-    at least 2 values, without numpy's wrapper: the same pairwise sums of
-    the values and of the squared deviations from their mean."""
-    k = arr.shape[-1]
-    d = arr - np.add.reduce(arr, axis=-1, keepdims=True) / k
-    return np.sqrt(np.add.reduce(np.square(d, out=d), axis=-1) / (k - 1))
 
 
 @dataclass(frozen=True)
@@ -243,9 +234,9 @@ class DensityEstimate:
     bandwidth: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.value) and self.value >= 0.0):
+        if not (_finite(self.value) and self.value >= 0.0):
             raise ValueError(f"density value must be finite and >= 0, got {self.value!r}")
-        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0.0):
+        if not (_finite(self.bandwidth) and self.bandwidth > 0.0):
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth!r}")
 
 

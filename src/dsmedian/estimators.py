@@ -313,7 +313,7 @@ class PluginCoefficients:
     def __post_init__(self) -> None:
         for name in self.__dataclass_fields__:
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if value is not None and not _finite(value):
                 raise EstimatorError(f"non-finite coefficient {name}")
 
     def alphas(self) -> tuple[float, float]:
@@ -483,6 +483,7 @@ class GForm:
         if self.form == "g5":
             if self.w1 is None or self.w2 is None:
                 raise EstimatorError("g5 needs weights w1, w2")
+            _require_finite_parameters(self.w1, self.w2)
             if abs(self.w1 + self.w2 - 1.0) > 1e-12:
                 raise EstimatorError("g5 weights must sum to 1")
         elif self.w1 is not None or self.w2 is not None:
@@ -492,8 +493,8 @@ class GForm:
         return _g_value(self.form, self.alpha, self.beta, self.w1, self.w2, u, v)
 
 
-def _require_finite_parameters(alpha: float, beta: float) -> None:
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
+def _require_finite_parameters(a: float, b: float) -> None:
+    if not (_finite(a) and _finite(b)):
         raise EstimatorError("g-form parameters must be finite")
 
 

@@ -315,26 +315,27 @@ def _report_row(row: EstimatorStats) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class SimReport:
-    """Per-estimator statistics plus provenance; ``estimates`` holds the
-    raw R x len(estimators) matrix when requested (not serialized)."""
+    """Per-estimator statistics of one run of ``config``, the report's
+    provenance: its digest, seed and design are read from it.
+    ``estimates`` holds the raw R x len(estimators) matrix when requested
+    (not serialized)."""
 
-    config_digest: str
-    master_seed: int
-    m: int
-    n: int
-    N: int
-    replicates: int
+    config: SimConfig
     estimand: float
-    summary_source: str
     rows: tuple[EstimatorStats, ...]
     valid: bool
     estimates: np.ndarray | None = None
 
+    # where the theory's population summary comes from: the generator or the CSV's census
+    summary_source = property(
+        lambda self: "analytic" if self.config.generator is not None else "census")
+
     def to_json_dict(self) -> dict:
+        cfg = self.config
         return {
-            "config_digest": self.config_digest,
-            "master_seed": self.master_seed,
-            "design": {"m": self.m, "n": self.n, "N": self.N, "replicates": self.replicates},
+            "config_digest": cfg.digest(),
+            "master_seed": cfg.master_seed,
+            "design": {"m": cfg.m, "n": cfg.n, "N": cfg.N, "replicates": cfg.replicates},
             "estimand": self.estimand,
             "summary_source": self.summary_source,
             "valid": self.valid,
@@ -574,14 +575,8 @@ def _aggregate(plan: _Plan, rows: np.ndarray, keep_estimates: bool) -> SimReport
             )
         )
     return SimReport(
-        config_digest=cfg.digest(),
-        master_seed=cfg.master_seed,
-        m=cfg.m,
-        n=cfg.n,
-        N=cfg.N,
-        replicates=R,
+        config=cfg,
         estimand=estimand,
-        summary_source="analytic" if cfg.generator is not None else "census",
         rows=tuple(stats),
         valid=valid,
         estimates=np.ascontiguousarray(estimates) if keep_estimates else None,

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core_stats import ProportionMatrix, _finite_floats, _median_split, _quantile_selected
+from .core_stats import ProportionMatrix, _finite, _finite_floats, _median_split, _quantile_selected
 from .core_stats import _split_failure
 
 __all__ = ["Population", "PopulationSummary", "population_summary", "load_population_csv"]
@@ -92,11 +92,11 @@ class PopulationSummary:
 
     def __post_init__(self) -> None:
         for name in ("median_x", "median_y", "median_z"):
-            if not math.isfinite(getattr(self, name)):
+            if not _finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         for name in ("density_x", "density_y", "density_z"):
             d = getattr(self, name)
-            if not (math.isfinite(d) and d > 0.0):
+            if not (_finite(d) and d > 0.0):
                 raise ValueError(f"zero density at median: {name}={d!r}")
 
     @property

@@ -65,7 +65,7 @@ class SeedSpec:
     def __post_init__(self) -> None:
         for name in ("master_seed", "stream_id"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or not 0 <= int(v) < _U64:
+            if not _integers(v) or not 0 <= int(v) < _U64:
                 raise ValueError(f"{name} must be an unsigned 64-bit integer, got {v!r}")
 
     def generator(self) -> np.random.Generator:

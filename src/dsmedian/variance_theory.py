@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .core_stats import _finite
 from .estimators import composite_concordance, true_coefficients
 from .population import PopulationSummary
 from .sampling import _integers
@@ -107,13 +108,13 @@ class VarianceComponents:
     V3: float | None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.V0) and self.V0 > 0.0):
+        if not (_finite(self.V0) and self.V0 > 0.0):
             raise ValueError(f"V0 must be positive, got {self.V0!r}")
         for name in ("V1", "V2", "V3"):
             v = getattr(self, name)
             if v is None and name == "V3":
                 continue
-            if not (math.isfinite(v) and v >= 0.0):
+            if not (_finite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be nonnegative, got {v!r}")
         for name in ("V1", "V2"):
             if getattr(self, name) > self.V0 * (1.0 + 1e-12):

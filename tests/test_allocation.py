@@ -47,6 +47,24 @@ class TestCostModel:
             CostModel(c0=10, c1=1.0, c2=0.5, c3=0.0)
 
 
+class TestUnits:
+    """Every allocation takes N as an integer >= 1 within the float range."""
+
+    @pytest.mark.parametrize("N", [-5, 0, 2.5, "5", 10**400],
+                             ids=["negative", "zero", "float", "str", "past-float-range"])
+    @pytest.mark.parametrize("strategy", ["single", "H", "g", "F"])
+    def test_bad_units_named(self, strategy, N):
+        for call in (lambda: allocate(strategy, COST_G, COMPS_F, N),
+                     lambda: grid_search_allocation(COST_G, COMPS_F, N, strategy)):
+            with pytest.raises(ValueError, match="^population size N must be an integer") as info:
+                call()
+            assert type(info.value) is ValueError
+
+    def test_one_unit_allocates(self):
+        assert allocate("single", COST_G, COMPS_F, 1).m_int == 1
+        assert not allocate("H", COST_G, COMPS_F, 1).feasible
+
+
 class TestAllocateSingle:
     def test_worked_example(self):
         r = allocate_single(CostModel(100.0, 4.0, 1.0, 0.5), COMPS, BIG_N)
