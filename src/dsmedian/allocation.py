@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_stats import _finite
-from .sampling import _integers
+from .core_stats import _finite, _integers
 from .variance_theory import VarianceComponents
 
 __all__ = [
@@ -81,73 +80,60 @@ class AllocationResult:
     """
 
     strategy: str
-    m_real: float | None
-    n_real: float | None
-    m_int: int | None
-    n_int: int | None
-    opt_variance: float | None
-    variance_large_n: float | None
-    feasible: bool
+    m_real: float | None = None
+    n_real: float | None = None
+    m_int: int | None = None
+    n_int: int | None = None
+    opt_variance: float | None = None
+    variance_large_n: float | None = None
+    feasible: bool = False
     note: str = ""
-
-
-def _infeasible(strategy: str, note: str) -> AllocationResult:
-    return AllocationResult(
-        strategy=strategy,
-        m_real=None,
-        n_real=None,
-        m_int=None,
-        n_int=None,
-        opt_variance=None,
-        variance_large_n=None,
-        feasible=False,
-        note=note,
-    )
 
 
 _NO_V3 = "V3 undefined: collinear auxiliaries (|rho_xz| = 1)"
 _OUT_OF_RANGE = "continuous optimum is out of float range"
+_NO_GRID = "no feasible integer (m, n) with 2 <= m < n under the budget"
 
 
-def _check_units(N) -> None:
-    """The check of the population size N that every allocation makes."""
+def _check(strategy: str, N) -> None:
+    """The checks every allocation makes: a known strategy, and a population
+    size N that is an integer >= 1."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if not (_integers(N) and _finite(N) and N >= 1):
         raise ValueError(f"population size N must be an integer >= 1, got {N!r}")
 
 
 def _strategy_terms(strategy: str, comps: VarianceComponents, cost: CostModel):
-    """(A, B, K, cn) of the strategy's variance A/m + B/n - K/N and its
-    first-phase unit cost."""
+    """(A, B, K, cn) of the two-phase strategy's variance A/m + B/n - K/N
+    and its first-phase unit cost: the one place each is built.  F's terms
+    need V3, so a caller asks for them only where V3 is defined."""
     if strategy == "H":
         return comps.V0 - comps.V1, comps.V1, comps.V0, cost.c2
     if strategy == "g":
         return comps.V0 - comps.V1, comps.V1 - comps.V2, comps.V0 - comps.V2, cost.c2 + cost.c3
-    if strategy == "F":
-        return (
-            comps.V0 - comps.V1 - comps.V3,
-            comps.V1 - comps.V2 + comps.V3,
-            comps.V0 - comps.V2,
-            cost.c2 + cost.c3,
-        )
-    raise ValueError(f"unknown two-phase strategy {strategy!r}")
+    return (
+        comps.V0 - comps.V1 - comps.V3,
+        comps.V1 - comps.V2 + comps.V3,
+        comps.V0 - comps.V2,
+        cost.c2 + cost.c3,
+    )
 
 
 def allocate_single(cost: CostModel, comps: VarianceComponents, N: int) -> AllocationResult:
     """Single-phase optimum: spend everything on y, m = C0/C1."""
-    _check_units(N)
+    _check("single", N)
     m_real = cost.c0 / cost.c1
     if m_real < 1.0:
-        return _infeasible("single", "budget below the cost of one observation")
+        return AllocationResult("single", note="budget below the cost of one observation")
     if m_real == math.inf:
-        return _infeasible("single", _OUT_OF_RANGE)
+        return AllocationResult("single", note=_OUT_OF_RANGE)
     m_int = min(N, int(math.floor(m_real)))
     large_n = comps.V0 * cost.c1 / cost.c0
     return AllocationResult(
         strategy="single",
         m_real=m_real,
-        n_real=None,
         m_int=m_int,
-        n_int=None,
         opt_variance=large_n - comps.V0 / N,
         variance_large_n=large_n,
         feasible=True,
@@ -158,27 +144,27 @@ def allocate_single(cost: CostModel, comps: VarianceComponents, N: int) -> Alloc
 def _allocate_two_phase(
     strategy: str, cost: CostModel, comps: VarianceComponents, N: int
 ) -> AllocationResult:
-    _check_units(N)
+    _check(strategy, N)
     if strategy == "F" and comps.V3 is None:
-        return _infeasible("F", _NO_V3)
+        return AllocationResult("F", note=_NO_V3)
     a_coef, b_coef, k_coef, cn = _strategy_terms(strategy, comps, cost)
     if a_coef <= 0.0:
         names = {"H": "V0 - V1", "g": "V0 - V1", "F": "V0 - V1 - V3"}
-        return _infeasible(strategy, f"{names[strategy]} <= 0: nothing left for the second phase")
+        note = f"{names[strategy]} <= 0: nothing left for the second phase"
+        return AllocationResult(strategy, note=note)
     if b_coef <= 0.0:
-        if strategy == "H":
-            return _infeasible(
-                "H", "V1 = 0: auxiliary carries no association; use single-phase"
-            )
-        if strategy == "g":
-            return _infeasible("g", "V1 - V2 <= 0: second auxiliary removes first-phase value")
-        return _infeasible("F", "V1 - V2 + V3 <= 0: first phase carries no value")
+        notes = {
+            "H": "V1 = 0: auxiliary carries no association; use single-phase",
+            "g": "V1 - V2 <= 0: second auxiliary removes first-phase value",
+            "F": "V1 - V2 + V3 <= 0: first phase carries no value",
+        }
+        return AllocationResult(strategy, note=notes[strategy])
     denom = math.sqrt(a_coef * cost.c1) + math.sqrt(b_coef * cn)
     m_real = cost.c0 * math.sqrt(a_coef / cost.c1) / denom
     n_real = cost.c0 * math.sqrt(b_coef / cn) / denom
     large_n = denom * denom / cost.c0
     if not all(map(math.isfinite, (m_real, n_real, large_n))):
-        return _infeasible(strategy, _OUT_OF_RANGE)
+        return AllocationResult(strategy, note=_OUT_OF_RANGE)
     opt_var = large_n - k_coef / N
 
     notes = []
@@ -230,8 +216,6 @@ def allocate_F(cost: CostModel, comps: VarianceComponents, N: int) -> Allocation
 
 def allocate(strategy: str, cost: CostModel, comps: VarianceComponents, N: int) -> AllocationResult:
     """The named strategy's closed-form allocation."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if strategy == "single":
         return allocate_single(cost, comps, N)
     return _allocate_two_phase(strategy, cost, comps, N)
@@ -249,18 +233,16 @@ def grid_search_allocation(
     m >= N leaves no n with m < n <= N, so m stops at N - 1; a grid that
     still cannot be allocated raises ValueError.
     """
-    _check_units(N)
+    _check(strategy, N)
     if strategy == "single":
         m_int = math.floor(min(N, cost.c0 / cost.c1))
         if m_int < 1:
-            return _infeasible("single", "budget below the cost of one observation")
+            return AllocationResult("single", note="budget below the cost of one observation")
         var = comps.V0 * (1.0 / m_int - 1.0 / N)
         return AllocationResult(
             strategy="single",
             m_real=float(m_int),
-            n_real=None,
             m_int=m_int,
-            n_int=None,
             opt_variance=var,
             variance_large_n=comps.V0 / m_int,
             feasible=True,
@@ -268,11 +250,11 @@ def grid_search_allocation(
         )
 
     if strategy == "F" and comps.V3 is None:
-        return _infeasible("F", _NO_V3)
+        return AllocationResult("F", note=_NO_V3)
     a_coef, b_coef, k_coef, cn = _strategy_terms(strategy, comps, cost)
     m_upper = math.floor(min(N - 1, (cost.c0 - cn) / (cost.c1 + cn)))
     if m_upper < 2:
-        return _infeasible(strategy, "no feasible integer (m, n) with 2 <= m < n under the budget")
+        return AllocationResult(strategy, note=_NO_GRID)
     try:
         ms = np.arange(2, m_upper + 1, dtype=np.int64)
     except (MemoryError, ValueError):  # numpy: too large to allocate, or to index
@@ -281,7 +263,7 @@ def grid_search_allocation(
         n_hi = np.minimum(N, np.floor((cost.c0 - cost.c1 * ms) / cn))  # floats: N may pass int64
     valid = n_hi > ms
     if not np.any(valid):
-        return _infeasible(strategy, "no feasible integer (m, n) with 2 <= m < n under the budget")
+        return AllocationResult(strategy, note=_NO_GRID)
     ms = ms[valid]
     n_hi = n_hi[valid]
     n_lo = ms + 1
@@ -360,26 +342,28 @@ def profitability_report(cost: CostModel, comps: VarianceComponents, N: int) -> 
     res = {s: allocate(s, cost, comps, N) for s in STRATEGIES}
     big_n = {s: r.variance_large_n if r.feasible else None for s, r in res.items()}
 
-    cn = cost.c2 + cost.c3
-    v0, v1, v2, v3 = comps.V0, comps.V1, comps.V2, comps.V3
+    a_h, b_h, v0, cn_h = _strategy_terms("H", comps, cost)
+    a_g, b_g, _, cn_g = _strategy_terms("g", comps, cost)
 
     def ratio(num: float, den: float) -> float | None:
         if den <= 0.0:
             return None
         return num / den
 
-    lhs_single = cn / cost.c1
-    rhs_single = ratio((math.sqrt(v0) - math.sqrt(max(v0 - v1, 0.0))) ** 2, v1 - v2)
+    # g against single; F against g shares its left side, C2 + C3 over C1
+    lhs_single = cn_g / cost.c1
+    rhs_single = ratio((math.sqrt(v0) - math.sqrt(max(a_h, 0.0))) ** 2, b_g)
 
-    lhs_h = cn / cost.c2
-    rhs_h = ratio(v1, v1 - v2)
+    lhs_h = cn_g / cn_h
+    rhs_h = ratio(b_h, b_g)
 
-    lhs_fg = cn / cost.c1
     rhs_fg = None
-    if v3 is not None and v0 - v1 - v3 >= 0.0 and v1 - v2 >= 0.0 and v1 - v2 + v3 >= 0.0:
-        den = math.sqrt(v1 - v2 + v3) - math.sqrt(v1 - v2)
-        if den > 0.0:
-            rhs_fg = ((math.sqrt(v0 - v1) - math.sqrt(v0 - v1 - v3)) / den) ** 2
+    if comps.V3 is not None:
+        a_f, b_f, _, _ = _strategy_terms("F", comps, cost)
+        if a_f >= 0.0 and b_g >= 0.0 and b_f >= 0.0:
+            den = math.sqrt(b_f) - math.sqrt(b_g)
+            if den > 0.0:
+                rhs_fg = ((math.sqrt(a_g) - math.sqrt(a_f)) / den) ** 2
 
     sum_f = None
     sum_h = None
@@ -392,7 +376,7 @@ def profitability_report(cost: CostModel, comps: VarianceComponents, N: int) -> 
         g_vs_single=_verdict("g-vs-single", big_n["g"], big_n["single"], lhs_single, rhs_single),
         g_vs_H=_verdict("g-vs-H", big_n["g"], big_n["H"], lhs_h, rhs_h),
         F_vs_H=_verdict("F-vs-H", big_n["F"], big_n["H"], sum_f, sum_h),
-        F_vs_g=_verdict("F-vs-g", big_n["F"], big_n["g"], lhs_fg, rhs_fg),
+        F_vs_g=_verdict("F-vs-g", big_n["F"], big_n["g"], lhs_single, rhs_fg),
         single=res["single"],
         H=res["H"],
         g=res["g"],

@@ -32,6 +32,7 @@ from .allocation import (
     profitability_report,
 )
 from .estimators import (
+    COEFFICIENT_IDS,
     ESTIMATOR_IDS,
     EstimatorError,
     SampleView,
@@ -185,6 +186,9 @@ def _cmd_estimate(args) -> int:
         coeffs_error = str(exc)
     estimates: dict[str, dict] = {}
     for est in ids:
+        if coeffs_error is not None and est in COEFFICIENT_IDS:  # failed once, not recomputed
+            estimates[est] = {"error": coeffs_error}
+            continue
         try:
             estimates[est] = {"value": evaluate_estimator(est, view, coeffs)}
         except EstimatorError as exc:

@@ -45,6 +45,12 @@ def _finite(value) -> bool:
         return False
 
 
+def _integers(*sizes) -> bool:
+    """Whether every size is an int or a numpy integer.  A size the float
+    algebra divides by must pass ``_finite`` too."""
+    return all(isinstance(v, (int, np.integer)) for v in sizes)
+
+
 def _finite_floats(values) -> np.ndarray | None:
     """``values`` as a float array, or None if one is not a finite real: a
     NaN, an infinity, a non-number (a str or bytes too, which numpy would

@@ -29,7 +29,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
-from .core_stats import _finite
+from .core_stats import _finite, _integers
 from .estimators import (
     COEFFICIENT_IDS,
     ESTIMATOR_IDS,
@@ -43,7 +43,7 @@ from .estimators import (
 )
 from .population import Population, PopulationSummary, load_population_csv, population_summary
 from .population import _TOO_FEW_UNITS
-from .sampling import SeedSpec, _draws, _integers, _stream_generator
+from .sampling import SeedSpec, _draws, _stream_generator
 from .variance_theory import (
     DesignSizes,
     VarianceComponents,
@@ -93,8 +93,8 @@ _MARGINAL_KINDS = ("normal", "lognormal")
 
 class PopulationInputError(ValueError):
     """The population a config names is unusable: its CSV does not load or
-    has a row count other than ``units``, or ``units`` rows do not fit in
-    memory.  A fault of the input, unlike the model errors
+    has a row count other than ``units``, or ``units`` is no integer or its
+    rows do not fit in memory.  A fault of the input, unlike the model errors
     ``run_simulation`` raises as ValueError."""
 
 
@@ -206,9 +206,12 @@ def generate_population(spec: GeneratorSpec, N: int, seed: SeedSpec) -> Populati
     then one broadcast affine step for the three marginals and ``exp`` on
     the lognormal rows; the population adopts the array.  The standard
     normals are those of a fresh ``seed.generator()``, drawn by the
-    thread's generator set to the stream's start.  An N below
-    :class:`Population`'s minimum, checked before the draw, or whose (3, N)
-    array cannot be allocated raises :class:`PopulationInputError`."""
+    thread's generator set to the stream's start.  An N that is not an
+    integer in the float range or is below :class:`Population`'s minimum,
+    both checked before the draw, or whose (3, N) array cannot be
+    allocated raises :class:`PopulationInputError`."""
+    if not (_integers(N) and _finite(N)):
+        raise PopulationInputError(f"units must be an integer, got {N!r}")
     if N < 4:
         raise PopulationInputError(_TOO_FEW_UNITS)
     try:

@@ -20,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core_stats import ProportionMatrix, _finite, _finite_floats, _median_split, _quantile_selected
-from .core_stats import _split_failure
+from .core_stats import ProportionMatrix, _finite, _finite_floats, _integers, _median_split
+from .core_stats import _quantile_selected, _split_failure
 
 __all__ = ["Population", "PopulationSummary", "population_summary", "load_population_csv"]
 
@@ -98,6 +98,8 @@ class PopulationSummary:
             d = getattr(self, name)
             if not (_finite(d) and d > 0.0):
                 raise ValueError(f"zero density at median: {name}={d!r}")
+        if not (_integers(self.N) and _finite(self.N)):
+            raise ValueError(f"population size N must be an integer, got {self.N!r}")
 
     @property
     def concordances(self) -> tuple[float, float, float]:

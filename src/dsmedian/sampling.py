@@ -48,6 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core_stats import _integers
+
 __all__ = ["SeedSpec", "TwoPhaseSample", "srswor", "draw_two_phase"]
 
 _U64 = 2**64
@@ -314,11 +316,6 @@ def _draws(
     first.sort(axis=1)
     second.sort(axis=1)
     return first, second
-
-
-def _integers(*sizes) -> bool:
-    """Whether every size is an int or a numpy integer."""
-    return all(isinstance(v, (int, np.integer)) for v in sizes)
 
 
 def srswor(N: int, k: int, seed: SeedSpec) -> np.ndarray:

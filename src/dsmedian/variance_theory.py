@@ -36,10 +36,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core_stats import _finite
+from .core_stats import _finite, _integers
 from .estimators import composite_concordance, true_coefficients
 from .population import PopulationSummary
-from .sampling import _integers
 
 __all__ = [
     "DesignSizes",
@@ -61,14 +60,14 @@ __all__ = [
 @dataclass(frozen=True)
 class DesignSizes:
     """Second-phase, first-phase, and population sizes: integers with
-    2 <= m < n <= N."""
+    2 <= m < n <= N, and N (so all three) in the float range."""
 
     m: int
     n: int
     N: int
 
     def __post_init__(self) -> None:
-        if not _integers(self.m, self.n, self.N):
+        if not (_integers(self.m, self.n, self.N) and _finite(self.N)):
             raise ValueError(f"require integer sizes, got m={self.m!r}, n={self.n!r}, N={self.N!r}")
         if not 2 <= self.m < self.n <= self.N:
             raise ValueError(f"require 2 <= m < n <= N, got m={self.m}, n={self.n}, N={self.N}")

@@ -1,5 +1,6 @@
 """Cost-optimal allocation: worked examples, oracle agreement, verdicts."""
 
+import dataclasses
 import warnings
 
 import pytest
@@ -173,6 +174,17 @@ class TestAllocateF:
         assert not r.feasible
         assert "V0 - V1 - V3" in r.note
 
+    def test_collinear_auxiliaries_infeasible(self):
+        # an infeasible result is its strategy and note, every other field its default
+        comps = VarianceComponents(V0=1.0, V1=0.5, V2=0.25, V3=None)
+        for r in (allocate_F(COST_G, comps, BIG_N),
+                  grid_search_allocation(COST_G, comps, BIG_N, "F")):
+            assert dataclasses.asdict(r) == {
+                "strategy": "F", "m_real": None, "n_real": None, "m_int": None, "n_int": None,
+                "opt_variance": None, "variance_large_n": None, "feasible": False,
+                "note": "V3 undefined: collinear auxiliaries (|rho_xz| = 1)",
+            }
+
 
 class TestGridSearch:
     def test_h_worked_example(self):
@@ -236,6 +248,12 @@ class TestGridSearch:
     def test_single_past_float_range(self):
         g = grid_search_allocation(CostModel(1e308, 1e-300, 1e-301, 1e-302), COMPS, 9, "single")
         assert g.m_int == 9
+
+    def test_unknown_strategy(self):
+        # the grid and allocate reject an unknown strategy by one check
+        with pytest.raises(ValueError) as info:
+            grid_search_allocation(COST_H, COMPS, BIG_N, "X")
+        assert str(info.value) == "unknown strategy 'X'; expected one of ('single', 'H', 'g', 'F')"
 
 
 class TestFloatRange:

@@ -12,8 +12,8 @@ import pytest
 
 from conftest import write_population_csv
 import dsmedian
-from dsmedian import cli
-from dsmedian.estimators import ESTIMATOR_IDS
+from dsmedian import cli, estimators
+from dsmedian.estimators import COEFFICIENT_IDS, ESTIMATOR_IDS
 from dsmedian.montecarlo import (
     POPULATION_STREAM,
     TRUE_VARIANT_IDS,
@@ -936,6 +936,20 @@ class TestZeroBandwidth:
         assert doc["coefficients_error"] == "degenerate second-phase x sample"
         assert doc["estimates"]["reg-xz"] == {"error": "degenerate second-phase x sample"}
         assert "value" in doc["estimates"]["median"]
+
+    def test_estimate_computes_failed_plugins_once(self, subnormal_iqr_csv, capsys, monkeypatch):
+        # every coefficient id reports the plug-ins' one failure; none computes them again
+        calls = []
+        plugins = estimators.plugin_coefficients
+        monkeypatch.setattr(estimators, "plugin_coefficients",
+                            lambda view: calls.append(view) or plugins(view))
+        code, out = run_cli(capsys, "estimate", subnormal_iqr_csv, "--m", "40", "--n", "80",
+                            "--seed", "0")
+        assert (code, calls) == (0, [])
+        estimates = json.loads(out)["estimates"]
+        assert len(COEFFICIENT_IDS) == 10
+        for est in COEFFICIENT_IDS:
+            assert estimates[est] == {"error": "degenerate second-phase x sample"}
 
     def test_simulate(self, subnormal_iqr_csv, tmp_path, capsys):
         oj = tmp_path / "r.json"

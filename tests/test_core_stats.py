@@ -49,6 +49,15 @@ class TestEmpiricalQuantile:
     def test_p_one_is_max(self):
         assert empirical_quantile([4, 9, 1], 1.0) == 9
 
+    # p*k off the exact grid either way: 0.28 * 25 rounds above 7, and
+    # nextafter(1/3, 1) * 3 rounds down to 1; each fix-up restores the rule
+    @pytest.mark.parametrize("values, p, expected", [
+        (range(1, 26), 0.28, 7.0),
+        ([1, 2, 3], math.nextafter(1 / 3, 1), 2.0),
+    ], ids=["product-rounds-up", "product-rounds-down"])
+    def test_rounded_product_fixed_up(self, values, p, expected):
+        assert empirical_quantile(values, p) == brute_quantile(list(values), p) == expected
+
     def test_matches_definition_oracle(self, rng):
         for _ in range(300):
             k = int(rng.integers(1, 40))

@@ -566,6 +566,10 @@ class TestPluginCoefficients:
         ):
             plugin_coefficients(v)
 
+    def test_optimum_needs_positive_density_of_y(self):
+        with pytest.raises(EstimatorError, match="^zero density: f_y at its median vanished$"):
+            optimum_coefficients((1.0, 2.0, 3.0), (0.5, 0.0, 0.5), (0.5, 0.3, 0.4))
+
     def test_needs_four_points(self):
         v = make_view(y_m=[1, 2, 3], x_m=[1, 2, 3], z_m=[3, 1, 2],
                       x_n=[1, 2, 3, 4], z_n=[3, 1, 2, 4], known_mz=2.0)
@@ -694,6 +698,16 @@ class TestClassG:
     def test_g5_weights_must_sum_to_one(self):
         with pytest.raises(EstimatorError, match="sum to 1"):
             GForm(form="g5", alpha=1.0, beta=1.0, w1=0.6, w2=0.6)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: GForm("g9", 0.5, 0.5), "unknown g-form 'g9'"),
+        (lambda: GForm("g5", 0.5, 0.5), "g5 needs weights w1, w2"),
+        (lambda: GForm("g1", 0.5, 0.5, w1=0.5, w2=0.5), "weights only apply to g5, not g1"),
+        (lambda: gform_estimated_optimum("g9", 0.5, 0.5), "unknown g-form 'g9'"),
+    ], ids=["unknown-form", "g5-without-weights", "g1-with-weights", "unknown-optimum"])
+    def test_form_and_weights_checked(self, build, message):
+        with pytest.raises(EstimatorError, match=f"^{message}$"):
+            build()
 
     def test_g6_optimum_requires_denominator(self):
         with pytest.raises(EstimatorError, match="g6 optimum"):

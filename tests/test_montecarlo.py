@@ -374,6 +374,12 @@ class TestRunSimulation:
         for j in range(1, 5):
             assert abs(rep.estimates[0, j] - med) <= 1.0
 
+    def test_stats_of_an_id_not_run(self):
+        rep = run_simulation(quick_config(replicates=2))
+        assert rep.stats("reg-xz").est_id == "reg-xz"
+        with pytest.raises(KeyError, match="'g1'"):
+            rep.stats("g1")
+
     def test_failures_counted_not_imputed(self, tmp_path):
         # z identical to x makes the generalized plug-in coefficients
         # collinear in every replicate; reg-xz does not use rho_xz

@@ -74,3 +74,26 @@ def test_field_not_a_finite_real_is_the_constructors_error(cls, valid, name, err
     with pytest.raises(error, match=message) as info:
         cls(**{**valid, name: bad})
     assert type(info.value) is error
+
+
+_GEN = dsmedian.GeneratorSpec(0.5, 0.3, 0.4, *[dsmedian.MarginalSpec("normal", 0.0, 1.0)] * 3)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: dsmedian.DesignSizes(2, 3, 10**400), ValueError, "require integer sizes"),
+    (lambda: dsmedian.PopulationSummary.from_parameters((1.0, 2.0, 3.0), (0.1, 0.2, 0.3),
+                                                        (0.5, 0.3, 0.4), N="x"),
+     ValueError, "population size N must be an integer, got 'x'"),
+    (lambda: _GEN.true_summary("x"), ValueError, "population size N must be an integer, got 'x'"),
+    (lambda: dsmedian.generate_population(_GEN, 4.5, dsmedian.SeedSpec(1)),
+     dsmedian.PopulationInputError, "units must be an integer, got 4.5"),
+    (lambda: dsmedian.generate_population(_GEN, "10", dsmedian.SeedSpec(1)),
+     dsmedian.PopulationInputError, "units must be an integer, got '10'"),
+], ids=["DesignSizes-past-float-range", "PopulationSummary-str", "true_summary-str",
+        "generate_population-float", "generate_population-str"])
+def test_size_not_an_integer_is_the_callers_error(build, error, message):
+    # one rule, core_stats._integers and _finite, for a size from outside:
+    # no bare OverflowError or TypeError later, and no str kept as a size
+    with pytest.raises(error, match=f"^{message}") as info:
+        build()
+    assert type(info.value) is error

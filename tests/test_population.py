@@ -4,6 +4,7 @@ import dataclasses
 import gzip
 import hashlib
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -13,13 +14,21 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import write_population_csv
 from dsmedian import cli, population
-from dsmedian.core_stats import kde_at, median, proportion_matrix, silverman_bandwidth
+from dsmedian.core_stats import (
+    ProportionMatrix,
+    kde_at,
+    median,
+    proportion_matrix,
+    silverman_bandwidth,
+)
 from dsmedian.population import (
     Population,
     PopulationSummary,
     load_population_csv,
     population_summary,
 )
+
+PM = ProportionMatrix(0.3, 0.2, 0.2, 0.3)
 
 
 def small_population(rng, N=200):
@@ -185,6 +194,18 @@ class TestPopulationSummary:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^zero density at median: variable y is"):
                 population_summary(Population(x=x, y=y, z=x[::-1]))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PopulationSummary(math.nan, 2.0, 3.0, 0.1, 0.2, 0.3, PM, PM, PM, 100),
+         "median_x must be finite"),
+        (lambda: PopulationSummary.from_parameters((1.0, 2.0, 3.0), (0.1, 0.2, 0.3),
+                                                   (2.0, 0.3, 0.4), 100),
+         "concordance coefficient 2.0 outside [-1, 1]"),
+    ], ids=["nan-median", "concordance-past-one"])
+    def test_invalid_parameters_named(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
 
     def test_from_parameters_matrices(self):
         s = PopulationSummary.from_parameters(
