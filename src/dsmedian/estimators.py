@@ -174,7 +174,8 @@ def _views(
 ) -> tuple[list[SampleView], np.ndarray, np.ndarray]:
     """The views of k samples, from their (3, k, m) x, y, z values over S_m
     and (2, k, n) x, z values over S_n, which it makes read-only: the one
-    owner of a view's sorted copies and five phase medians.  Returns the
+    owner of a view's sorted copies and five phase medians, which are
+    floats (from ``tolist``) that no constructor checks again.  Returns the
     views, whose arrays are rows of these, with the (3, k, m) sorted copies
     and (3, k) medians of x, y, z over S_m that :func:`_plugin_rows` reads."""
     ordered = np.sort(second, axis=-1)
@@ -185,7 +186,7 @@ def _views(
     views = [
         _unchecked(SampleView, y_m=y, x_m=x, z_m=z, x_n=x1, z_n=z1, known_mz=known_mz,
                    _known_mx=known_mx, sorted_y_m=sy, sorted_x_m=sx, sorted_z_m=sz,
-                   medians=SampleMedians(my, mx, mx1, mz, mz1))
+                   medians=_unchecked(SampleMedians, my=my, mx=mx, mx1=mx1, mz=mz, mz1=mz1))
         for x, y, z, x1, z1, sx, sy, sz, mx, my, mz, mx1, mz1
         in zip(*second, *first, *ordered, *meds.tolist(), *first_meds.tolist())
     ]
@@ -269,10 +270,7 @@ def stratification_estimator(view: SampleView) -> float:
     """Smallest y where the average of the two within-stratum ECDFs
     (strata split at the known median of x) reaches 0.5; an empty stratum
     raises (:func:`evaluate_with_diagnostics` falls back instead)."""
-    value, _, fell_back = _stratified(view)
-    if fell_back:
-        raise EstimatorError("stratification undefined: one stratum is empty")
-    return value
+    return evaluate_estimator("stratified", view)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +341,9 @@ def optimum_coefficients(
     (f_x, f_y, f_z) at the medians and concordances (rho_xy, rho_yz,
     rho_xz): the hats at second-phase plug-ins, the true optima at
     population values.  All need f_y > 0; alpha1/alpha2 also M_y != 0,
-    a1..a3 also 1 - rho_xz^2 > 0."""
+    a1..a3 also 1 - rho_xz^2 > 0.  Its nine floats are checked once, in
+    field order, so a non-finite one raises the EstimatorError the public
+    constructor would, and the result is built past that constructor."""
     mx, my, mz = medians
     fx, fy, fz = densities
     rho_xy, rho_yz, rho_xz = rhos
@@ -361,7 +361,7 @@ def optimum_coefficients(
         a1 = d_x * mx * fx / (denom * fy)
         a2 = rho_xz * d_x * mz * fz / (denom * fy)
         a3 = composite_concordance(rho_xy, rho_yz, rho_xz) * mz * fz / (denom * fy)
-    return PluginCoefficients(
+    coefficients = dict(
         d1_hat=(fx / fy) * rho_xy,
         d2_hat=(fz / fy) * rho_yz,
         alpha1_hat=alpha1,
@@ -372,6 +372,10 @@ def optimum_coefficients(
         a2_hat=a2,
         a3_hat=a3,
     )
+    for name, value in coefficients.items():
+        if value is not None and not math.isfinite(value):
+            raise EstimatorError(f"non-finite coefficient {name}")
+    return _unchecked(PluginCoefficients, **coefficients)
 
 
 def plugin_coefficients(view: SampleView) -> PluginCoefficients:
@@ -407,15 +411,15 @@ def _plugin_rows(values: np.ndarray, ordered: np.ndarray,
     if m < 4:
         return [EstimatorError("plug-in coefficients need m >= 4")] * values.shape[1]
     dens, (c11, *_), codes = _median_split(values, ordered, medians)
+    rhos = 4.0 * (c11 / m) - 1.0  # the concordances of the three pairs
     out: list[PluginCoefficients | EstimatorError] = []
-    for code, *row in zip(codes.tolist(), *medians.tolist(), *dens.tolist(), *c11.tolist()):
-        try:  # row: the medians, the densities and the counts c11 of the three pairs
+    for code, *row in zip(codes.tolist(), *medians.tolist(), *dens.tolist(), *rhos.tolist()):
+        try:  # row: the medians, the densities and the concordances
             if code:
                 name, overflowed = _split_failure(code)
                 why = ": density overflows" if overflowed else ""
                 raise EstimatorError(f"degenerate second-phase {name} sample{why}")
-            rhos = tuple(4.0 * (c11 / m) - 1.0 for c11 in row[6:])
-            out.append(optimum_coefficients(row[:3], row[3:6], rhos))
+            out.append(optimum_coefficients(row[:3], row[3:6], row[6:]))
         except EstimatorError as exc:
             out.append(exc)
     return out
@@ -562,31 +566,43 @@ def _optimum_parameters(
     raise EstimatorError(f"unknown g-form {form!r}")
 
 
-def _ratios(view: SampleView, meds: SampleMedians) -> tuple[float, float, float]:
+def _ratios(view: SampleView) -> tuple[float, float, float]:
+    """The view's (u, v, w).  Its first read computes them (:func:`_uvw`)
+    and keeps them in the frozen view's ``__dict__``, as
+    ``functools.cached_property`` keeps a value, so every id that reads
+    one view computes them once; where one is undefined it keeps the
+    message, and each read raises an EstimatorError of its own with it."""
+    try:
+        ratios = view.__dict__["_ratios"]
+    except KeyError:
+        ratios = view.__dict__["_ratios"] = _uvw(view)
+    if isinstance(ratios, str):
+        raise EstimatorError(ratios)
+    return ratios
+
+
+def _uvw(view: SampleView) -> tuple[float, float, float] | str:
+    """(u, v, w) of the view, or the message that says which is undefined."""
+    meds = view.medians
     if meds.mx1 == 0.0:
-        raise EstimatorError("first-phase median of x is zero: u undefined")
+        return "first-phase median of x is zero: u undefined"
     if view.known_mz == 0.0:
-        raise EstimatorError("known median of z is zero: v, w undefined")
-    u = meds.mx / meds.mx1
-    v = meds.mz1 / view.known_mz
-    w = meds.mz / view.known_mz
-    return u, v, w
+        return "known median of z is zero: v, w undefined"
+    return meds.mx / meds.mx1, meds.mz1 / view.known_mz, meds.mz / view.known_mz
 
 
 def class_g_estimate(view: SampleView, form: GForm) -> float:
     """my * g(u, v) for a concrete parametric form."""
-    meds = view.medians
-    u, v, _ = _ratios(view, meds)
-    return meds.my * form(u, v)
+    u, v, _ = _ratios(view)
+    return view.medians.my * form(u, v)
 
 
 def class_F_estimate(view: SampleView, coeffs: PluginCoefficients) -> float:
     """Linear representative of the generalized three-ratio class:
     my - a1*(u-1) - a2*(v-1) - a3*(w-1), at the (estimated) optimum."""
     a1, a2, a3 = coeffs.generalized()
-    meds = view.medians
-    u, v, w = _ratios(view, meds)
-    return meds.my - a1 * (u - 1.0) - a2 * (v - 1.0) - a3 * (w - 1.0)
+    u, v, w = _ratios(view)
+    return view.medians.my - a1 * (u - 1.0) - a2 * (v - 1.0) - a3 * (w - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -595,33 +611,36 @@ def class_F_estimate(view: SampleView, coeffs: PluginCoefficients) -> float:
 
 def _g_estimate(form: str, view: SampleView, coeffs: PluginCoefficients) -> float:
     """class_g_estimate at gform_estimated_optimum(form, *coeffs.alphas()),
-    without building the GForm."""
-    alpha, beta, w1, w2 = _optimum_parameters(form, *coeffs.alphas())
-    _require_finite_parameters(alpha, beta)
-    meds = view.medians
-    u, v, _ = _ratios(view, meds)
-    return meds.my * _g_value(form, alpha, beta, w1, w2, u, v)
+    without building the GForm: its parameters are computed floats, so a
+    finiteness test is their whole check."""
+    alpha1, alpha2 = coeffs.alphas()
+    alpha, beta, w1, w2 = _optimum_parameters(form, alpha1, alpha2)
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise EstimatorError("g-form parameters must be finite")
+    u, v, _ = _ratios(view)
+    return view.medians.my * _g_value(form, alpha, beta, w1, w2, u, v)
 
 
-#: The catalog, in id order: the estimator behind each stable id, called
-#: with the view, and with the optimum coefficients for the ids of
-#: COEFFICIENT_IDS (each g-form at the optimum parameters its alphas imply).
+#: The catalog, in id order, and its one dispatch table: each stable id's
+#: estimator, whether it takes the optimum coefficients after the view
+#: (each g-form at the optimum parameters its alphas imply), and whether
+#: it returns its value with the diagnostics, an :data:`Estimate`.
 _CATALOG = {
-    "median": lambda view: view.medians.my,
-    "ratio-known": ratio_known,
-    "position": position_estimator,
-    "stratified": stratification_estimator,
-    "ratio-double": ratio_double,
-    "reg-x": regression_single_aux,
-    "reg-xz": regression_two_aux,
-    **{form: functools.partial(_g_estimate, form) for form in G_FORM_IDS},
-    "f-linear": class_F_estimate,
+    "median": (lambda view: view.medians.my, False, False),
+    "ratio-known": (ratio_known, False, False),
+    "position": (_position, False, True),
+    "stratified": (_stratified, False, True),
+    "ratio-double": (ratio_double, False, False),
+    "reg-x": (regression_single_aux, True, False),
+    "reg-xz": (regression_two_aux, True, False),
+    **{form: (functools.partial(_g_estimate, form), True, False) for form in G_FORM_IDS},
+    "f-linear": (class_F_estimate, True, False),
 }
 
 ESTIMATOR_IDS = tuple(_CATALOG)
 
 #: Estimator ids that consume plug-in (or true) optimum coefficients.
-COEFFICIENT_IDS = frozenset(("reg-x", "reg-xz", "f-linear", *G_FORM_IDS))
+COEFFICIENT_IDS = frozenset(e for e, (_, coefficients, _) in _CATALOG.items() if coefficients)
 
 
 def evaluate_estimator(
@@ -633,13 +652,10 @@ def evaluate_estimator(
     optimum parameters implied by alpha1/alpha2) and the generalized-class
     representative; when omitted it is computed from the view.
     """
-    try:
-        estimator = _CATALOG[est_id]
-    except KeyError:
-        raise EstimatorError(f"unknown estimator id {est_id!r}") from None
-    if est_id not in COEFFICIENT_IDS:
-        return estimator(view)
-    return estimator(view, plugin_coefficients(view) if coeffs is None else coeffs)
+    value, _, fell_back = evaluate_with_diagnostics(est_id, view, coeffs)
+    if fell_back:  # only the stratification estimator falls back
+        raise EstimatorError("stratification undefined: one stratum is empty")
+    return value
 
 
 def evaluate_with_diagnostics(
@@ -649,8 +665,12 @@ def evaluate_with_diagnostics(
     ``position`` reports whether its proportion estimate was clamped, and
     ``stratified`` falls back to the second-phase median on an empty
     stratum (which :func:`evaluate_estimator` rejects) and says so."""
-    if est_id == "position":
-        return _position(view)
-    if est_id == "stratified":
-        return _stratified(view)
-    return evaluate_estimator(est_id, view, coeffs), False, False
+    try:
+        estimator, coefficients, diagnostics = _CATALOG[est_id]
+    except KeyError:
+        raise EstimatorError(f"unknown estimator id {est_id!r}") from None
+    if coefficients:
+        value = estimator(view, plugin_coefficients(view) if coeffs is None else coeffs)
+    else:
+        value = estimator(view)
+    return value if diagnostics else (value, False, False)

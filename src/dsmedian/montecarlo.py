@@ -31,14 +31,13 @@ import numpy as np
 
 from .core_stats import _finite, _integers
 from .estimators import (
-    COEFFICIENT_IDS,
+    _CATALOG,
     ESTIMATOR_IDS,
     EstimatorError,
     G_FORM_IDS,
     PluginCoefficients,
     _plugin_rows,
     _views,
-    evaluate_with_diagnostics,
     true_coefficients,
 )
 from .population import Population, PopulationSummary, load_population_csv, population_summary
@@ -388,17 +387,19 @@ def _theory_variance(
 def _mse_mc_se(sq_err: np.ndarray, mse: float) -> float:
     """Monte Carlo standard error of ``mse``, the mean of ``sq_err``.  Where
     the squared deviations from a finite ``mse`` overflow, they are summed
-    relative to ``mse``; a finite direct sum keeps every bit."""
+    relative to ``mse``; a finite direct sum keeps every bit.  ``fsum`` is
+    exactly rounded whatever it sums, so it sums a list of floats, which it
+    reads faster than an array."""
     k = sq_err.size
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf where an error overflowed
         dev_sq = (sq_err - mse) ** 2
     try:
-        var_sq = math.fsum(dev_sq) / (k - 1)
+        var_sq = math.fsum(dev_sq.tolist()) / (k - 1)
     except OverflowError:  # finite terms whose sum overflows
         var_sq = math.inf
     if math.isfinite(var_sq) or not math.isfinite(mse):
         return math.sqrt(var_sq / k)
-    return mse * math.sqrt(math.fsum((sq_err / mse - 1.0) ** 2) / (k - 1) / k)
+    return mse * math.sqrt(math.fsum(((sq_err / mse - 1.0) ** 2).tolist()) / (k - 1) / k)
 
 
 def map_replicates(block: Callable[[int, int], np.ndarray], count: int, workers: int) -> np.ndarray:
@@ -451,15 +452,17 @@ def _send_block(sender, block: Callable[[int, int], np.ndarray], start: int, sto
 
 @dataclass(frozen=True, eq=False)
 class _Plan:
-    """What the replicates of a config share, with its columns: (column,
-    catalog id, whether it runs with the true coefficients)."""
+    """What the replicates of a config share, with its columns resolved
+    once through the catalog's dispatch table: (column, estimator, the
+    index of its coefficients in a replicate's (plug-ins, true ones) or
+    None where it takes none, whether it returns diagnostics)."""
 
     config: SimConfig
     pop: Population
     true_summary: PopulationSummary
     comps: VarianceComponents
     true_coeffs: PluginCoefficients | None
-    columns: tuple[tuple[int, str, bool], ...]
+    columns: tuple[tuple[int, Callable, int | None, bool], ...]
 
 
 def _plan(config: SimConfig) -> _Plan:
@@ -480,9 +483,13 @@ def _plan(config: SimConfig) -> _Plan:
         true_coeffs = true_coefficients(true_summary)
     except EstimatorError:
         true_coeffs = None  # every true-variant replicate counts as failed
-    columns = tuple((j, TRUE_VARIANT_IDS.get(e, e), e in TRUE_VARIANT_IDS)
-                    for j, e in enumerate(config.estimators))
-    return _Plan(config, pop, true_summary, variance_components(true_summary), true_coeffs, columns)
+    columns = []
+    for j, e in enumerate(config.estimators):
+        estimator, coefficients, diagnostics = _CATALOG[TRUE_VARIANT_IDS.get(e, e)]
+        source = int(e in TRUE_VARIANT_IDS) if coefficients else None
+        columns.append((j, estimator, source, diagnostics))
+    return _Plan(config, pop, true_summary, variance_components(true_summary), true_coeffs,
+                 tuple(columns))
 
 
 def _replicate_rows(plan: _Plan, start: int, stop: int) -> np.ndarray:
@@ -492,11 +499,16 @@ def _replicate_rows(plan: _Plan, start: int, stop: int) -> np.ndarray:
     and their views (:func:`~dsmedian.estimators._views`) and plug-ins
     come from the last-axis kernels, with the bits of
     ``SampleView.from_population`` and ``plugin_coefficients`` on each
-    replicate alone; every id then reads its replicate's view.  So the
-    chunk size never changes a bit.  The chunk's samples are one block of
-    streams, drawn by the one draw entry
+    replicate alone.  So the chunk size never changes a bit.  The chunk's
+    samples are one block of streams, drawn by the one draw entry
     (:func:`~dsmedian.sampling._draws`), row for row the draw of
-    ``draw_two_phase``."""
+    ``draw_two_phase``.
+
+    Each column then calls the estimator the plan resolved for it, as
+    ``evaluate_with_diagnostics`` would, with no lookup per replicate, on
+    its replicate's view; the ids that read (u, v, w) share the view's one
+    computation of them, and the plug-ins of a replicate are built once
+    for all its ids."""
     cfg, pop = plan.config, plan.pop
     ids = cfg.estimators
     try:
@@ -505,7 +517,8 @@ def _replicate_rows(plan: _Plan, start: int, stop: int) -> np.ndarray:
         raise PopulationInputError(
             f"replicates = {cfg.replicates}: the results do not fit in memory"
         ) from None
-    needs_plugin = any(e in COEFFICIENT_IDS for e in ids)
+    columns = plan.columns
+    needs_plugin = any(source == 0 for _, _, source, _ in columns)
     for lo in range(start, stop, _CHUNK):
         reps = range(lo, min(lo + _CHUNK, stop))
         first_idx, second_idx = _draws(cfg.master_seed, reps, cfg.N, cfg.n, cfg.m)
@@ -514,25 +527,34 @@ def _replicate_rows(plan: _Plan, start: int, stop: int) -> np.ndarray:
         second, first = pop.xyz.take(second_idx, axis=1), pop.xyz.take(first_idx, axis=1)[::2]
         views, ordered, meds = _views(second, first, pop.median_z, pop)
         coeffs = _plugin_rows(second, ordered, meds) if needs_plugin else [None] * len(reps)
-        for view, c, row in zip(views, coeffs, rows[lo - start:]):
-            estimates = [math.nan] * len(ids)
-            for j, base, uses_true in plan.columns:
-                cj = plan.true_coeffs if uses_true else c
-                if base in COEFFICIENT_IDS and not isinstance(cj, PluginCoefficients):
-                    continue  # the coefficients it needs are unavailable: the estimate stays NaN
+        block = rows[lo - start:lo - start + len(reps)]
+        estimates = [[math.nan] * len(ids) for _ in reps]  # written to the block at once
+        for view, plugins, values, flags in zip(views, coeffs, estimates, block):
+            # the plug-ins and the true coefficients, each None where unavailable
+            available = (plugins if isinstance(plugins, PluginCoefficients) else None,
+                         plan.true_coeffs)
+            for j, estimator, source, diagnostics in columns:
                 try:
-                    estimates[j], clamped, fell_back = evaluate_with_diagnostics(base, view, cj)
+                    if source is None:
+                        value = estimator(view)
+                    elif (c := available[source]) is not None:
+                        value = estimator(view, c)
+                    else:
+                        continue  # the coefficients it needs are unavailable: the estimate stays NaN
                 except EstimatorError:
                     continue  # the estimate stays NaN
-                if clamped or fell_back:
-                    row[1:, j] = clamped, fell_back
-            row[0] = estimates
+                if diagnostics:
+                    value, clamped, fell_back = value
+                    if clamped or fell_back:
+                        flags[1:, j] = clamped, fell_back
+                values[j] = value
+        block[:, 0] = estimates
     return rows
 
 
 def _aggregate(plan: _Plan, rows: np.ndarray, keep_estimates: bool) -> SimReport:
-    """The report of the replicate rows: per-id statistics, summed in
-    stream order."""
+    """The report of the replicate rows: per-id statistics, whose sums
+    are exactly rounded (``fsum`` over lists of floats)."""
     cfg = plan.config
     R = cfg.replicates
     estimand = plan.pop.median_y
@@ -552,10 +574,10 @@ def _aggregate(plan: _Plan, rows: np.ndarray, keep_estimates: bool) -> SimReport
         ratio = None
         if k:
             vals = col[ok]
-            mean = math.fsum(vals) / k
+            mean = math.fsum(vals.tolist()) / k
             with np.errstate(over="ignore"):  # an estimate far out squares to inf
                 sq_err = (vals - estimand) ** 2
-            mse = math.fsum(sq_err) / k
+            mse = math.fsum(sq_err.tolist()) / k
             if k > 1:
                 mse_mc_se = _mse_mc_se(sq_err, mse)
             bias = mean - estimand

@@ -21,9 +21,10 @@ or of all N units, whose last pick takes no half.  So the picks are
 :func:`_resolve` then turns a (B, k) block of picks into the B
 shuffles' outputs at once, exactly: only the steps whose pick lies below
 k or recurs can output other than their pick, and one value sort of each
-row's keys ``pick * k + i`` finds exactly those steps and orders them.
-The keys fit int64 while ``N * k <= 2**63``; only a draw over more than
-2**31.5 units can pass that, and its keys take the picks' ranks.
+row's keys ``pick << s | i``, s = (k - 1).bit_length(), finds exactly
+those steps and orders them, and a shift and a mask decode them.  The
+keys fit int64 while ``N << s <= 2**63``; only a draw over more than
+2**31 units can pass that, and its keys take the picks' ranks.
 
 One entry, :func:`_draws`, draws a block of streams, setting one Philox
 generator to each stream's start, the state a fresh
@@ -260,25 +261,31 @@ def _resolve(picks: np.ndarray, N: int) -> np.ndarray:
 
     Only positions below k have steps, so only the steps whose pick lies
     below k or recurs need either rule; every other step outputs its pick.
-    One value sort of each row's unique keys ``pick * k + i`` orders its
-    steps by (pick, step), so a pick recurs exactly where it equals a
-    neighbour's, and the steps kept are those and the picks below k.  That
-    order puts each kept step just after its previous occurrence and each
-    position's writers in step order; the last is its writer, or its own
-    self-pick, whose W is never read.  Pointer jumping over the writers,
-    whose steps strictly fall along a chain, gives every W it needs.
+    One value sort of each row's unique keys ``pick << s | i``, with
+    s = (k - 1).bit_length() so that every step i < k fits the low s bits,
+    orders its steps by (pick, step), as ``pick * k + i`` would; a mask
+    takes each step back and a shift its pick, in place of a division.  So
+    a pick recurs exactly where it equals a neighbour's, and the steps kept
+    are those and the picks below k.  That order puts each kept step just
+    after its previous occurrence and each position's writers in step
+    order; the last is its writer, or its own self-pick, whose W is never
+    read.  Pointer jumping over the writers, whose steps strictly fall
+    along a chain, gives every W it needs.
 
-    Where ``N * k`` passes 2**63 the keys would overflow int64, so they
+    Where ``N << s`` passes 2**63 the keys would overflow int64, so they
     take the picks' ranks in the block, which keep their order and ties.
     A rank is at most its pick, so the steps kept include every pick below
     k, and any other kept step's pick occurs once: it outputs that pick.
     """
     B, k = picks.shape
-    # the picks, or their ranks in the block where pick * k + i could pass int64
-    codes = np.unique(picks, return_inverse=True)[1].reshape(B, k) if N * k > _I64 else picks
-    keys = codes * k + np.arange(k)
+    s = (k - 1).bit_length()
+    # the picks, or their ranks in the block where pick << s | i could pass int64
+    codes = np.unique(picks, return_inverse=True)[1].reshape(B, k) if N << s > _I64 else picks
+    keys = codes << s
+    keys |= np.arange(k)
     keys.sort(axis=1)
-    code, step = np.divmod(keys, k, out=(keys, None))  # the codes overwrite the keys
+    step = keys & ((1 << s) - 1)
+    code = np.right_shift(keys, s, out=keys)  # the codes overwrite the keys
     if B > 1:  # flat b * k + i, ordered by (row, pick, step); one row is flat already
         step += k * np.arange(B)[:, None]
     repeat = np.zeros((B, k), dtype=bool)  # the step picks what the step before it picked

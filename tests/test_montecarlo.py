@@ -18,9 +18,13 @@ from dsmedian.core_stats import median
 from dsmedian.estimators import (
     COEFFICIENT_IDS,
     ESTIMATOR_IDS,
+    G_FORM_IDS,
     EstimatorError,
+    PluginCoefficients,
     SampleView,
     evaluate_estimator,
+    evaluate_with_diagnostics,
+    optimum_coefficients,
     plugin_coefficients,
     true_coefficients,
 )
@@ -678,6 +682,57 @@ class TestReplicateDiagnostics:
         run_simulation(cfg)
         assert len(census) == 3
         assert not any(np.array_equal(a, b) for i, a in enumerate(census) for b in census[:i])
+
+
+class TestSharedReplicateWork:
+    """What the ids of one replicate share is computed once for all of them."""
+
+    def test_ratios_once_per_replicate(self, tmp_path, monkeypatch):
+        # on a tie-heavy population whose first-phase median of x is zero in
+        # every replicate, every id that reads (u, v, w) reads its view's one
+        # computation, which says u is undefined
+        computed = []
+        real = estimators._uvw
+
+        def counting(view):
+            computed.append(view)
+            return real(view)
+
+        monkeypatch.setattr(estimators, "_uvw", counting)
+        cfg = quick_config(**{**TestReplicateDiagnostics.CONFIG, "N": 1000, "n": 500},
+                           generator=None, csv_path=_csv_sources(tmp_path, 1000)["tie-heavy"])
+        report = run_simulation(cfg)
+        assert len({id(view) for view in computed}) == len(computed) == cfg.replicates
+        for est in (*G_FORM_IDS, "f-linear", "f-linear-true"):
+            assert report.stats(est).failures == cfg.replicates, est
+
+    def test_undefined_ratio_fails_every_id(self, tmp_path):
+        # the view keeps the message, and each id raises an error of its own with it
+        pop = load_population_csv(_csv_sources(tmp_path, 1000)["tie-heavy"])
+        view = SampleView.from_population(pop, draw_two_phase(1000, 500, 4, SeedSpec(5, 0)))
+        assert view.medians.mx1 == 0.0
+        coeffs = PluginCoefficients(0.5, 0.5, 0.2, 0.1, 0.2, 0.1, 0.3, 0.2, 0.1)
+        errors = []
+        for est in (*G_FORM_IDS, "f-linear"):
+            with pytest.raises(EstimatorError,
+                               match="^first-phase median of x is zero: u undefined$") as info:
+                evaluate_with_diagnostics(est, view, coeffs)
+            errors.append(info.value)
+        assert len({id(error) for error in errors}) == len(errors)
+
+    @pytest.mark.parametrize("medians, densities, rhos, name", [
+        ((1.0, 1.0, 1.0), (1e10, 1e-300, 1.0), (0.5, 0.5, 0.5), "d1_hat"),
+        ((1.0, 1.0, 1.0), (1.0, 1e-300, 1e10), (0.5, 0.5, 0.5), "d2_hat"),
+        ((1.0, 1e-310, 1.0), (1.0, 1.0, 1.0), (0.5, 0.5, 0.5), "alpha1_hat"),
+        ((1e300, 0.0, 1.0), (1.0, 1e-10, 1.0), (0.5, 0.5, 0.5), "alpha1_star_hat"),
+        # 1 - rho_xz**2 = 2**-52 times f_y = 1e-300 is subnormal: a1 overflows, d1 does not
+        ((1.0, 1.0, 1.0), (1.0, 1e-300, 1.0), (0.9, 0.0, 1.0 - 2.0**-53), "a1_hat"),
+    ])
+    def test_optimum_names_the_first_non_finite_coefficient(self, medians, densities, rhos,
+                                                            name):
+        # the coefficients are checked once, in field order, as the public constructor does
+        with pytest.raises(EstimatorError, match=f"^non-finite coefficient {name}$"):
+            optimum_coefficients(medians, densities, rhos)
 
 
 def _squares(start: int, stop: int) -> np.ndarray:

@@ -277,6 +277,46 @@ class TestResolve:
             tracemalloc.stop()
         assert peak <= 8 * block.nbytes, peak / block.nbytes
 
+    @pytest.mark.parametrize("k", [1, 2, 511, 512, 513])
+    def test_decode_at_shift_boundaries(self, k):
+        # a key's low s = (k - 1).bit_length() bits hold its step: none at
+        # k = 1, all 9 filled at k = 512, a tenth from k = 513; the rows take
+        # uniform picks, every pick the last position, a writer chain and
+        # self-picks
+        N = 2 * k + 3
+        block = np.stack([np.random.default_rng(k).integers(np.arange(k), N), np.full(k, N - 1),
+                          np.minimum(np.arange(1, k + 1), N - 1), np.arange(k)])
+        for row, picks in zip(_resolve(block, N), block):
+            assert np.array_equal(row, swap_loop(picks, N)), k
+
+    @pytest.mark.parametrize("N, ranked", [(2**53, False), (2**53 + 1, True)])
+    def test_keys_take_ranks_where_the_shift_passes_2_63(self, N, ranked, monkeypatch):
+        # at k = 513 the picks shift by 10 bits: at N = 2**53, N << 10 is
+        # 2**63 and every key fits int64; one unit more takes the ranks,
+        # though N * k is still below 2**63
+        k = 513
+        i = np.arange(k)
+        uniform = np.random.default_rng(7).integers(i, N)
+        block = np.stack([uniform, np.where(i % 3 == 0, N - 1, np.where(i % 3 == 1, i, uniform))])
+        ranks = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **kw: ranks.append(1) or unique(*a, **kw))
+        got = _resolve(block, N)
+        assert bool(ranks) == ranked
+        for row, picks in zip(got, block):
+            assert np.array_equal(row, sparse_swap_loop(picks)), N
+
+    def test_empty_block(self):
+        # srswor draws no second phase: a (1, 0) block of picks
+        for N in (1, 10):
+            got = _resolve(np.empty((1, 0), dtype=np.int64), N)
+            assert got.shape == (1, 0) and got.dtype == np.int64
+        first, second = _draws(2002, [3], 10, 4)
+        assert second.shape == (1, 0)
+        expected = reference_sample_indices(SeedSpec(2002, 3).generator(), 10, 4)
+        assert np.array_equal(first[0], np.sort(expected))
+        assert np.array_equal(srswor(10, 4, SeedSpec(2002, 3)), np.sort(expected))
+
 
 def integers_picks(r, N, n, m):
     """Stream r's first-phase picks over range(N), then its second-phase
