@@ -7,11 +7,11 @@ Run:  python3 demos/03_variance_theory.py
 from dsmedian import (
     DesignSizes,
     PopulationSummary,
+    composite_concordance,
     min_var_F,
     min_var_H,
     min_var_g,
-    optimum_F_derivatives,
-    optimum_g_derivatives,
+    true_coefficients,
     var_class_F,
     var_class_g,
     var_sample_median,
@@ -49,14 +49,17 @@ print("\nexact efficiency gaps:")
 print(f"  one-aux vs two-aux  = theta_nN * V2 = {sizes.theta_nN * comps.V2:.7f}")
 print(f"  two-aux vs general  = theta_mn * V3 = {sizes.theta_mn * comps.V3:.7f}")
 
-og = optimum_g_derivatives(summary)
-print(f"\noptimum two-ratio derivatives: g1 = {og.g1:+.4f}, g2 = {og.g2:+.4f}")
-print(f"variance at the optimum: {var_class_g(sizes, summary, og.g1, og.g2):.7f}"
+# the optimum derivatives are the negated true optimum coefficients
+coeffs = true_coefficients(summary)
+g1, g2 = (-a for a in coeffs.alphas())
+print(f"\noptimum two-ratio derivatives: g1 = {g1:+.4f}, g2 = {g2:+.4f}")
+print(f"variance at the optimum: {var_class_g(sizes, summary, g1, g2):.7f}"
       f"  (equals the closed-form minimum)")
 print(f"variance at (0, 0):      {var_class_g(sizes, summary, 0.0, 0.0):.7f}"
       f"  (back to the plain median)")
 
-of = optimum_F_derivatives(summary)
-print(f"\ngeneralized-class optimum: F2 = {of.F2:+.4f}, F3 = {of.F3:+.4f}, "
-      f"F4 = {of.F4:+.4f}  (composite D = {of.D:+.4f})")
-print(f"variance at the optimum: {var_class_F(sizes, summary, of.F2, of.F3, of.F4):.7f}")
+f2, f3, f4 = (-a for a in coeffs.generalized())
+d = composite_concordance(*summary.concordances)
+print(f"\ngeneralized-class optimum: F2 = {f2:+.4f}, F3 = {f3:+.4f}, "
+      f"F4 = {f4:+.4f}  (composite D = {d:+.4f})")
+print(f"variance at the optimum: {var_class_F(sizes, summary, f2, f3, f4):.7f}")

@@ -9,12 +9,10 @@ Run:  python3 demos/04_cost_allocation.py
 """
 
 from dsmedian import (
+    STRATEGIES,
     CostModel,
     VarianceComponents,
-    allocate_F,
-    allocate_H,
-    allocate_g,
-    allocate_single,
+    allocate,
     grid_search_allocation,
     profitability_report,
 )
@@ -27,9 +25,8 @@ print("budget 100, unit costs (y, x, z) = (4.0, 0.7, 0.3)")
 print("components V0..V3 =", (comps.V0, comps.V1, comps.V2, comps.V3))
 print()
 print(f"{'strategy':>10s} {'m*':>8s} {'n*':>8s} {'opt var':>10s} {'grid (m, n)':>12s} {'grid var':>10s}")
-for name, fn in (("single", allocate_single), ("H", allocate_H),
-                 ("g", allocate_g), ("F", allocate_F)):
-    res = fn(cost, comps, N)
+for name in STRATEGIES:
+    res = allocate(name, cost, comps, N)
     if not res.feasible:
         print(f"{name:>10s} infeasible: {res.note}")
         continue

@@ -36,7 +36,7 @@ print(header)
 for row in report.rows:
     theory = f"{row.theory_variance:9.5f}" if row.theory_variance is not None else "        -"
     ratio = f"{row.mse_theory_ratio:6.3f}" if row.mse_theory_ratio is not None else "     -"
-    print(f"{row.est_id:>12s} {row.mean:8.4f} {100 * row.relative_bias:+8.3f}% "
+    print(f"{row.estimator:>12s} {row.mean:8.4f} {100 * row.relative_bias:+8.3f}% "
           f"{row.mse:9.5f} {theory} {ratio}")
 
 print("\nsame seed, same config -> bit-identical report:",

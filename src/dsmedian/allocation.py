@@ -37,10 +37,6 @@ __all__ = [
     "Verdict",
     "ProfitabilityReport",
     "allocate",
-    "allocate_single",
-    "allocate_H",
-    "allocate_g",
-    "allocate_F",
     "grid_search_allocation",
     "profitability_report",
     "STRATEGIES",
@@ -120,9 +116,8 @@ def _strategy_terms(strategy: str, comps: VarianceComponents, cost: CostModel):
     )
 
 
-def allocate_single(cost: CostModel, comps: VarianceComponents, N: int) -> AllocationResult:
+def _allocate_single(cost: CostModel, comps: VarianceComponents, N: int) -> AllocationResult:
     """Single-phase optimum: spend everything on y, m = C0/C1."""
-    _check("single", N)
     m_real = cost.c0 / cost.c1
     if m_real < 1.0:
         return AllocationResult("single", note="budget below the cost of one observation")
@@ -144,7 +139,6 @@ def allocate_single(cost: CostModel, comps: VarianceComponents, N: int) -> Alloc
 def _allocate_two_phase(
     strategy: str, cost: CostModel, comps: VarianceComponents, N: int
 ) -> AllocationResult:
-    _check(strategy, N)
     if strategy == "F" and comps.V3 is None:
         return AllocationResult("F", note=_NO_V3)
     a_coef, b_coef, k_coef, cn = _strategy_terms(strategy, comps, cost)
@@ -199,25 +193,13 @@ def _allocate_two_phase(
     )
 
 
-def allocate_H(cost: CostModel, comps: VarianceComponents, N: int) -> AllocationResult:
-    """Optimal (m, n) for the single-auxiliary strategy under C1*m + C2*n = C0."""
-    return _allocate_two_phase("H", cost, comps, N)
-
-
-def allocate_g(cost: CostModel, comps: VarianceComponents, N: int) -> AllocationResult:
-    """Optimal (m, n) for the two-auxiliary strategy under C1*m + (C2+C3)*n = C0."""
-    return _allocate_two_phase("g", cost, comps, N)
-
-
-def allocate_F(cost: CostModel, comps: VarianceComponents, N: int) -> AllocationResult:
-    """Optimal (m, n) for the generalized strategy under C1*m + (C2+C3)*n = C0."""
-    return _allocate_two_phase("F", cost, comps, N)
-
-
 def allocate(strategy: str, cost: CostModel, comps: VarianceComponents, N: int) -> AllocationResult:
-    """The named strategy's closed-form allocation."""
+    """The named strategy's closed-form optimum (m, n) under
+    C1*m + cn*n = C0, cn its first-phase cost (C2 for H, C2 + C3 for g
+    and F); single spends the whole budget on y, m = C0/C1."""
+    _check(strategy, N)
     if strategy == "single":
-        return allocate_single(cost, comps, N)
+        return _allocate_single(cost, comps, N)
     return _allocate_two_phase(strategy, cost, comps, N)
 
 

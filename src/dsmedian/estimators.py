@@ -41,9 +41,7 @@ __all__ = [
     "PluginCoefficients",
     "GForm",
     "ratio_known",
-    "position_estimator",
     "position_probability",
-    "stratification_estimator",
     "ratio_double",
     "optimum_coefficients",
     "composite_concordance",
@@ -242,17 +240,16 @@ Estimate = tuple[float, bool, bool]
 
 
 def _position(view: SampleView) -> Estimate:
+    """Position estimator: invert the second-phase ECDF of y at the
+    auxiliary-stratified proportion estimate."""
     _, p_hat, clamped = position_probability(view)
     return float(_quantile_sorted(view.sorted_y_m, p_hat)), clamped, False
 
 
-def position_estimator(view: SampleView) -> float:
-    """Position estimator: invert the second-phase ECDF of y at the
-    auxiliary-stratified proportion estimate."""
-    return _position(view)[0]
-
-
 def _stratified(view: SampleView) -> Estimate:
+    """Stratification estimator: the smallest y where the average of the
+    two within-stratum ECDFs (strata split at the known median of x)
+    reaches 0.5; an empty stratum falls back to the sample median."""
     mx_known = _require_known_mx(view)
     low = view.x_m <= mx_known
     y_low = np.sort(view.y_m[low])
@@ -264,13 +261,6 @@ def _stratified(view: SampleView) -> Estimate:
     f_high = np.searchsorted(y_high, ys, side="right") / y_high.size
     f_avg = 0.5 * (f_low + f_high)
     return float(ys[int(np.argmax(f_avg >= 0.5))]), False, False
-
-
-def stratification_estimator(view: SampleView) -> float:
-    """Smallest y where the average of the two within-stratum ECDFs
-    (strata split at the known median of x) reaches 0.5; an empty stratum
-    raises (:func:`evaluate_with_diagnostics` falls back instead)."""
-    return evaluate_estimator("stratified", view)
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +347,14 @@ def optimum_coefficients(
         alpha2 = alpha2_star / my
     denom = 1.0 - rho_xz * rho_xz
     if denom > 0.0:
-        d_x = rho_xy - rho_yz * rho_xz
-        a1 = d_x * mx * fx / (denom * fy)
-        a2 = rho_xz * d_x * mz * fz / (denom * fy)
-        a3 = composite_concordance(rho_xy, rho_yz, rho_xz) * mz * fz / (denom * fy)
+        scale = denom * fy
+        if scale == 0.0:  # the positive product underflowed: a1..a3 are not finite
+            a1 = a2 = a3 = math.inf
+        else:
+            d_x = rho_xy - rho_yz * rho_xz
+            a1 = d_x * mx * fx / scale
+            a2 = rho_xz * d_x * mz * fz / scale
+            a3 = composite_concordance(rho_xy, rho_yz, rho_xz) * mz * fz / scale
     coefficients = dict(
         d1_hat=(fx / fy) * rho_xy,
         d2_hat=(fz / fy) * rho_yz,

@@ -295,7 +295,7 @@ class SimConfig:
 class EstimatorStats:
     """Aggregated Monte Carlo results for one estimator."""
 
-    est_id: str
+    estimator: str
     replicates_ok: int
     mean: float
     bias: float
@@ -307,12 +307,6 @@ class EstimatorStats:
     failures: int
     clamps: int
     fallbacks: int
-
-
-def _report_row(row: EstimatorStats) -> dict:
-    """One row keyed by its report column names (``est_id`` is ``estimator``)."""
-    d = asdict(row)
-    return {"estimator": d.pop("est_id"), **d}
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,22 +335,22 @@ class SimReport:
             "estimand": self.estimand,
             "summary_source": self.summary_source,
             "valid": self.valid,
-            "estimators": [_report_row(r) for r in self.rows],
+            "estimators": [asdict(r) for r in self.rows],
         }
 
     def csv_header(self) -> list[str]:
-        return ["estimator", *(f.name for f in fields(EstimatorStats)[1:])]
+        return [f.name for f in fields(EstimatorStats)]
 
     def csv_rows(self) -> list[list]:
         # repr keeps every bit of a float; a missing theory value is an empty cell
         return [
-            [r.est_id, *("" if v is None else repr(v) for v in astuple(r)[1:])]
+            [r.estimator, *("" if v is None else repr(v) for v in astuple(r)[1:])]
             for r in self.rows
         ]
 
     def stats(self, est_id: str) -> EstimatorStats:
         for row in self.rows:
-            if row.est_id == est_id:
+            if row.estimator == est_id:
                 return row
         raise KeyError(est_id)
 
@@ -585,7 +579,7 @@ def _aggregate(plan: _Plan, rows: np.ndarray, keep_estimates: bool) -> SimReport
             ratio = mse / theory if theory else None
         stats.append(
             EstimatorStats(
-                est_id=est,
+                estimator=est,
                 replicates_ok=k,
                 mean=mean,
                 bias=bias,

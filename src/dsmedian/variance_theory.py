@@ -1,4 +1,4 @@
-"""Closed-form first-order variances, optimum derivatives, minimum variances.
+"""Closed-form first-order variances and minimum variances.
 
 All formulas are expressed through three finite-population factors
 
@@ -23,12 +23,12 @@ so the efficiency ordering F <= g <= H <= median holds identically, with
 the g-vs-H gap exactly theta_nN*V2 and the F-vs-g gap exactly theta_mn*V3.
 
 Every formula reads a summary's concordances through
-:attr:`PopulationSummary.concordances`, clamped into [-1, 1], and the
-optimum derivatives are :func:`true_coefficients` of the summary, the same
-values the ``*-true`` estimators run with.  Only the generalized class
-needs 1 - rho_xz^2 > 0: at |rho_xz| = 1 (collinear auxiliaries) V3 is None
-and min var (F) and the optimum F derivatives raise, while V0..V2 and
-every other class stay defined.
+:attr:`PopulationSummary.concordances`, clamped into [-1, 1].  The optimum
+derivatives are the negated :func:`~dsmedian.estimators.true_coefficients`
+of the summary, the same values the ``*-true`` estimators run with.  Only
+the generalized class needs 1 - rho_xz^2 > 0: at |rho_xz| = 1 (collinear
+auxiliaries) V3 is None, and min var (F) and the true coefficients'
+``generalized()`` raise, while V0..V2 and every other class stay defined.
 """
 
 from __future__ import annotations
@@ -37,21 +37,17 @@ import math
 from dataclasses import dataclass
 
 from .core_stats import _finite, _integers
-from .estimators import composite_concordance, true_coefficients
+from .estimators import composite_concordance
 from .population import PopulationSummary
 
 __all__ = [
     "DesignSizes",
     "VarianceComponents",
-    "OptimumGDerivatives",
-    "OptimumFDerivatives",
     "var_sample_median",
     "var_class_g",
-    "optimum_g_derivatives",
     "min_var_g",
     "min_var_H",
     "var_class_F",
-    "optimum_F_derivatives",
     "min_var_F",
     "variance_components",
 ]
@@ -164,42 +160,15 @@ def var_class_g(
     sizes: DesignSizes, summary: PopulationSummary, g1_deriv: float, g2_deriv: float
 ) -> float:
     """First-order variance of the two-ratio class at derivatives
-    (g1, g2) = (dg/du, dg/dv) at (1, 1)."""
+    (g1, g2) = (dg/du, dg/dv) at (1, 1).  The optimum derivatives are the
+    negated alphas of the summary's true coefficients,
+    ``-a for a in true_coefficients(summary).alphas()``."""
     rx, rz = _scale_ratios(summary.median_y * summary.density_y, summary)
     rho_xy, rho_yz, _ = summary.concordances
     a_term = rx * g1_deriv * (rx * g1_deriv + 2.0 * rho_xy)
     b_term = rz * g2_deriv * (rz * g2_deriv + 2.0 * rho_yz)
     v0 = VarianceComponents.scaled_v0(1.0, summary.density_y)
     return v0 * (sizes.theta_mN + sizes.theta_mn * a_term + sizes.theta_nN * b_term)
-
-
-@dataclass(frozen=True)
-class OptimumGDerivatives:
-    """Variance-minimizing derivatives of the two-ratio class, with the
-    optimum parameters in their three published normalizations."""
-
-    g1: float
-    g2: float
-    alpha1: float
-    alpha2: float
-    alpha1_star: float
-    alpha2_star: float
-
-
-def optimum_g_derivatives(summary: PopulationSummary) -> OptimumGDerivatives:
-    """(g1, g2) = -(alpha1, alpha2) with alpha1 = (scale_x/scale_y) rho_xy
-    and alpha2 = (scale_z/scale_y) rho_yz, and the starred variants that
-    keep the M_y factor out."""
-    c = true_coefficients(summary)
-    alpha1, alpha2 = c.alphas()
-    return OptimumGDerivatives(
-        g1=-alpha1,
-        g2=-alpha2,
-        alpha1=alpha1,
-        alpha2=alpha2,
-        alpha1_star=c.alpha1_star_hat,
-        alpha2_star=c.alpha2_star_hat,
-    )
 
 
 def min_var_g(sizes: DesignSizes, comps: VarianceComponents) -> float:
@@ -227,7 +196,11 @@ def var_class_F(
     f4_deriv: float,
 ) -> float:
     """First-order variance of the generalized class at derivatives
-    (F2, F3, F4) with respect to (u, v, w) at the expansion point."""
+    (F2, F3, F4) with respect to (u, v, w) at the expansion point.  The
+    optimum derivatives are the negated a1..a3 of the summary's true
+    coefficients, ``-a for a in true_coefficients(summary).generalized()``;
+    D = rho_yz - rho_xy*rho_xz (:func:`composite_concordance`) drives
+    their extra V3 gain."""
     cx, cz = _scale_ratios(summary.density_y, summary)
     rho_xy, rho_yz, rho_xz = summary.concordances
     a1_term = 1.0 + (cz * f4_deriv) ** 2 + 2.0 * rho_yz * cz * f4_deriv
@@ -242,40 +215,6 @@ def var_class_F(
     v0 = VarianceComponents.scaled_v0(1.0, summary.density_y)
     return v0 * (
         sizes.theta_mN * a1_term + sizes.theta_mn * a2_term + sizes.theta_nN * a3_term
-    )
-
-
-@dataclass(frozen=True)
-class OptimumFDerivatives:
-    """Variance-minimizing derivatives of the generalized class.
-
-    (F2, F3, F4) = (-a1, -a2, -a3); D = rho_yz - rho_xy*rho_xz is the
-    composite association driving the extra V3 gain.
-    """
-
-    F2: float
-    F3: float
-    F4: float
-    D: float
-    a1: float
-    a2: float
-    a3: float
-
-
-def optimum_F_derivatives(summary: PopulationSummary) -> OptimumFDerivatives:
-    """Closed-form optimum derivatives of the generalized class."""
-    c = true_coefficients(summary)
-    if c.a1_hat is None:
-        raise ValueError("auxiliary collinearity: |rho_xz| = 1")
-    d = composite_concordance(*summary.concordances)
-    return OptimumFDerivatives(
-        F2=-c.a1_hat,
-        F3=-c.a2_hat,
-        F4=-c.a3_hat,
-        D=d,
-        a1=c.a1_hat,
-        a2=c.a2_hat,
-        a3=c.a3_hat,
     )
 
 

@@ -33,9 +33,6 @@ from conftest import random_summary, realizable_concordances
 from dsmedian.allocation import (
     CostModel,
     allocate,
-    allocate_F,
-    allocate_H,
-    allocate_g,
     grid_search_allocation,
 )
 from dsmedian.allocation import _strategy_terms
@@ -45,6 +42,7 @@ from dsmedian.estimators import (
     SampleView,
     evaluate_estimator,
     plugin_coefficients,
+    true_coefficients,
 )
 from dsmedian.montecarlo import (
     POPULATION_STREAM,
@@ -63,8 +61,6 @@ from dsmedian.variance_theory import (
     min_var_F,
     min_var_H,
     min_var_g,
-    optimum_F_derivatives,
-    optimum_g_derivatives,
     var_class_F,
     var_class_g,
 )
@@ -140,8 +136,8 @@ def test_criterion_2_optimum_stationarity():
     sizes = DesignSizes(m=60, n=240, N=6000)
     for _ in range(100):
         s = random_summary(rng)
-        og = optimum_g_derivatives(s)
-        opt_g = (og.g1, og.g2)
+        c = true_coefficients(s)
+        opt_g = tuple(-a for a in c.alphas())
         base = var_class_g(sizes, s, *opt_g)
         for i in range(2):
             step = 1e-3 * max(1.0, abs(opt_g[i]))
@@ -154,8 +150,7 @@ def test_criterion_2_optimum_stationarity():
             curv = abs(up - 2 * base + dn) / step**2
             assert abs(grad) <= 1e-6 * max(curv * max(1.0, abs(opt_g[i])), 1e-12)
 
-        of = optimum_F_derivatives(s)
-        opt_f = (of.F2, of.F3, of.F4)
+        opt_f = tuple(-a for a in c.generalized())
         base_f = var_class_F(sizes, s, *opt_f)
         for i in range(3):
             step = 1e-3 * max(1.0, abs(opt_f[i]))
@@ -298,12 +293,12 @@ def test_criterion_6_allocation_vs_oracle():
 
     # worked examples: strict (m, n) within one unit and variance within 0.5%
     worked = (
-        (allocate_H(CostModel(100.0, 4.0, 1.0, 0.5),
-                    VarianceComponents(1.0, 0.64, 0.36, 0.0), big_n), "H"),
-        (allocate_g(CostModel(100.0, 4.0, 0.7, 0.3),
-                    VarianceComponents(1.0, 0.64, 0.36, 0.0), big_n), "g"),
-        (allocate_F(CostModel(100.0, 4.0, 0.7, 0.3),
-                    VarianceComponents(1.0, 0.5, 0.25, 0.05), big_n), "F"),
+        (allocate("H", CostModel(100.0, 4.0, 1.0, 0.5),
+                  VarianceComponents(1.0, 0.64, 0.36, 0.0), big_n), "H"),
+        (allocate("g", CostModel(100.0, 4.0, 0.7, 0.3),
+                  VarianceComponents(1.0, 0.64, 0.36, 0.0), big_n), "g"),
+        (allocate("F", CostModel(100.0, 4.0, 0.7, 0.3),
+                  VarianceComponents(1.0, 0.5, 0.25, 0.05), big_n), "F"),
     )
     expected = {"H": (15.0, 40.0, 0.04), "g": (17.3496, 30.6018, 0.029900),
                 "F": (17.7526, 28.9898, 0.035697)}

@@ -9,10 +9,6 @@ from conftest import realizable_concordances
 from dsmedian.allocation import (
     CostModel,
     allocate,
-    allocate_F,
-    allocate_H,
-    allocate_g,
-    allocate_single,
     grid_search_allocation,
     profitability_report,
 )
@@ -68,22 +64,22 @@ class TestUnits:
 
 class TestAllocateSingle:
     def test_worked_example(self):
-        r = allocate_single(CostModel(100.0, 4.0, 1.0, 0.5), COMPS, BIG_N)
+        r = allocate("single", CostModel(100.0, 4.0, 1.0, 0.5), COMPS, BIG_N)
         assert r.m_real == 25.0
         assert r.variance_large_n == pytest.approx(0.04, abs=1e-15)
 
     def test_budget_doubling_halves_variance(self):
-        r1 = allocate_single(CostModel(100.0, 4.0, 1.0, 0.5), COMPS, BIG_N)
-        r2 = allocate_single(CostModel(200.0, 4.0, 1.0, 0.5), COMPS, BIG_N)
+        r1 = allocate("single", CostModel(100.0, 4.0, 1.0, 0.5), COMPS, BIG_N)
+        r2 = allocate("single", CostModel(200.0, 4.0, 1.0, 0.5), COMPS, BIG_N)
         assert r2.variance_large_n == pytest.approx(r1.variance_large_n / 2, rel=1e-12)
 
     def test_census_budget(self):
         # budget buys the whole population: finite-N variance reaches zero
-        r = allocate_single(CostModel(400.0, 4.0, 1.0, 0.5), COMPS, N=100)
+        r = allocate("single", CostModel(400.0, 4.0, 1.0, 0.5), COMPS, N=100)
         assert r.opt_variance == pytest.approx(0.0, abs=1e-15)
 
     def test_infeasible(self):
-        r = allocate_single(CostModel(3.0, 4.0, 1.0, 0.5), COMPS, BIG_N)
+        r = allocate("single", CostModel(3.0, 4.0, 1.0, 0.5), COMPS, BIG_N)
         assert not r.feasible
 
     def test_unknown_strategy(self):
@@ -94,7 +90,7 @@ class TestAllocateSingle:
 
 class TestAllocateH:
     def test_worked_example(self):
-        r = allocate_H(COST_H, COMPS, BIG_N)
+        r = allocate("H", COST_H, COMPS, BIG_N)
         assert r.m_real == pytest.approx(15.0, rel=1e-12)
         assert r.n_real == pytest.approx(40.0, rel=1e-12)
         assert r.variance_large_n == pytest.approx(0.04, rel=1e-12)
@@ -102,19 +98,19 @@ class TestAllocateH:
 
     def test_degenerate_v1(self):
         comps = VarianceComponents(V0=1.0, V1=0.0, V2=0.0, V3=0.0)
-        r = allocate_H(COST_H, comps, BIG_N)
+        r = allocate("H", COST_H, comps, BIG_N)
         assert not r.feasible
         assert "single-phase" in r.note
 
     def test_near_total_association_infeasible(self):
         comps = VarianceComponents(V0=1.0, V1=0.999999, V2=0.0, V3=0.0)
-        r = allocate_H(COST_H, comps, BIG_N)
+        r = allocate("H", COST_H, comps, BIG_N)
         assert not r.feasible  # continuous optimum pushes m below 2
 
 
 class TestAllocateG:
     def test_worked_example(self):
-        r = allocate_g(COST_G, COMPS, BIG_N)
+        r = allocate("g", COST_G, COMPS, BIG_N)
         assert r.m_real == pytest.approx(17.3496, abs=1e-3)
         assert r.n_real == pytest.approx(30.6018, abs=1e-3)
         assert r.variance_large_n == pytest.approx(0.029900, abs=5e-7)
@@ -126,15 +122,15 @@ class TestAllocateG:
         # V2 = 0 and a vanishing z-cost: same allocation as the H strategy
         cost = CostModel(c0=100.0, c1=4.0, c2=1.0, c3=1e-9)
         comps = VarianceComponents(V0=1.0, V1=0.64, V2=0.0, V3=0.0)
-        rg = allocate_g(cost, comps, BIG_N)
-        rh = allocate_H(cost, comps, BIG_N)
+        rg = allocate("g", cost, comps, BIG_N)
+        rh = allocate("H", cost, comps, BIG_N)
         assert rg.m_real == pytest.approx(rh.m_real, rel=1e-6)
         assert rg.n_real == pytest.approx(rh.n_real, rel=1e-6)
         assert rg.variance_large_n == pytest.approx(rh.variance_large_n, rel=1e-6)
 
     def test_infeasible_when_v2_exceeds_v1(self):
         comps = VarianceComponents(V0=1.0, V1=0.2, V2=0.3, V3=0.0)
-        r = allocate_g(COST_G, comps, BIG_N)
+        r = allocate("g", COST_G, comps, BIG_N)
         assert not r.feasible
         assert "second auxiliary removes first-phase value" in r.note
 
@@ -142,7 +138,7 @@ class TestAllocateG:
         for _ in range(50):
             comps = random_components(rng)
             cost = random_cost(rng)
-            r = allocate_g(cost, comps, BIG_N)
+            r = allocate("g", cost, comps, BIG_N)
             if r.m_real is None or r.n_real is None:
                 continue
             cn = cost.c2 + cost.c3
@@ -153,7 +149,7 @@ class TestAllocateG:
 
 class TestAllocateF:
     def test_worked_example(self):
-        r = allocate_F(COST_G, COMPS_F, BIG_N)
+        r = allocate("F", COST_G, COMPS_F, BIG_N)
         assert r.m_real == pytest.approx(17.7526, abs=1e-3)
         assert r.n_real == pytest.approx(28.9898, abs=1e-3)
         assert r.variance_large_n == pytest.approx(0.035697, abs=5e-7)
@@ -163,21 +159,21 @@ class TestAllocateF:
 
     def test_v3_zero_identical_to_g(self):
         comps = VarianceComponents(V0=1.0, V1=0.5, V2=0.25, V3=0.0)
-        rf = allocate_F(COST_G, comps, BIG_N)
-        rg = allocate_g(COST_G, comps, BIG_N)
+        rf = allocate("F", COST_G, comps, BIG_N)
+        rg = allocate("g", COST_G, comps, BIG_N)
         assert rf.m_real == rg.m_real and rf.n_real == rg.n_real
         assert rf.opt_variance == rg.opt_variance
 
     def test_infeasible_names_inequality(self):
         comps = VarianceComponents(V0=1.0, V1=0.7, V2=0.2, V3=0.35)
-        r = allocate_F(COST_G, comps, BIG_N)
+        r = allocate("F", COST_G, comps, BIG_N)
         assert not r.feasible
         assert "V0 - V1 - V3" in r.note
 
     def test_collinear_auxiliaries_infeasible(self):
         # an infeasible result is its strategy and note, every other field its default
         comps = VarianceComponents(V0=1.0, V1=0.5, V2=0.25, V3=None)
-        for r in (allocate_F(COST_G, comps, BIG_N),
+        for r in (allocate("F", COST_G, comps, BIG_N),
                   grid_search_allocation(COST_G, comps, BIG_N, "F")):
             assert dataclasses.asdict(r) == {
                 "strategy": "F", "m_real": None, "n_real": None, "m_int": None, "n_int": None,
@@ -189,7 +185,7 @@ class TestAllocateF:
 class TestGridSearch:
     def test_h_worked_example(self):
         g = grid_search_allocation(COST_H, COMPS, BIG_N, "H")
-        r = allocate_H(COST_H, COMPS, BIG_N)
+        r = allocate("H", COST_H, COMPS, BIG_N)
         assert abs(g.m_int - 15) <= 1 and abs(g.n_int - 40) <= 1
         assert g.opt_variance <= r.opt_variance * 1.005
 
@@ -270,13 +266,13 @@ class TestFloatRange:
     def test_overflowing_second_phase_cost(self):
         # c1 * m_int overflows, so no n fits the budget at the rounded m
         comps = VarianceComponents(V0=1e-3, V1=5e-4, V2=1e-4, V3=0.0)
-        r = allocate_H(CostModel(1e308, 1e308, 300.0, 2.5), comps, 5)
+        r = allocate("H", CostModel(1e308, 1e308, 300.0, 2.5), comps, 5)
         assert not r.feasible and r.m_int is None and r.n_int is None
         assert r.note.endswith("no integer n > m fits the budget at the rounded m")
 
     def test_overflowing_first_phase_budget(self):
         # (c0 - c1 m_int) / cn overflows while n_real stays finite: n is capped at N
-        r = allocate_g(TINY_CN, COMPS, 50)
+        r = allocate("g", TINY_CN, COMPS, 50)
         assert r.feasible and (r.m_int, r.n_int) == (11, 50)
 
 
@@ -327,9 +323,9 @@ class TestProfitability:
             c1 = 10.0 ** rng.uniform(0, 1.3)
             c2 = c1 * rng.uniform(0.2, 0.9)
             cost = CostModel(c0=2000.0, c1=c1, c2=c2, c3=c2 * 1e-9)
-            rh = allocate_H(cost, comps, BIG_N)
-            rg = allocate_g(cost, comps, BIG_N)
-            rf = allocate_F(cost, comps, BIG_N)
+            rh = allocate("H", cost, comps, BIG_N)
+            rg = allocate("g", cost, comps, BIG_N)
+            rf = allocate("F", cost, comps, BIG_N)
             if not (rh.feasible and rg.feasible and rf.feasible):
                 continue
             assert rf.variance_large_n <= rg.variance_large_n * (1 + 1e-9)

@@ -29,13 +29,11 @@ from dsmedian.estimators import (
     gform_estimated_optimum,
     optimum_coefficients,
     plugin_coefficients,
-    position_estimator,
     position_probability,
     ratio_double,
     ratio_known,
     regression_single_aux,
     regression_two_aux,
-    stratification_estimator,
     true_coefficients,
 )
 from dsmedian.population import PopulationSummary
@@ -313,18 +311,18 @@ class TestPositionEstimator:
         raw, clamped, fired = position_probability(v)
         assert raw == pytest.approx(0.5, abs=1e-15)
         assert not fired
-        assert position_estimator(v) == 2.0
+        assert evaluate_estimator("position", v) == 2.0
 
     def test_needs_two_units(self):
         v = make_view(y_m=[7], x_m=[-1], z_m=[0], x_n=[-1, 1], z_n=[0, 1], known_mz=1.0,
                       known_mx=0.0)
         with pytest.raises(EstimatorError, match="^position estimator needs m >= 2$"):
-            position_estimator(v)
+            evaluate_estimator("position", v)
 
     def test_two_point_hand_example(self):
         v = make_view(y_m=[7, 9], x_m=[-1, 1], z_m=[0, 1], x_n=[-1, 1, 0], z_n=[0, 1, 2],
                       known_mz=1.0, known_mx=0.0)
-        assert position_estimator(v) == 7.0
+        assert evaluate_estimator("position", v) == 7.0
 
     def test_concordant_data_recovers_median(self, rng):
         # x and y are the same sequence, the known split is the true center
@@ -334,13 +332,13 @@ class TestPositionEstimator:
             v = make_view(y_m=vals, x_m=vals, z_m=rng.normal(size=m),
                           x_n=np.concatenate([vals, rng.normal(size=4)]),
                           z_n=rng.normal(size=m + 4), known_mz=0.0, known_mx=float(np.median(vals)))
-            assert position_estimator(v) == oracle_quantile(list(vals), 0.5)
+            assert evaluate_estimator("position", v) == oracle_quantile(list(vals), 0.5)
 
     def test_one_sided_strata_allowed(self):
         v = make_view(y_m=[1, 2, 3, 4], x_m=[1, 2, 3, 4], z_m=[0, 0, 1, 1],
                       x_n=[1, 2, 3, 4, 5], z_n=[0, 0, 1, 1, 2], known_mz=1.0, known_mx=0.0)
         # every x above the known median: m_x = 0, only the p12 term remains
-        est = position_estimator(v)
+        est = evaluate_estimator("position", v)
         assert est in (1.0, 2.0, 3.0, 4.0)
 
     def test_clamp_fires_on_tiny_probability(self):
@@ -352,30 +350,30 @@ class TestPositionEstimator:
         assert raw == pytest.approx(0.0, abs=1e-15)
         assert clamped == 0.25
         assert fired
-        assert position_estimator(v) == 1.0
+        assert evaluate_estimator("position", v) == 1.0
 
 
 class TestStratificationEstimator:
     def test_hand_example(self):
         v = make_view(y_m=[1, 2, 3, 4], x_m=[-1, -2, 1, 2], z_m=[0, 0, 1, 1],
                       x_n=[-1, -2, 1, 2, 0], z_n=[0, 0, 1, 1, 2], known_mz=1.0, known_mx=0.0)
-        assert stratification_estimator(v) == 2.0
+        assert evaluate_estimator("stratified", v) == 2.0
 
     def test_identical_strata(self):
         v = make_view(y_m=[1, 2, 3, 1, 2, 3], x_m=[-1, -2, -3, 1, 2, 3], z_m=[0] * 6,
                       x_n=[-1, -2, -3, 1, 2, 3, 0], z_n=[0] * 7, known_mz=0.0, known_mx=0.0)
-        assert stratification_estimator(v) == 2.0
+        assert evaluate_estimator("stratified", v) == 2.0
 
     def test_singleton_strata(self):
         v = make_view(y_m=[5, 5], x_m=[-1, 1], z_m=[0, 1], x_n=[-1, 1, 0], z_n=[0, 1, 2],
                       known_mz=1.0, known_mx=0.0)
-        assert stratification_estimator(v) == 5.0
+        assert evaluate_estimator("stratified", v) == 5.0
 
     def test_empty_stratum_raises(self):
         v = make_view(y_m=[1, 2, 3], x_m=[1, 2, 3], z_m=[0, 0, 1],
                       x_n=[1, 2, 3, 4], z_n=[0, 0, 1, 1], known_mz=1.0, known_mx=0.0)
         with pytest.raises(EstimatorError, match="stratification undefined"):
-            stratification_estimator(v)
+            evaluate_estimator("stratified", v)
         assert evaluate_with_diagnostics("stratified", v) == (2.0, False, True)
 
 

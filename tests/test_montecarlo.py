@@ -40,7 +40,12 @@ from dsmedian.montecarlo import (
     map_replicates,
     run_simulation,
 )
-from dsmedian.population import Population, load_population_csv, population_summary
+from dsmedian.population import (
+    Population,
+    PopulationSummary,
+    load_population_csv,
+    population_summary,
+)
 from dsmedian.sampling import SeedSpec, draw_two_phase
 
 NORMAL = MarginalSpec("normal", 10.0, 2.0)
@@ -369,6 +374,10 @@ class TestRunSimulation:
         direct = math.sqrt(math.fsum((sq_err - rep.stats("median").mse) ** 2) / (k - 1) / k)
         assert rep.stats("median").mse_mc_se == direct
 
+    def test_mse_mc_se_relative_sum_where_the_direct_sum_overflows(self):
+        # each squared deviation is 1e308, finite, but their fsum overflows
+        assert montecarlo._mse_mc_se(np.array([0.0, 2e154]), 1e154) == 1e154
+
     def test_census_like_config(self):
         # m = n - 1 = N - 1: every double-sampling estimate hugs the sample median
         cfg = quick_config(N=12, n=12, m=11, replicates=1,
@@ -380,7 +389,7 @@ class TestRunSimulation:
 
     def test_stats_of_an_id_not_run(self):
         rep = run_simulation(quick_config(replicates=2))
-        assert rep.stats("reg-xz").est_id == "reg-xz"
+        assert rep.stats("reg-xz").estimator == "reg-xz"
         with pytest.raises(KeyError, match="'g1'"):
             rep.stats("g1")
 
@@ -424,7 +433,7 @@ class TestRunSimulation:
         cfg = quick_config(estimators=("median", "reg-x", "reg-xz", "f-linear",
                                        "ratio-double", "position", "g3"))
         rep = run_simulation(cfg)
-        theory = {r.est_id: r.theory_variance for r in rep.rows}
+        theory = {r.estimator: r.theory_variance for r in rep.rows}
         assert theory["position"] is None
         assert theory["median"] > theory["reg-x"] > theory["reg-xz"] > theory["f-linear"]
         assert theory["ratio-double"] is not None
@@ -444,7 +453,7 @@ class TestRunSimulation:
                         estimators=("median", "reg-xz", "f-linear"), generator=gen)
         rep = run_simulation(cfg)
         for row in rep.rows:
-            assert 0.6 <= row.mse_theory_ratio <= 1.6, (row.est_id, row.mse_theory_ratio)
+            assert 0.6 <= row.mse_theory_ratio <= 1.6, (row.estimator, row.mse_theory_ratio)
 
     def test_median_mse_tracks_inverse_m(self):
         # log-log slope of the median MSE against m stays near -1
@@ -727,12 +736,22 @@ class TestSharedReplicateWork:
         ((1e300, 0.0, 1.0), (1.0, 1e-10, 1.0), (0.5, 0.5, 0.5), "alpha1_star_hat"),
         # 1 - rho_xz**2 = 2**-52 times f_y = 1e-300 is subnormal: a1 overflows, d1 does not
         ((1.0, 1.0, 1.0), (1.0, 1e-300, 1.0), (0.9, 0.0, 1.0 - 2.0**-53), "a1_hat"),
+        # (1 - rho_xz**2) * f_y underflows to 0: a1..a3 are not finite, and neither is f_x / f_y
+        ((1, 1, 1), (1, 5e-324, 1), (0.5, 0.5, 0.9999999), "d1_hat"),
+        # ... and here only a1..a3 are not
+        ((1, 1, 1), (1e-310, 1e-310, 1e-310), (0.5, 0.5, 1 - 2**-53), "a1_hat"),
     ])
     def test_optimum_names_the_first_non_finite_coefficient(self, medians, densities, rhos,
                                                             name):
         # the coefficients are checked once, in field order, as the public constructor does
         with pytest.raises(EstimatorError, match=f"^non-finite coefficient {name}$"):
             optimum_coefficients(medians, densities, rhos)
+
+    def test_true_coefficients_name_an_underflowed_scale(self):
+        # the summary's concordances keep (1 - rho_xz**2) * f_y underflowing to 0
+        s = PopulationSummary.from_parameters((1, 1, 1), (1, 5e-324, 1), (0.5, 0.5, 0.9999999), 100)
+        with pytest.raises(EstimatorError, match="^non-finite coefficient d1_hat$"):
+            true_coefficients(s)
 
 
 def _squares(start: int, stop: int) -> np.ndarray:

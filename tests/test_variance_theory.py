@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_summary, realizable_concordances
-from dsmedian.estimators import true_coefficients
+from dsmedian.estimators import EstimatorError, composite_concordance, true_coefficients
 from dsmedian.core_stats import ProportionMatrix
 from dsmedian.population import PopulationSummary
 from dsmedian.variance_theory import (
@@ -14,8 +14,6 @@ from dsmedian.variance_theory import (
     min_var_F,
     min_var_H,
     min_var_g,
-    optimum_F_derivatives,
-    optimum_g_derivatives,
     var_class_F,
     var_class_g,
     var_sample_median,
@@ -152,8 +150,8 @@ class TestClassGVariance:
         for _ in range(50):
             s = random_summary(rng)
             sizes = DesignSizes(m=50, n=200, N=5000)
-            opt = optimum_g_derivatives(s)
-            direct = var_class_g(sizes, s, opt.g1, opt.g2)
+            g1, g2 = (-a for a in true_coefficients(s).alphas())
+            direct = var_class_g(sizes, s, g1, g2)
             closed = min_var_g(sizes, variance_components(s))
             assert direct == pytest.approx(closed, rel=1e-12, abs=1e-300)
 
@@ -170,35 +168,35 @@ class TestClassGVariance:
         for _ in range(30):
             s = random_summary(rng)
             sizes = DesignSizes(m=50, n=200, N=5000)
-            opt = optimum_g_derivatives(s)
-            base = var_class_g(sizes, s, opt.g1, opt.g2)
+            g1, g2 = (-a for a in true_coefficients(s).alphas())
+            base = var_class_g(sizes, s, g1, g2)
             d1, d2 = rng.normal(scale=0.5, size=2)
-            assert var_class_g(sizes, s, opt.g1 + d1, opt.g2 + d2) >= base - 1e-15
+            assert var_class_g(sizes, s, g1 + d1, g2 + d2) >= base - 1e-15
 
 
 class TestOptimumGDerivatives:
     def test_zero_association(self):
         s = PopulationSummary.from_parameters((3, 5, 7), (0.2, 0.5, 0.11), (0.0, 0.3, 0.1), 100)
-        assert optimum_g_derivatives(s).g1 == 0.0
+        assert -true_coefficients(s).alpha1_hat == 0.0
 
     def test_symmetric_scales(self):
         s = PopulationSummary.from_parameters((5, 5, 7), (0.5, 0.5, 0.11), (0.8, 0.6, 0.7), 100)
         # scale_x = scale_y and concordance 0.8 = 4*0.45 - 1
-        assert optimum_g_derivatives(s).g1 == pytest.approx(-0.8, rel=1e-12)
+        assert -true_coefficients(s).alpha1_hat == pytest.approx(-0.8, rel=1e-12)
 
     def test_sign(self, rng):
         for _ in range(20):
             s = random_summary(rng)
-            opt = optimum_g_derivatives(s)
+            g1 = -true_coefficients(s).alpha1_hat
             rho = s.concordances[0]
             if rho > 0:
-                assert opt.g1 < 0 or rho == 0
+                assert g1 < 0 or rho == 0
 
     def test_alpha_normalizations(self):
-        opt = optimum_g_derivatives(WORKED)
-        assert opt.alpha1 == pytest.approx(-opt.g1, rel=1e-15)
-        assert opt.alpha1_star == pytest.approx(opt.alpha1 * 5.0, rel=1e-12)
-        assert opt.alpha2_star == pytest.approx(opt.alpha2 * 5.0, rel=1e-12)
+        c = true_coefficients(WORKED)
+        assert c.alphas() == (c.alpha1_hat, c.alpha2_hat)
+        assert c.alpha1_star_hat == pytest.approx(c.alpha1_hat * 5.0, rel=1e-12)
+        assert c.alpha2_star_hat == pytest.approx(c.alpha2_hat * 5.0, rel=1e-12)
 
 
 class TestMinimumVariances:
@@ -247,8 +245,8 @@ class TestClassFVariance:
         for _ in range(50):
             s = random_summary(rng)
             sizes = DesignSizes(m=50, n=200, N=5000)
-            opt = optimum_F_derivatives(s)
-            direct = var_class_F(sizes, s, opt.F2, opt.F3, opt.F4)
+            f2, f3, f4 = (-a for a in true_coefficients(s).generalized())
+            direct = var_class_F(sizes, s, f2, f3, f4)
             closed = min_var_F(sizes, variance_components(s))
             assert direct == pytest.approx(closed, rel=1e-12, abs=1e-300)
 
@@ -266,59 +264,38 @@ class TestClassFVariance:
         for _ in range(30):
             s = random_summary(rng)
             sizes = DesignSizes(m=50, n=200, N=5000)
-            opt = optimum_F_derivatives(s)
-            base = var_class_F(sizes, s, opt.F2, opt.F3, opt.F4)
+            f2, f3, f4 = (-a for a in true_coefficients(s).generalized())
+            base = var_class_F(sizes, s, f2, f3, f4)
             d = rng.normal(scale=0.5, size=3)
-            assert var_class_F(sizes, s, opt.F2 + d[0], opt.F3 + d[1], opt.F4 + d[2]) >= base - 1e-15
+            assert var_class_F(sizes, s, f2 + d[0], f3 + d[1], f4 + d[2]) >= base - 1e-15
 
 
 class TestOptimumFDerivatives:
     def test_worked_composite(self):
-        opt = optimum_F_derivatives(WORKED)
-        assert opt.D == pytest.approx(0.04, abs=1e-12)
+        assert composite_concordance(*WORKED.concordances) == pytest.approx(0.04, abs=1e-12)
 
     def test_independent_auxiliaries(self):
         s = PopulationSummary.from_parameters((3, 5, 7), (0.2, 0.5, 0.11), (0.8, 0.6, 0.0), 100)
-        opt = optimum_F_derivatives(s)
-        assert opt.F3 == 0.0
-        assert opt.F4 == pytest.approx(-0.6 * 7 * 0.11 / 0.5, rel=1e-12)
+        _, f3, f4 = (-a for a in true_coefficients(s).generalized())
+        assert f3 == 0.0
+        assert f4 == pytest.approx(-0.6 * 7 * 0.11 / 0.5, rel=1e-12)
 
     def test_zero_composite(self):
         s = PopulationSummary.from_parameters((3, 5, 7), (0.2, 0.5, 0.11), (0.8, 0.8 * 0.7, 0.7),
                                               100)
-        assert optimum_F_derivatives(s).F4 == pytest.approx(0.0, abs=1e-15)
-
-    def test_matches_negated_coefficients(self, rng):
-        for _ in range(20):
-            s = random_summary(rng)
-            opt = optimum_F_derivatives(s)
-            assert opt.F2 == -opt.a1 and opt.F3 == -opt.a2 and opt.F4 == -opt.a3
+        assert -true_coefficients(s).a3_hat == pytest.approx(0.0, abs=1e-15)
 
     def test_collinearity(self):
         s = PopulationSummary.from_parameters((3, 5, 7), (0.2, 0.5, 0.11), (0.5, 0.5, 1.0), 100)
-        with pytest.raises(ValueError, match="collinearity"):
-            optimum_F_derivatives(s)
+        with pytest.raises(EstimatorError, match="^collinear auxiliaries: "):
+            true_coefficients(s).generalized()
 
 
 class TestOneOwner:
-    def test_optima_are_the_true_coefficients(self, rng):
-        # theory and the *-true estimators evaluate one function: the fields
-        # agree bit for bit on in-range summaries and on a census past the
-        # clamp, where only the generalized optimum is undefined
-        for s in [OVER_RANGE, *(random_summary(rng) for _ in range(200))]:
-            c = true_coefficients(s)
-            og = optimum_g_derivatives(s)
-            assert (og.alpha1, og.alpha2, og.alpha1_star, og.alpha2_star) == (
-                c.alpha1_hat, c.alpha2_hat, c.alpha1_star_hat, c.alpha2_star_hat)
-            assert (og.g1, og.g2) == (-c.alpha1_hat, -c.alpha2_hat)
-            if s is OVER_RANGE:
-                assert c.a1_hat is None
-                with pytest.raises(ValueError, match="collinearity"):
-                    optimum_F_derivatives(s)
-                continue
-            of = optimum_F_derivatives(s)
-            assert (of.a1, of.a2, of.a3) == (c.a1_hat, c.a2_hat, c.a3_hat)
-            assert (of.F2, of.F3, of.F4) == (-c.a1_hat, -c.a2_hat, -c.a3_hat)
+    def test_optima_are_the_true_coefficients(self):
+        # on a census past the clamp only the generalized optimum is undefined
+        c = true_coefficients(OVER_RANGE)
+        assert c.alpha1_hat is not None and c.a1_hat is None
 
     def test_zero_y_median_keeps_components(self):
         s = PopulationSummary.from_parameters((3, -0.0, 7), (0.2, 0.5, 0.11), (0.8, 0.6, 0.7),
@@ -403,17 +380,17 @@ class TestFiniteDifferenceStationarity:
         for _ in range(25):
             s = random_summary(rng)
             sizes = DesignSizes(m=40, n=160, N=4000)
-            og = optimum_g_derivatives(s)
-            base = var_class_g(sizes, s, og.g1, og.g2)
+            g1, g2 = (-a for a in true_coefficients(s).alphas())
+            base = var_class_g(sizes, s, g1, g2)
             for i in range(2):
-                step = 1e-3 * max(1.0, abs((og.g1, og.g2)[i]))
+                step = 1e-3 * max(1.0, abs((g1, g2)[i]))
                 d = [0.0, 0.0]
                 d[i] = step
-                up = var_class_g(sizes, s, og.g1 + d[0], og.g2 + d[1])
-                dn = var_class_g(sizes, s, og.g1 - d[0], og.g2 - d[1])
+                up = var_class_g(sizes, s, g1 + d[0], g2 + d[1])
+                dn = var_class_g(sizes, s, g1 - d[0], g2 - d[1])
                 grad = (up - dn) / (2 * step)
                 curv = abs(up - 2 * base + dn) / step**2
-                assert abs(grad) <= 1e-6 * max(curv * max(1.0, abs((og.g1, og.g2)[i])), 1e-12)
+                assert abs(grad) <= 1e-6 * max(curv * max(1.0, abs((g1, g2)[i])), 1e-12)
 
     def test_degenerate_reductions(self, rng):
         sizes = DesignSizes(m=30, n=120, N=3000)

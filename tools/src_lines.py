@@ -1,4 +1,5 @@
-"""Print the lines and the code lines of each Python file, and their totals.
+"""Print the lines and the code lines of each Python file, their totals, and
+the number of public names the files' ``__all__`` lists declare.
 
     python tools/src_lines.py [PATH ...]
 
@@ -9,7 +10,9 @@ other than a comment is code unless the token is part of a docstring
 (the string that opens a module, class or function body, found with
 ``ast``), so docstrings, comments and blank lines are not code.  A change
 that is meant to simplify is judged by its code lines: a docstring that
-grows or shrinks does not change them.
+grows or shrinks does not change them.  The last line counts the names in
+the union of the files' top-level ``__all__`` lists, read with ``ast``
+(nothing is imported), so a change also shows how large the API it leaves is.
 """
 
 from __future__ import annotations
@@ -35,6 +38,16 @@ def _docstring_lines(tree: ast.AST) -> set[int]:
     return lines
 
 
+def _all_names(tree: ast.Module) -> set[str]:
+    """The names of the module's top-level ``__all__`` assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
 def count(source: str) -> tuple[int, int]:
     """(lines, code lines) of one file's source."""
     code = set()
@@ -49,12 +62,16 @@ def main(argv: list[str]) -> int:
     for path in map(Path, argv or ["src/dsmedian"]):
         files += sorted(path.glob("*.py")) if path.is_dir() else [path]
     total = [0, 0]
+    names = set()
     print(f"{'lines':>7} {'code':>7}  file")
     for path in files:
-        counts = count(path.read_text())
+        source = path.read_text()
+        counts = count(source)
         total = [t + c for t, c in zip(total, counts)]
+        names |= _all_names(ast.parse(source))
         print(f"{counts[0]:7d} {counts[1]:7d}  {path}")
     print(f"{total[0]:7d} {total[1]:7d}  total")
+    print(f"{len(names):7d} {'':7}  names in __all__")
     return 0
 
 
